@@ -34,7 +34,6 @@ from .qstate import (
     StateVector,
     apply_single,
     kron_all,
-    reconstruct_operator,
     rz,
 )
 from .toffoli import (
@@ -42,7 +41,7 @@ from .toffoli import (
     RECOVERABLE_LINKING,
     LinkingByproducts,
     ResourceVariant,
-    branch_map,
+    branch_outputs,
     ccz_theta_matrix,
     hadamard_on_target,
     predicted_sigma,
@@ -65,23 +64,28 @@ def _random_states(rng, count, num_qubits=3):
     return out
 
 
-def _states_match(a: StateVector, b: np.ndarray, tol: float) -> bool:
+def _states_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """Phase-free comparison of an unnormalised state with a reference vector."""
-    va, vb = a.amplitudes, np.asarray(b)
+    va, vb = np.asarray(a), np.asarray(b)
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na == 0 or nb == 0:
         return na == nb
     return abs(abs(np.vdot(va, vb)) / (na * nb) - 1.0) <= tol
 
 
-def _successful_outcomes(variant: ResourceVariant):
-    """Outcome assignments whose predicted residual is a tensor product."""
+def _all_outcomes(variant: ResourceVariant):
+    """Every outcome assignment, as (bits, {vertex: bit}) pairs."""
     vertices = variant.measured_vertices
     for bits in itertools.product((0, 1), repeat=len(vertices)):
-        outcomes = dict(zip(vertices, bits))
+        yield bits, dict(zip(vertices, bits))
+
+
+def _successful_outcomes(variant: ResourceVariant):
+    """Outcome assignments whose predicted residual is a tensor product."""
+    for bits, outcomes in _all_outcomes(variant):
         if variant.kind == "six" and outcomes[2] == 1:
             continue
-        yield outcomes
+        yield bits, outcomes
 
 
 def _sx_cases(variant: ResourceVariant):
@@ -129,6 +133,9 @@ def check_seven_eight_success() -> dict:
 def check_gate_correctness() -> dict:
     rng = np.random.default_rng(SEED + 3)
     inputs = _random_states(rng, 5)
+    # Basis columns give the branch operator; the random states are
+    # embedded directly, so they cross-check it independently.
+    columns = np.vstack([np.eye(8)] + [psi.amplitudes for psi in inputs])
     tof = toffoli_matrix()
     worst_fidelity = 1.0
     checked = 0
@@ -137,16 +144,16 @@ def check_gate_correctness() -> dict:
         variant = ResourceVariant(kind)
         for sx in _sx_cases(variant):
             linking = LinkingByproducts(sx=sx)
-            for outcomes in _successful_outcomes(variant):
-                run = branch_map(variant, linking, outcomes)
-                branch_op = reconstruct_operator(run, 3)
+            outputs = branch_outputs(variant, linking, columns)
+            for bits, outcomes in _successful_outcomes(variant):
+                out = outputs[bits]
                 sigma_op = frame_to_operator(predicted_sigma(variant, outcomes, linking))
-                corrected = unit_scale(np.linalg.inv(sigma_op) @ branch_op)
+                corrected = unit_scale(np.linalg.inv(sigma_op) @ out[:, :8])
                 all_match &= equal_up_to_phase(corrected, tof, 1e-10)
                 worst_fidelity = min(worst_fidelity, process_fidelity(corrected, tof))
                 expected = sigma_op @ tof
-                for psi in inputs:
-                    all_match &= _states_match(run(psi), expected @ psi.amplitudes, 1e-10)
+                for k, psi in enumerate(inputs, start=8):
+                    all_match &= _states_match(out[:, k], expected @ psi.amplitudes, 1e-10)
                 checked += 1
     passed = all_match and worst_fidelity >= 1 - 1e-10
     return {
@@ -170,13 +177,9 @@ def check_sigma_formulas() -> dict:
         for sx in _sx_cases(variant):
             for sz in ((0, 0, 0), (1, 1, 0)):
                 linking = LinkingByproducts(sx=sx, sz=sz)
-                vertices = variant.measured_vertices
-                for bits in itertools.product((0, 1), repeat=len(vertices)):
-                    outcomes = dict(zip(vertices, bits))
-                    branch_op = reconstruct_operator(
-                        branch_map(variant, linking, outcomes), 3
-                    )
-                    residual = unit_scale(branch_op @ tof_inv)
+                operators = branch_outputs(variant, linking, np.eye(8))
+                for bits, outcomes in _all_outcomes(variant):
+                    residual = unit_scale(operators[bits] @ tof_inv)
                     predicted = unit_scale(
                         frame_to_operator(predicted_sigma(variant, outcomes, linking))
                     )
@@ -241,12 +244,9 @@ def check_ccz_generalisation() -> dict:
         variant = ResourceVariant("six", theta=frac)
         raw_target = hadamard_on_target() @ ccz_theta_matrix(float(frac) * np.pi)
         raw_inv = np.linalg.inv(raw_target)
-        for bits in itertools.product((0, 1), repeat=3):
-            outcomes = dict(zip((1, 2, 3), bits))
-            branch_op = reconstruct_operator(
-                branch_map(variant, NO_LINKING, outcomes, hadamard_encode=False), 3
-            )
-            residual = unit_scale(branch_op @ raw_inv)
+        operators = branch_outputs(variant, NO_LINKING, np.eye(8), hadamard_encode=False)
+        for bits, outcomes in _all_outcomes(variant):
+            residual = unit_scale(operators[bits] @ raw_inv)
             if outcomes[2] == 0:
                 sigma = predicted_sigma(variant, outcomes, NO_LINKING)
                 all_match &= sigma.is_local

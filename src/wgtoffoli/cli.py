@@ -18,7 +18,6 @@ error, 2 verification failure, 3 zero-probability branch requested.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -28,13 +27,13 @@ import numpy as np
 from . import angles, graphstate, optics
 from .acceptance import build_report, canonical_json
 from .mbqc import frame_to_operator
-from .qstate import StateVector, from_amplitudes, reconstruct_operator
+from .qstate import StateVector, from_amplitudes
 from .toffoli import (
     LinkingByproducts,
     ResourceVariant,
     UnrecoverableLinkingError,
     ZeroProbabilityBranchError,
-    branch_map,
+    branch_outputs,
     predicted_sigma,
     run_gate,
     success_probability,
@@ -215,9 +214,8 @@ def cmd_toffoli_enumerate(args) -> int:
 def _branch_table(variant, linking):
     tof = toffoli_matrix()
     rows = []
-    for bits in itertools.product((0, 1), repeat=len(variant.measured_vertices)):
+    for bits, branch_op in branch_outputs(variant, linking, np.eye(8)).items():
         outcomes = dict(zip(variant.measured_vertices, bits))
-        branch_op = reconstruct_operator(branch_map(variant, linking, outcomes), 3)
         probability = float(np.vdot(branch_op[:, 0], branch_op[:, 0]).real)
         sigma = predicted_sigma(variant, outcomes, linking)
         sigma_op = frame_to_operator(sigma)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import angles
 from .angles import Angle
-from .qstate import HADAMARD, KET_PLUS, StateVector, apply_cz_theta, kron_all
+from .qstate import HADAMARD, KET_PLUS, MAX_QUBITS, StateVector, apply_cz_theta, kron_all
 
 ROLES = ("none", "c1", "c2", "t")
 
@@ -51,6 +51,11 @@ class WeightedGraph:
     def __init__(self, vertex_count, edges=(), inputs=None):
         if vertex_count < 1:
             raise GraphFormatError("graph needs at least one vertex")
+        if vertex_count > MAX_QUBITS:
+            raise GraphFormatError(
+                f"graph has {vertex_count} vertices; the state-vector limit "
+                f"is MAX_QUBITS = {MAX_QUBITS}"
+            )
         self.vertex_count = int(vertex_count)
         self.edges: dict[tuple[int, int], Angle] = {}
         for i, j, theta in edges:

@@ -26,7 +26,6 @@ MAX_QUBITS = 12
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -44,11 +43,6 @@ CNOT = np.array(
 def rz(alpha: float) -> np.ndarray:
     """Phase rotation diag(1, e^{i*alpha}) about the z axis."""
     return np.array([[1, 0], [0, np.exp(1j * alpha)]], dtype=complex)
-
-
-def cz_theta_matrix(theta: float) -> np.ndarray:
-    """Two-qubit controlled phase diag(1, 1, 1, e^{i*theta})."""
-    return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
 
 
 def kron_all(*matrices: np.ndarray) -> np.ndarray:

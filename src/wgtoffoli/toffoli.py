@@ -46,6 +46,7 @@ from .mbqc import (
     Pattern,
     PatternStep,
     WireWord,
+    basis_states,
     enumerate_branches,
     frame_compose,
     frame_identity,
@@ -66,6 +67,7 @@ from .qstate import (
     reorder_qubits,
     rz,
 )
+from .verify import is_local, unit_scale
 
 WIRES = ("c1", "c2", "t")
 VARIANT_KINDS = ("six", "seven", "eight")
@@ -264,10 +266,6 @@ def logical_target(variant: ResourceVariant, hadamard_encode: bool = True) -> np
 # --- measurement programs ---
 
 
-def _mat_pow(mat: np.ndarray, exponent: int) -> np.ndarray:
-    return mat if exponent else ID2
-
-
 def _combine(*mats: np.ndarray | None) -> np.ndarray | None:
     """Left-to-right product of absorbed corrections, skipping identities."""
     acc = None
@@ -327,7 +325,7 @@ def measurement_program(
         elif linking.sx == (1, 0, 1):
             base2, base4, base7 = None, PAULI_X, PAULI_Z
         elif linking.sx == (1, 1, 1):
-            base2, base4, base7 = half_neg, _combine(PAULI_X, PAULI_X), PAULI_Z
+            base2, base4, base7 = half_neg, None, PAULI_Z
         else:
             base2 = None
         adaptive4 = _adaptive(2, quarter, False, base4, PAULI_X)
@@ -342,7 +340,7 @@ def measurement_program(
         )
 
     i, j, k = sx_c1, sx_c2, sx_t
-    base2 = _mat_pow(half_neg, j) if j else None
+    base2 = half_neg if j else None
     base3 = PAULI_Z if i else None
     base4 = PAULI_X if j else None
     base8 = PAULI_Z if (i ^ k) else None
@@ -576,6 +574,72 @@ def branch_map(
     return run
 
 
+def branch_outputs(
+    variant: ResourceVariant,
+    linking: LinkingByproducts,
+    inputs: np.ndarray,
+    hadamard_encode: bool = True,
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Unnormalised outputs of every measurement branch for a batch of inputs.
+
+    ``inputs`` is a ``(B, 8)`` array whose rows are logical input states
+    (wire order c1 c2 t). The result maps each outcome tuple, in
+    ``variant.measured_vertices`` order, to an ``(8, B)`` array whose
+    column ``b`` is the branch output for input row ``b``; with the
+    identity as input that array is the branch operator.
+
+    Each input row is embedded once with ``encoded_state``. The outcome
+    tree of ``measurement_program`` is then walked depth first: every
+    node resolves its adaptive basis from the outcomes above it and
+    projects both children from the shared parent tensor, with the
+    arithmetic of ``qstate.project``. Every output is therefore bitwise
+    equal to ``branch_map(variant, linking, outcomes, hadamard_encode)``
+    applied to the same row.
+    """
+    pattern = measurement_program(variant, linking)
+    inputs = np.asarray(inputs, dtype=complex)
+    if inputs.ndim != 2 or inputs.shape[1] != 8:
+        raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
+    batch = inputs.shape[0]
+    n = variant.vertex_count
+    states = [
+        encoded_state(variant, StateVector(3, row), linking, hadamard_encode).amplitudes
+        for row in inputs
+    ]
+    tensor = np.stack(states).reshape((batch,) + (2,) * n)
+
+    # Tensor axis of each measured vertex when its turn comes: qubit q of
+    # an r-qubit register sits on axis 1 + (r - 1 - q) after the batch axis.
+    position = list(range(n))
+    axes = []
+    for step in pattern.steps:
+        q = position.index(step.vertex)
+        axes.append(len(position) - q)
+        position.pop(q)
+    # Survivors keep ascending label order; put them in wire order c1 c2 t.
+    wire_axes = [len(position) - position.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
+    leaf_order = [0] + wire_axes
+
+    outputs = {}
+
+    def walk(depth, tensor, seen):
+        if depth == len(pattern.steps):
+            key = tuple(seen[v] for v in variant.measured_vertices)
+            leaf = np.transpose(tensor, leaf_order).reshape(batch, 8)
+            outputs[key] = np.ascontiguousarray(leaf.T)
+            return
+        step = pattern.steps[depth]
+        basis = step.basis(seen) if callable(step.basis) else step.basis
+        t0 = np.take(tensor, 0, axis=axes[depth])
+        t1 = np.take(tensor, 1, axis=axes[depth])
+        for bit, ket in enumerate(basis_states(basis)):
+            child = np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1
+            walk(depth + 1, child, {**seen, step.vertex: bit})
+
+    walk(0, tensor, {})
+    return dict(sorted(outputs.items()))
+
+
 @dataclass
 class GateRun:
     variant: ResourceVariant
@@ -604,8 +668,15 @@ def run_gate(
     try:
         sigma = predicted_sigma(variant, outcomes, linking)
     except ValueError:
-        sigma = None  # off the pi/4 grid; caller classifies the residual
-    success = sigma is not None and sigma.is_local
+        # No tabulated frame for this angle: classify the residual
+        # extracted from the simulated branch operator instead.
+        sigma = None
+        key = tuple(outcomes[v] for v in variant.measured_vertices)
+        branch_op = branch_outputs(variant, linking, np.eye(8), hadamard_encode)[key]
+        target_inv = np.linalg.inv(logical_target(variant, hadamard_encode))
+        success = is_local(unit_scale(branch_op @ target_inv)).is_local
+    else:
+        success = sigma.is_local
     return GateRun(
         variant, linking, dict(outcomes), probability, sigma, success, out.normalized()
     )

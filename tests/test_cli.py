@@ -84,6 +84,15 @@ def test_graph_build_bad_file(tmp_path, capsys):
     assert err.value.code == 1
 
 
+def test_graph_build_too_many_vertices(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertices": 13, "edges": [[0, 1, 1.0]]}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["graph", "build", str(path)])
+    assert err.value.code == 1
+    assert "MAX_QUBITS = 12" in capsys.readouterr().err
+
+
 def test_optics_run_reports_fidelity(capsys):
     code, out, _ = run_cli(["optics", "run"], capsys)
     assert code == 0

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -146,3 +147,14 @@ def test_input_assignment_roles():
     state = gs.build_state(graph)
     # H applied to the default |+> gives |0>
     np.testing.assert_allclose(state.amplitudes, qs.KET_ZERO, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [13, 40])
+def test_vertex_limit_enforced_at_construction(n):
+    # Only the graph is built, so no 2**n state is ever allocated.
+    with pytest.raises(gs.GraphFormatError, match=f"{n} vertices.*MAX_QUBITS = 12"):
+        gs.WeightedGraph(n, [(0, 1, MAXIMAL)])
+    doc = {"vertices": n, "edges": [[v, v + 1, 1.0] for v in range(n - 1)]}
+    with pytest.raises(gs.GraphFormatError, match="MAX_QUBITS"):
+        gs.from_json(json.dumps(doc))
+    assert gs.WeightedGraph(qs.MAX_QUBITS).vertex_count == 12

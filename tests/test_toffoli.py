@@ -150,6 +150,8 @@ def test_unrecoverable_linking_rejected(kind, sx):
             {v: 0 for v in tf.ResourceVariant(kind).measured_vertices},
             tf.LinkingByproducts(sx=sx),
         )
+    with pytest.raises(tf.UnrecoverableLinkingError):
+        tf.branch_outputs(tf.ResourceVariant(kind), tf.LinkingByproducts(sx=sx), np.eye(8))
 
 
 def test_eight_accepts_every_linking():
@@ -239,6 +241,51 @@ def test_branch_equivalence_random_sample(kind):
                     np.linalg.norm(expected) * np.linalg.norm(out.amplitudes)
                 )
                 assert abs(overlap - 1) < 1e-10
+
+
+# --- batched branch engine ---
+
+
+def assert_engine_matches_reference(variant, linking, hadamard_encode=True):
+    """Engine outputs equal the per-column path bit for bit."""
+    psis = random_states(62, 2)
+    inputs = np.vstack([np.eye(8)] + [psi.amplitudes for psi in psis])
+    outputs = tf.branch_outputs(variant, linking, inputs, hadamard_encode)
+    m = len(variant.measured_vertices)
+    assert list(outputs) == list(itertools.product((0, 1), repeat=m))
+    for bits, out in outputs.items():
+        mapping = tf.branch_map(
+            variant, linking, dict(zip(variant.measured_vertices, bits)), hadamard_encode
+        )
+        assert out.shape == (8, 10)
+        assert np.array_equal(out[:, :8], qs.reconstruct_operator(mapping, 3))
+        for column, psi in enumerate(psis, start=8):
+            assert np.array_equal(out[:, column], mapping(psi).amplitudes)
+
+
+@pytest.mark.parametrize("sz", [(0, 0, 0), (1, 0, 1)])
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_branch_outputs_equal_reference_path(kind, sz):
+    variant = tf.ResourceVariant(kind)
+    sx_cases = (
+        list(itertools.product((0, 1), repeat=3))
+        if kind == "eight"
+        else sorted(tf.RECOVERABLE_LINKING)
+    )
+    for sx in sx_cases:
+        assert_engine_matches_reference(variant, tf.LinkingByproducts(sx=sx, sz=sz))
+
+
+@pytest.mark.parametrize("hadamard_encode", [True, False])
+def test_branch_outputs_equal_reference_path_off_grid(hadamard_encode):
+    variant = tf.ResourceVariant("six", theta=Fraction(1, 3))
+    for sx in sorted(tf.RECOVERABLE_LINKING):
+        assert_engine_matches_reference(variant, tf.LinkingByproducts(sx=sx), hadamard_encode)
+
+
+def test_branch_outputs_rejects_bad_input_shape():
+    with pytest.raises(ValueError):
+        tf.branch_outputs(tf.ResourceVariant("six"), tf.NO_LINKING, np.eye(4))
 
 
 def test_success_flag_matches_schmidt_classification():
@@ -336,6 +383,23 @@ def test_ccz_theta_off_grid_s3_frame_unavailable():
     psi = qs.StateVector(3, amps / np.linalg.norm(amps))
     run = tf.run_gate(variant, psi, outcomes={1: 0, 2: 1, 3: 0})
     assert run.sigma is None and not run.success
+
+
+@pytest.mark.parametrize(
+    "kind,theta",
+    [("seven", Fraction(1, 2)), ("eight", Fraction(1, 2)), ("six", Fraction(1, 3))],
+)
+def test_off_grid_runs_classified_by_extracted_residual(kind, theta):
+    # Where no frame table applies, the verdict comes from the simulated
+    # branch: every gadget branch is local at pi/2, while the six-qubit
+    # s3 = 1 branches stay entangling.
+    variant = tf.ResourceVariant(kind, theta)
+    psi = random_states(63, 1)[0]
+    for outcomes in all_outcomes(variant):
+        run = tf.run_gate(variant, psi, outcomes=outcomes)
+        tabulated = kind == "six" and outcomes[2] == 0
+        assert (run.sigma is not None) == tabulated
+        assert run.success == (kind != "six" or outcomes[2] == 0)
 
 
 def test_variant_validation():

@@ -62,19 +62,30 @@ def to_json(angle: Angle):
     return float(angle)
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json(obj, where: str = "angle") -> Angle:
     if isinstance(obj, dict):
         try:
             num, den = obj["pi_num"], obj["pi_den"]
         except KeyError as exc:
             raise ValueError(f"{where}: missing {exc.args[0]}") from None
-        if not isinstance(num, int) or not isinstance(den, int):
+        if not (is_json_int(num) and is_json_int(den)):
             raise ValueError(f"{where}: pi_num/pi_den must be integers")
         if den == 0:
             raise ValueError(f"{where}: zero denominator")
         return Fraction(num, den)
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return float(obj)
+        try:
+            value = float(obj)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: expected a finite number")
+        return value
     raise ValueError(f"{where}: expected {{pi_num, pi_den}} or a number")
 
 

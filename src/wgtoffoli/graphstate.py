@@ -163,7 +163,10 @@ def to_json(graph: WeightedGraph) -> bytes:
 
 def from_json(text) -> WeightedGraph:
     if isinstance(text, bytes):
-        text = text.decode()
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"not UTF-8 text: {exc.reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,14 +174,20 @@ def from_json(text) -> WeightedGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be an object")
     vertices = doc.get("vertices")
-    if not isinstance(vertices, int) or vertices < 1:
+    if not angles.is_json_int(vertices) or vertices < 1:
         raise GraphFormatError("'vertices' must be a positive integer")
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise GraphFormatError("'edges' must be a list")
+    raw_inputs = doc.get("inputs", {})
+    if not isinstance(raw_inputs, dict):
+        raise GraphFormatError("'inputs' must be an object")
     edges = []
-    for pos, entry in enumerate(doc.get("edges", [])):
+    for pos, entry in enumerate(raw_edges):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise GraphFormatError(f"edges[{pos}]: expected [i, j, angle]")
         i, j, raw = entry
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (angles.is_json_int(i) and angles.is_json_int(j)):
             raise GraphFormatError(f"edges[{pos}]: endpoints must be integers")
         try:
             theta = angles.from_json(raw, where=f"edges[{pos}].angle")
@@ -186,7 +195,7 @@ def from_json(text) -> WeightedGraph:
             raise GraphFormatError(str(exc)) from None
         edges.append((i, j, theta))
     inputs = {}
-    for key, entry in (doc.get("inputs") or {}).items():
+    for key, entry in raw_inputs.items():
         try:
             v = int(key)
         except ValueError:

@@ -18,7 +18,6 @@ matrix factor applied before the words, and an exact global phase.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Union
@@ -131,19 +130,77 @@ def run_branch(
     return state.norm_sq / initial, state
 
 
+def measured_qubits(num_qubits: int, pattern: Pattern) -> tuple[list[int], list[int]]:
+    """Register qubit of each measured vertex when its turn comes, and the survivors.
+
+    Unmeasured vertices keep ascending label order, as in ``run_branch``,
+    so the positions do not depend on the outcomes.
+    """
+    position = list(range(num_qubits))
+    qubits = []
+    for vertex in pattern.vertices:
+        if vertex not in position:
+            raise ValueError(f"vertex {vertex} not present in the register")
+        qubits.append(position.index(vertex))
+        position.remove(vertex)
+    return qubits, position
+
+
+def outcome_tree_leaves(
+    pattern: Pattern, root, split: Callable
+) -> list[tuple[OutcomeBits, object]]:
+    """Walk the outcome tree of ``pattern`` depth first, sharing every prefix.
+
+    ``split(node, depth, kets)`` returns the two children of a node: the
+    node projected onto ``kets[0]`` and ``kets[1]`` for step ``depth``.
+    Each node resolves its (possibly adaptive) basis once from the
+    outcomes above it, so a pattern of m steps costs ``2**m - 1`` basis
+    resolutions and ``2 * (2**m - 1)`` projections. Leaves come back as
+    ``(outcomes, node)`` in ``itertools.product`` order, with outcome keys
+    in step order. The walk keeps an explicit stack, so it leaves no
+    reference cycle behind.
+    """
+    leaves = []
+    stack = [({}, root)]
+    while stack:
+        seen, node = stack.pop()
+        depth = len(seen)
+        if depth == len(pattern.steps):
+            leaves.append((seen, node))
+            continue
+        step = pattern.steps[depth]
+        basis = step.basis(seen) if callable(step.basis) else step.basis
+        children = split(node, depth, basis_states(basis))
+        stack.append(({**seen, step.vertex: 1}, children[1]))
+        stack.append(({**seen, step.vertex: 0}, children[0]))
+    return leaves
+
+
 def enumerate_branches(
     state: StateVector, pattern: Pattern
 ) -> list[tuple[OutcomeBits, float, StateVector]]:
-    """All ``2**m`` measurement branches, zero-probability ones included."""
+    """All ``2**m`` measurement branches, zero-probability ones included.
+
+    Branches come in ``itertools.product`` order over the steps. Every
+    measured prefix is projected once (see ``outcome_tree_leaves``) with
+    the arithmetic of ``run_branch``, so each result is bitwise equal to
+    ``run_branch(state, pattern, outcomes)``.
+    """
     m = len(pattern.steps)
     if m > MAX_PATTERN_QUBITS:
         raise ValueError(f"{m} measurements exceed the limit of {MAX_PATTERN_QUBITS}")
-    branches = []
-    for bits in itertools.product((0, 1), repeat=m):
-        outcomes = dict(zip(pattern.vertices, bits))
-        probability, final = run_branch(state, pattern, outcomes)
-        branches.append((outcomes, probability, final))
-    return branches
+    initial = state.norm_sq
+    if initial == 0:
+        raise ValueError("cannot measure the zero state")
+    qubits, _ = measured_qubits(state.num_qubits, pattern)
+
+    def split(node, depth, kets):
+        return [project(node, qubits[depth], ket) for ket in kets]
+
+    return [
+        (outcomes, final.norm_sq / initial, final)
+        for outcomes, final in outcome_tree_leaves(pattern, state, split)
+    ]
 
 
 # --- byproduct frames ---

@@ -29,6 +29,7 @@ from .mbqc import COMPUTATIONAL, MeasurementBasis, basis_states
 from .qstate import (
     HADAMARD,
     KET_PLUS,
+    MAX_QUBITS,
     StateVector,
     apply_single,
     kron_all,
@@ -92,9 +93,15 @@ def to_weighted_pair(pair: StateVector, gamma: Angle) -> StateVector:
 
 
 def _append_modes(register: PhotonRegister, labels, state: StateVector) -> PhotonRegister:
+    if len(set(labels)) != len(labels):
+        raise RecipeError(f"modes {tuple(labels)} are not distinct")
     for mode in labels:
         if mode in register.labels:
             raise RecipeError(f"mode {mode} already exists")
+    if len(register.labels) + len(labels) > MAX_QUBITS:
+        raise RecipeError(
+            f"adding modes {tuple(labels)} would exceed MAX_QUBITS = {MAX_QUBITS} live modes"
+        )
     joint = kron_all(state.amplitudes, register.state.amplitudes)
     return PhotonRegister(
         register.labels + list(labels),
@@ -259,48 +266,77 @@ def steps_to_json(steps) -> bytes:
     return (json.dumps({"steps": out}, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _int_field(value, where: str) -> int:
+    if not angles.is_json_int(value):
+        raise RecipeError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _angle_field(value, where: str) -> Angle:
+    try:
+        return angles.from_json(value, where)
+    except ValueError as exc:
+        raise RecipeError(str(exc)) from None
+
+
 def steps_from_json(text) -> list[RecipeStep]:
     if isinstance(text, bytes):
-        text = text.decode()
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise RecipeError(f"not UTF-8 text: {exc.reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecipeError(f"line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise RecipeError("top level must be an object")
+    raw_steps = doc.get("steps", [])
+    if not isinstance(raw_steps, list):
+        raise RecipeError("'steps' must be a list")
     steps = []
-    for pos, entry in enumerate(doc.get("steps", [])):
-        op = entry.get("op")
+    for pos, entry in enumerate(raw_steps):
         where = f"steps[{pos}]"
+        if not isinstance(entry, dict):
+            raise RecipeError(f"{where}: expected an object")
+        op = entry.get("op")
         if op in ("source", "fuse"):
-            modes = tuple(entry.get("modes", ()))
-            if len(modes) != 2:
+            modes = entry.get("modes", [])
+            if not isinstance(modes, list) or len(modes) != 2:
                 raise RecipeError(f"{where}: {op} needs two modes")
+            modes = tuple(_int_field(m, f"{where}.modes[{k}]") for k, m in enumerate(modes))
         elif op in ("rotate", "measure", "reset"):
             if "mode" not in entry:
                 raise RecipeError(f"{where}: {op} needs a mode")
-            modes = (entry["mode"],)
+            modes = (_int_field(entry["mode"], f"{where}.mode"),)
         else:
             raise RecipeError(f"{where}: unknown op {op!r}")
-        gamma = angles.from_json(entry["gamma"], f"{where}.gamma") if "gamma" in entry else None
-        angle = angles.from_json(entry["angle"], f"{where}.angle") if "angle" in entry else None
+        gamma = _angle_field(entry["gamma"], f"{where}.gamma") if "gamma" in entry else None
+        angle = _angle_field(entry["angle"], f"{where}.angle") if "angle" in entry else None
+        if op == "rotate" and angle is None:
+            raise RecipeError(f"{where}: rotate needs an angle")
+        h_on = entry.get("h_on")
+        if h_on is not None:
+            h_on = _int_field(h_on, f"{where}.h_on")
         basis = None
+        outcome = entry.get("outcome", 0)
+        if not angles.is_json_int(outcome) or outcome not in (0, 1):
+            raise RecipeError(f"{where}.outcome: expected 0 or 1, got {outcome!r}")
         if op == "measure":
             raw = entry.get("basis", "computational")
             if raw == "computational":
                 basis = COMPUTATIONAL
+            elif not isinstance(raw, dict):
+                raise RecipeError(f"{where}.basis: expected \"computational\" or an object")
             else:
+                hadamard = raw.get("hadamard", False)
+                if not isinstance(hadamard, bool):
+                    raise RecipeError(f"{where}.basis.hadamard: expected true or false")
                 basis = MeasurementBasis(
-                    alpha=angles.from_json(raw.get("alpha", 0), f"{where}.basis.alpha"),
-                    hadamard=bool(raw.get("hadamard", False)),
+                    alpha=_angle_field(raw.get("alpha", 0), f"{where}.basis.alpha"),
+                    hadamard=hadamard,
                 )
         steps.append(
-            RecipeStep(
-                op,
-                modes,
-                gamma=gamma,
-                h_on=entry.get("h_on"),
-                angle=angle,
-                basis=basis,
-                outcome=entry.get("outcome", 0),
-            )
+            RecipeStep(op, modes, gamma=gamma, h_on=h_on, angle=angle, basis=basis, outcome=outcome)
         )
     return steps

@@ -46,11 +46,12 @@ from .mbqc import (
     Pattern,
     PatternStep,
     WireWord,
-    basis_states,
     enumerate_branches,
     frame_compose,
     frame_identity,
     make_word,
+    measured_qubits,
+    outcome_tree_leaves,
     run_branch,
 )
 from .qstate import (
@@ -93,6 +94,10 @@ class ZeroProbabilityBranchError(ValueError):
 
 class UnrecoverableLinkingError(ValueError):
     """The inherited x-corruption cannot be absorbed by this resource."""
+
+
+class FrameUnavailable(ValueError):
+    """The frame table has no entry for this angle."""
 
 
 @dataclass(frozen=True)
@@ -440,6 +445,7 @@ def predicted_sigma(
     The branch output always equals ``frame_to_operator(sigma) @ gate``
     applied to the logical input, up to a global phase. The frame is
     non-local exactly for the six-qubit resource with outcome s3 = 1.
+    Raises ``FrameUnavailable`` where the table has no entry for theta.
     """
     _check_recoverable(variant, linking)
     needed = set(variant.measured_vertices)
@@ -447,7 +453,10 @@ def predicted_sigma(
         raise ValueError(f"outcomes must cover vertices {sorted(needed)}")
     theta = variant.theta
     if variant.kind in ("seven", "eight") and theta % 2 != Fraction(1):
-        raise ValueError("gadget-variant frames are tabulated for theta = pi only")
+        raise FrameUnavailable(
+            f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
+            f"not theta = {angles.describe(theta)}"
+        )
     h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
 
     words = _sigma_words(variant, outcomes)
@@ -459,9 +468,9 @@ def predicted_sigma(
         flip = -1 if (sx[1] ^ sx[2]) else 1
         if s3:
             if h8 is None:
-                raise ValueError(
-                    "s3 = 1 frames need theta on the pi/4 grid; "
-                    "this branch is classified by its extracted residual instead"
+                raise FrameUnavailable(
+                    "six-qubit frames with s3 = 1 are tabulated for theta a "
+                    f"multiple of pi/2 only, not theta = {angles.describe(theta)}"
                 )
             frame.words["c2"] = make_word(k=-flip * h8)
             factor, label = _nonlocal_factor(theta, flip)
@@ -485,7 +494,10 @@ def _six_prefactor(sx, h8) -> ByproductOperator:
     if sx == (0, 0, 0):
         return frame_identity(WIRES)
     if h8 is None:
-        raise ValueError("linking corrections need theta on the pi/4 grid")
+        raise FrameUnavailable(
+            "six-qubit linking corrections are tabulated for theta a multiple "
+            "of pi/2 only"
+        )
     if sx == (0, 1, 0):
         return _frame(c1=make_word(k=h8), c2=make_word(x=1))
     if sx == (1, 0, 1):
@@ -589,12 +601,12 @@ def branch_outputs(
     identity as input that array is the branch operator.
 
     Each input row is embedded once with ``encoded_state``. The outcome
-    tree of ``measurement_program`` is then walked depth first: every
-    node resolves its adaptive basis from the outcomes above it and
-    projects both children from the shared parent tensor, with the
-    arithmetic of ``qstate.project``. Every output is therefore bitwise
-    equal to ``branch_map(variant, linking, outcomes, hadamard_encode)``
-    applied to the same row.
+    tree of ``measurement_program`` is then walked with
+    ``mbqc.outcome_tree_leaves``: every node resolves its adaptive basis
+    from the outcomes above it and projects both children from the shared
+    parent tensor, with the arithmetic of ``qstate.project``. Every output
+    is therefore bitwise equal to ``branch_map(variant, linking, outcomes,
+    hadamard_encode)`` applied to the same row.
     """
     pattern = measurement_program(variant, linking)
     inputs = np.asarray(inputs, dtype=complex)
@@ -610,33 +622,22 @@ def branch_outputs(
 
     # Tensor axis of each measured vertex when its turn comes: qubit q of
     # an r-qubit register sits on axis 1 + (r - 1 - q) after the batch axis.
-    position = list(range(n))
-    axes = []
-    for step in pattern.steps:
-        q = position.index(step.vertex)
-        axes.append(len(position) - q)
-        position.pop(q)
-    # Survivors keep ascending label order; put them in wire order c1 c2 t.
-    wire_axes = [len(position) - position.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
+    qubits, survivors = measured_qubits(n, pattern)
+    axes = [n - depth - q for depth, q in enumerate(qubits)]
+    # Put the survivors in wire order c1 c2 t.
+    wire_axes = [len(survivors) - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
     leaf_order = [0] + wire_axes
 
+    def split(node, depth, kets):
+        t0 = np.take(node, 0, axis=axes[depth])
+        t1 = np.take(node, 1, axis=axes[depth])
+        return [np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1 for ket in kets]
+
     outputs = {}
-
-    def walk(depth, tensor, seen):
-        if depth == len(pattern.steps):
-            key = tuple(seen[v] for v in variant.measured_vertices)
-            leaf = np.transpose(tensor, leaf_order).reshape(batch, 8)
-            outputs[key] = np.ascontiguousarray(leaf.T)
-            return
-        step = pattern.steps[depth]
-        basis = step.basis(seen) if callable(step.basis) else step.basis
-        t0 = np.take(tensor, 0, axis=axes[depth])
-        t1 = np.take(tensor, 1, axis=axes[depth])
-        for bit, ket in enumerate(basis_states(basis)):
-            child = np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1
-            walk(depth + 1, child, {**seen, step.vertex: bit})
-
-    walk(0, tensor, {})
+    for seen, leaf in outcome_tree_leaves(pattern, tensor, split):
+        key = tuple(seen[v] for v in variant.measured_vertices)
+        leaf = np.transpose(leaf, leaf_order).reshape(batch, 8)
+        outputs[key] = np.ascontiguousarray(leaf.T)
     return dict(sorted(outputs.items()))
 
 
@@ -667,7 +668,7 @@ def run_gate(
         raise ZeroProbabilityBranchError(f"branch {outcomes} has probability 0")
     try:
         sigma = predicted_sigma(variant, outcomes, linking)
-    except ValueError:
+    except FrameUnavailable:
         # No tabulated frame for this angle: classify the residual
         # extracted from the simulated branch operator instead.
         sigma = None

@@ -158,3 +158,97 @@ def test_vertex_limit_enforced_at_construction(n):
     with pytest.raises(gs.GraphFormatError, match="MAX_QUBITS"):
         gs.from_json(json.dumps(doc))
     assert gs.WeightedGraph(qs.MAX_QUBITS).vertex_count == 12
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ({"vertices": True}, "'vertices'"),
+        ({"vertices": 2, "edges": {"0": [0, 1, 1.0]}}, "'edges' must be a list"),
+        ({"vertices": 2, "edges": None}, "'edges' must be a list"),
+        ({"vertices": 2, "inputs": [0]}, "'inputs' must be an object"),
+        ({"vertices": 2, "inputs": "c1"}, "'inputs' must be an object"),
+        ({"vertices": 2, "edges": [[0, True, 1.0]]}, "edges[0]: endpoints"),
+        ({"vertices": 2, "edges": [[0, 1, {"pi_num": True, "pi_den": 1}]]}, "edges[0].angle"),
+        ({"vertices": 2, "edges": [[0, 1, 10**400]]}, "edges[0].angle: expected a finite"),
+        ({"vertices": 2, "inputs": {"0": 1}}, "inputs[0]: expected an object"),
+    ],
+)
+def test_json_field_errors(doc, fragment):
+    with pytest.raises(gs.GraphFormatError) as err:
+        gs.from_json(json.dumps(doc))
+    assert fragment in str(err.value)
+
+
+def test_json_rejects_non_finite_and_undecodable_input():
+    with pytest.raises(gs.GraphFormatError, match="finite"):
+        gs.from_json('{"vertices": 2, "edges": [[0, 1, NaN]]}')
+    with pytest.raises(gs.GraphFormatError, match="UTF-8"):
+        gs.from_json(b'{"vertices": 2}\xff')
+
+
+json_scalars = st.none() | st.booleans() | st.integers(-3, 14) | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+pi_angles = st.fixed_dictionaries({"pi_num": st.integers(-8, 8), "pi_den": st.integers(-4, 4)})
+few_vertices = st.integers(0, 5)
+# Well-typed documents reach WeightedGraph; noisy ones probe the parser.
+typed_graph = st.fixed_dictionaries(
+    {
+        "vertices": st.integers(6, 13),
+        "edges": st.lists(
+            st.tuples(few_vertices, few_vertices, pi_angles | st.floats(-10, 10)).map(list),
+            max_size=6,
+            unique_by=lambda edge: frozenset(edge[:2]),
+        ),
+    },
+    optional={
+        "inputs": st.dictionaries(
+            few_vertices.map(str),
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "role": st.sampled_from(gs.ROLES),
+                    "basis": st.sampled_from(("computational", "hadamard")),
+                },
+            ),
+            max_size=3,
+        )
+    },
+)
+noisy_vertex = st.integers(-1, 14) | json_values
+noisy_angle = pi_angles | st.floats() | st.integers(-(10**400), 10**400) | json_values
+noisy_graph = st.fixed_dictionaries(
+    {},
+    optional={
+        "vertices": noisy_vertex,
+        "edges": st.lists(
+            st.tuples(noisy_vertex, noisy_vertex, noisy_angle).map(list) | json_values, max_size=6
+        )
+        | json_values,
+        "inputs": st.dictionaries(
+            st.integers(-1, 13).map(str) | st.text(max_size=3),
+            st.fixed_dictionaries({}, optional={"role": json_values, "basis": json_values})
+            | json_values,
+            max_size=3,
+        )
+        | json_values,
+    },
+)
+graph_json = typed_graph | noisy_graph | json_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=graph_json)
+def test_from_json_fuzz_raises_only_graph_format_errors(doc):
+    try:
+        graph = gs.from_json(json.dumps(doc))
+    except gs.GraphFormatError:
+        return
+    assert 1 <= graph.vertex_count <= qs.MAX_QUBITS

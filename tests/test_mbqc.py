@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,86 @@ def test_adaptive_basis_sees_earlier_outcomes():
     )
     mbqc.run_branch(qs.plus_state(2), pattern, {0: 1, 1: 0})
     assert seen == {0: 1}
+
+
+def mixed_pattern_state():
+    """Six vertices, measured out of label order, on a weighted graph.
+
+    Vertex 5 is isolated in |+> and measured at alpha = 0, so every branch
+    with outcome 1 there has probability exactly 0.
+    """
+    rng = np.random.default_rng(46)
+    graph = WeightedGraph(
+        6,
+        [
+            (0, 1, MAXIMAL),
+            (1, 2, Fraction(1, 3)),
+            (2, 3, MAXIMAL),
+            (3, 4, 1.1),
+            (0, 4, Fraction(-1, 2)),
+        ],
+    )
+    state = build_state_with_input(graph, random_state(rng, 2), (4, 1))
+    correction, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+
+    def adaptive(seen):
+        assert list(seen) == [4, 1, 5]
+        sign = -1 if seen[4] ^ seen[1] else 1
+        return mbqc.MeasurementBasis(sign * Fraction(1, 4), hadamard=True)
+
+    pattern = mbqc.Pattern(
+        [
+            mbqc.PatternStep(4, mbqc.MeasurementBasis(Fraction(1, 4), hadamard=True)),
+            mbqc.PatternStep(1, mbqc.MeasurementBasis(0.7, absorbed=correction)),
+            mbqc.PatternStep(5, mbqc.MeasurementBasis()),
+            mbqc.PatternStep(0, adaptive),
+        ]
+    )
+    return state, pattern
+
+
+def test_enumerate_equals_run_branch_bitwise():
+    state, pattern = mixed_pattern_state()
+    branches = mbqc.enumerate_branches(state, pattern)
+    expected_bits = list(itertools.product((0, 1), repeat=4))
+    assert len(branches) == len(expected_bits)
+    zero_branches = 0
+    for (outcomes, probability, final), bits in zip(branches, expected_bits):
+        reference = dict(zip(pattern.vertices, bits))
+        ref_probability, ref_final = mbqc.run_branch(state, pattern, reference)
+        assert outcomes == reference and list(outcomes) == pattern.vertices
+        assert probability == ref_probability
+        assert final.num_qubits == ref_final.num_qubits == 2
+        assert np.array_equal(final.amplitudes, ref_final.amplitudes)
+        zero_branches += probability == 0
+    assert zero_branches == 8  # outcome 1 on the isolated vertex
+
+
+def test_enumerate_without_measurements_returns_the_state():
+    state = qs.plus_state(2)
+    [(outcomes, probability, final)] = mbqc.enumerate_branches(state, mbqc.Pattern([]))
+    assert outcomes == {} and probability == 1.0 and final is state
+
+
+@pytest.mark.parametrize(
+    "state,vertices,message",
+    [
+        (qs.plus_state(2), (0, 2), "vertex 2 not present"),
+        (qs.StateVector(2, np.zeros(4)), (0, 1), "zero state"),
+    ],
+)
+def test_enumerate_rejects_before_any_projection(monkeypatch, state, vertices, message):
+    calls = []
+    monkeypatch.setattr(mbqc, "project", lambda *args: calls.append(args))
+
+    def resolve(seen):
+        calls.append(seen)
+        return mbqc.COMPUTATIONAL
+
+    pattern = mbqc.Pattern([mbqc.PatternStep(v, resolve) for v in vertices])
+    with pytest.raises(ValueError, match=message):
+        mbqc.enumerate_branches(state, pattern)
+    assert calls == []
 
 
 # --- frames ---

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgtoffoli import optics
 from wgtoffoli import qstate as qs
@@ -228,3 +231,115 @@ def test_recipe_json_errors():
         optics.steps_from_json(b'{"steps": [{"op": "warp", "mode": 1}]}')
     with pytest.raises(optics.RecipeError):
         optics.steps_from_json(b'{"steps": [{"op": "fuse", "modes": [1]}]}')
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ([], "top level must be an object"),
+        ({"steps": {"op": "reset"}}, "'steps' must be a list"),
+        ({"steps": ["reset"]}, "steps[0]: expected an object"),
+        ({"steps": [{"op": "reset", "mode": "a"}]}, "steps[0].mode: expected an integer"),
+        ({"steps": [{"op": "reset", "mode": True}]}, "steps[0].mode: expected an integer"),
+        ({"steps": [{"op": "source", "modes": [1, 2.0], "gamma": 1.0}]}, "steps[0].modes[1]"),
+        ({"steps": [{"op": "source", "modes": "ab", "gamma": 1.0}]}, "needs two modes"),
+        ({"steps": [{"op": "fuse", "modes": [1, 2], "h_on": "2"}]}, "steps[0].h_on"),
+        ({"steps": [{"op": "measure", "mode": 1, "outcome": 2}]}, "steps[0].outcome"),
+        ({"steps": [{"op": "measure", "mode": 1, "outcome": True}]}, "steps[0].outcome"),
+        ({"steps": [{"op": "measure", "mode": 1, "basis": 3}]}, "steps[0].basis"),
+        (
+            {"steps": [{"op": "measure", "mode": 1, "basis": {"hadamard": 1}}]},
+            "steps[0].basis.hadamard",
+        ),
+        ({"steps": [{"op": "rotate", "mode": 1}]}, "steps[0]: rotate needs an angle"),
+        ({"steps": [{"op": "rotate", "mode": 1, "angle": "x"}]}, "steps[0].angle"),
+        ({"steps": [{"op": "source", "modes": [1, 2], "gamma": [1]}]}, "steps[0].gamma"),
+    ],
+)
+def test_recipe_json_field_errors(doc, fragment):
+    with pytest.raises(optics.RecipeError) as err:
+        optics.steps_from_json(json.dumps(doc))
+    assert fragment in str(err.value)
+
+
+def test_register_capped_at_max_qubits():
+    steps = [optics.RecipeStep("source", (2 * k, 2 * k + 1), gamma=Fraction(1)) for k in range(7)]
+    with pytest.raises(optics.RecipeError, match="MAX_QUBITS = 12"):
+        optics.run_recipe(steps)
+    assert len(optics.run_recipe(steps[:6]).labels) == qs.MAX_QUBITS
+
+
+def test_source_needs_distinct_modes():
+    with pytest.raises(optics.RecipeError, match="not distinct"):
+        optics.run_recipe([optics.RecipeStep("source", (3, 3), gamma=Fraction(1))])
+
+
+json_scalars = st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=3)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+pi_angles = st.fixed_dictionaries({"pi_num": st.integers(-4, 4), "pi_den": st.integers(1, 4)})
+angles_ok = pi_angles | st.floats(-10, 10)
+few_modes = st.integers(0, 7)
+pair = st.lists(few_modes, min_size=2, max_size=2)
+# Well-typed steps over a few modes reach run_recipe; noisy ones probe the parser.
+typed_step = st.one_of(
+    st.fixed_dictionaries({"op": st.just("source"), "modes": pair, "gamma": angles_ok}),
+    st.fixed_dictionaries({"op": st.just("fuse"), "modes": pair, "h_on": few_modes}),
+    st.fixed_dictionaries({"op": st.just("rotate"), "mode": few_modes, "angle": angles_ok}),
+    st.fixed_dictionaries({"op": st.just("reset"), "mode": few_modes}),
+    st.fixed_dictionaries(
+        {"op": st.just("measure"), "mode": few_modes, "outcome": st.integers(0, 1)},
+        optional={
+            "basis": st.just("computational")
+            | st.fixed_dictionaries({"alpha": angles_ok, "hadamard": st.booleans()})
+        },
+    ),
+)
+noisy_mode = st.integers(-1, 14) | json_values
+noisy_angle = pi_angles | st.floats() | json_values
+noisy_step = st.fixed_dictionaries(
+    {"op": st.sampled_from(("source", "fuse", "rotate", "measure", "reset")) | json_values},
+    optional={
+        "mode": noisy_mode,
+        "modes": st.lists(noisy_mode, min_size=2, max_size=2) | json_values,
+        "gamma": noisy_angle,
+        "angle": noisy_angle,
+        "h_on": noisy_mode,
+        "outcome": st.integers(-1, 2) | json_values,
+        "basis": st.just("computational")
+        | st.fixed_dictionaries({}, optional={"alpha": noisy_angle, "hadamard": json_values})
+        | json_values,
+    },
+)
+recipe_json = (
+    st.fixed_dictionaries({"steps": st.lists(typed_step, max_size=14)})
+    | st.fixed_dictionaries(
+        {},
+        optional={
+            "steps": st.lists(typed_step | noisy_step | json_values, max_size=6) | json_values
+        },
+    )
+    | json_values
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=recipe_json)
+def test_recipe_parser_and_runner_fuzz(doc):
+    # Parsing may only fail with RecipeError; a parsed recipe either runs
+    # or fails with RecipeError.
+    try:
+        steps = optics.steps_from_json(json.dumps(doc))
+    except optics.RecipeError:
+        return
+    try:
+        register = optics.run_recipe(steps)
+    except optics.RecipeError:
+        return
+    assert len(register.labels) <= qs.MAX_QUBITS

@@ -1,9 +1,11 @@
+import gc
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from wgtoffoli import mbqc
 from wgtoffoli import qstate as qs
 from wgtoffoli import toffoli as tf
 from wgtoffoli import verify
@@ -383,6 +385,86 @@ def test_ccz_theta_off_grid_s3_frame_unavailable():
     psi = qs.StateVector(3, amps / np.linalg.norm(amps))
     run = tf.run_gate(variant, psi, outcomes={1: 0, 2: 1, 3: 0})
     assert run.sigma is None and not run.success
+
+
+@pytest.mark.parametrize(
+    "kind,theta,outcomes,covered",
+    [
+        ("six", Fraction(1, 3), {1: 0, 2: 1, 3: 0}, "multiple of pi/2"),
+        ("six", Fraction(1, 4), {1: 1, 2: 1, 3: 1}, "multiple of pi/2"),
+        ("seven", Fraction(1, 2), {1: 0, 2: 0, 3: 0, 6: 0}, "theta = pi only"),
+    ],
+)
+def test_frame_unavailable_names_the_covered_angles(kind, theta, outcomes, covered):
+    variant = tf.ResourceVariant(kind, theta)
+    with pytest.raises(tf.FrameUnavailable, match=covered) as err:
+        tf.predicted_sigma(variant, outcomes)
+    assert "instead" not in str(err.value)
+    with pytest.raises(tf.FrameUnavailable):
+        tf.success_probability(variant, check_uniformity=False)
+
+
+def test_six_linking_prefactor_frame_unavailable_off_grid():
+    variant = tf.ResourceVariant("six", Fraction(1, 3))
+    linking = tf.LinkingByproducts(sx=(0, 1, 0))
+    with pytest.raises(tf.FrameUnavailable, match="linking corrections"):
+        tf.predicted_sigma(variant, {1: 0, 2: 0, 3: 0}, linking)
+
+
+def test_run_gate_falls_back_only_for_frame_unavailable(monkeypatch):
+    def broken(*args):
+        raise ValueError("not a missing table entry")
+
+    monkeypatch.setattr(tf, "predicted_sigma", broken)
+    psi = random_states(64, 1)[0]
+    with pytest.raises(ValueError, match="not a missing table entry"):
+        tf.run_gate(tf.ResourceVariant("six"), psi)
+
+
+SIX_FRAME_DEFECT = (
+    "six-qubit frame table disagrees with simulation for sx in {010, 101} "
+    "at theta = pi/2 and 3pi/2 (FOUND line on the six-qubit frame table in CHANGES.md)"
+)
+
+
+@pytest.mark.parametrize(
+    "sx",
+    [
+        (0, 0, 0),
+        (1, 1, 1),
+        pytest.param((0, 1, 0), marks=pytest.mark.xfail(strict=True, reason=SIX_FRAME_DEFECT)),
+        pytest.param((1, 0, 1), marks=pytest.mark.xfail(strict=True, reason=SIX_FRAME_DEFECT)),
+    ],
+)
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(3, 2)])
+def test_six_frame_table_matches_simulation_off_pi(theta, sx):
+    variant = tf.ResourceVariant("six", theta)
+    target = tf.logical_target(variant)
+    for sz in itertools.product((0, 1), repeat=3):
+        linking = tf.LinkingByproducts(sx=sx, sz=sz)
+        operators = tf.branch_outputs(variant, linking, np.eye(8))
+        for outcomes in all_outcomes(variant):
+            branch_op = operators[tuple(outcomes[v] for v in variant.measured_vertices)]
+            predicted = frame_to_operator(tf.predicted_sigma(variant, outcomes, linking)) @ target
+            assert verify.equal_up_to_phase(
+                verify.unit_scale(branch_op), verify.unit_scale(predicted), 1e-10
+            ), (sz, outcomes)
+
+
+def test_branch_walks_leave_no_reference_cycles():
+    # A cycle would keep every branch array alive until a full collection.
+    variant = tf.ResourceVariant("seven")
+    state = tf.encoded_state(variant, qs.basis_state(3, 0))
+    pattern = tf.measurement_program(variant)
+    gc.disable()
+    try:
+        gc.collect()
+        mbqc.enumerate_branches(state, pattern)
+        assert gc.collect() == 0
+        tf.branch_outputs(variant, tf.NO_LINKING, np.eye(8))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

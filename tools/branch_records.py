@@ -1,0 +1,118 @@
+"""Print one line per measurement branch, to compare two checkouts byte for byte.
+
+Each line names a case, the outcome bits, the branch probability in
+``float.hex`` form and the SHA-256 of the final amplitudes' ``tobytes``
+(so signed zeros and last bits count). Cases:
+
+* ``mbqc.enumerate_branches`` on every uniformity case of
+  ``toffoli.verify_branch_uniformity``: six, seven and eight at theta = pi
+  and six at theta in {pi/2, 3pi/2, pi/4, pi/3}, every accepted sx and
+  sz, the same three logical inputs;
+* ``mbqc.enumerate_branches`` on the ``large-graphs`` benchmark documents
+  of the given seeds;
+* ``toffoli.branch_outputs`` for the same variants and linking cases, on
+  the identity plus two random inputs.
+
+Run it from a checkout and compare the outputs of two checkouts::
+
+    PYTHONPATH=src python tools/branch_records.py --seeds 1 2 3 > a.txt
+    cmp a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from wgtoffoli import mbqc, toffoli
+from wgtoffoli.qstate import StateVector, basis_state
+
+VARIANTS = [
+    toffoli.ResourceVariant("six"),
+    toffoli.ResourceVariant("seven"),
+    toffoli.ResourceVariant("eight"),
+] + [toffoli.ResourceVariant("six", Fraction(n, d)) for n, d in ((1, 2), (3, 2), (1, 4), (1, 3))]
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def linking_cases(variant):
+    for sx in itertools.product((0, 1), repeat=3):
+        if variant.kind in ("six", "seven") and sx not in toffoli.RECOVERABLE_LINKING:
+            continue
+        for sz in itertools.product((0, 1), repeat=3):
+            yield toffoli.LinkingByproducts(sx, sz)
+
+
+def logical_inputs():
+    rng = np.random.default_rng(20250810)
+    out = [basis_state(3, 0)]
+    for _ in range(2):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        out.append(StateVector(3, amps / np.linalg.norm(amps)))
+    return out
+
+
+def branch_lines(case: str, branches):
+    for outcomes, probability, final in branches:
+        bits = ",".join(f"{v}:{b}" for v, b in outcomes.items())
+        yield f"{case} {bits} {probability.hex()} {digest(final.amplitudes)}"
+
+
+def uniformity_records():
+    inputs = logical_inputs()
+    for variant in VARIANTS:
+        for linking in linking_cases(variant):
+            pattern = toffoli.measurement_program(variant, linking)
+            for index, psi in enumerate(inputs):
+                state = toffoli.encoded_state(variant, psi, linking)
+                case = f"{variant.kind}@{variant.theta}:{linking.sx}{linking.sz}:in{index}"
+                branches = mbqc.enumerate_branches(state, pattern)
+                yield from branch_lines(case.replace(" ", ""), branches)
+
+
+def large_graph_records(seeds):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for seed in seeds:
+        for index, op in enumerate(workloads.build("large-graphs", seed)):
+            state, branches = op.run()
+            yield f"graph{seed}.{index} state {digest(state.amplitudes)}"
+            yield from branch_lines(f"graph{seed}.{index}", branches)
+
+
+def engine_records():
+    batch = np.vstack([np.eye(8)] + [psi.amplitudes for psi in logical_inputs()[1:]])
+    for variant in VARIANTS:
+        for linking in linking_cases(variant):
+            for bits, out in toffoli.branch_outputs(variant, linking, batch).items():
+                bits = "".join(map(str, bits))
+                case = f"{variant.kind}@{variant.theta}:{linking.sx}{linking.sz}"
+                yield f"engine {case.replace(' ', '')} {bits} {digest(out)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    count = 0
+    for line in itertools.chain(
+        uniformity_records(), large_graph_records(args.seeds), engine_records()
+    ):
+        print(line)
+        count += 1
+    print(f"records {count}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ from .toffoli import (
     LinkingByproducts,
     ResourceVariant,
     build_resource,
+    linking_frames,
     measurement_program,
     predicted_sigma,
     run_gate,
@@ -40,6 +41,7 @@ __all__ = [
     "enumerate_branches",
     "frame_compose",
     "frame_to_operator",
+    "linking_frames",
     "measurement_program",
     "plus_state",
     "predicted_sigma",

@@ -32,6 +32,7 @@ from .qstate import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    apply_operator,
     apply_single,
     kron_all,
     rz,
@@ -44,7 +45,7 @@ from .toffoli import (
     branch_outputs,
     ccz_theta_matrix,
     hadamard_on_target,
-    predicted_sigma,
+    linking_frames,
     success_probability,
     toffoli_matrix,
 )
@@ -145,9 +146,10 @@ def check_gate_correctness() -> dict:
         for sx in _sx_cases(variant):
             linking = LinkingByproducts(sx=sx)
             outputs = branch_outputs(variant, linking, columns)
+            frames = linking_frames(variant, linking)
             for bits, outcomes in _successful_outcomes(variant):
                 out = outputs[bits]
-                sigma_op = frame_to_operator(predicted_sigma(variant, outcomes, linking))
+                sigma_op = frame_to_operator(frames(outcomes))
                 corrected = unit_scale(np.linalg.inv(sigma_op) @ out[:, :8])
                 all_match &= equal_up_to_phase(corrected, tof, 1e-10)
                 worst_fidelity = min(worst_fidelity, process_fidelity(corrected, tof))
@@ -178,11 +180,10 @@ def check_sigma_formulas() -> dict:
             for sz in ((0, 0, 0), (1, 1, 0)):
                 linking = LinkingByproducts(sx=sx, sz=sz)
                 operators = branch_outputs(variant, linking, np.eye(8))
+                frames = linking_frames(variant, linking)
                 for bits, outcomes in _all_outcomes(variant):
                     residual = unit_scale(operators[bits] @ tof_inv)
-                    predicted = unit_scale(
-                        frame_to_operator(predicted_sigma(variant, outcomes, linking))
-                    )
+                    predicted = unit_scale(frame_to_operator(frames(outcomes)))
                     all_match &= equal_up_to_phase(residual, predicted, 1e-10)
                     checked += 1
     return {
@@ -245,10 +246,11 @@ def check_ccz_generalisation() -> dict:
         raw_target = hadamard_on_target() @ ccz_theta_matrix(float(frac) * np.pi)
         raw_inv = np.linalg.inv(raw_target)
         operators = branch_outputs(variant, NO_LINKING, np.eye(8), hadamard_encode=False)
+        frames = linking_frames(variant, NO_LINKING)
         for bits, outcomes in _all_outcomes(variant):
             residual = unit_scale(operators[bits] @ raw_inv)
             if outcomes[2] == 0:
-                sigma = predicted_sigma(variant, outcomes, NO_LINKING)
+                sigma = frames(outcomes)
                 all_match &= sigma.is_local
                 all_match &= equal_up_to_phase(
                     residual, unit_scale(frame_to_operator(sigma)), 1e-10
@@ -312,12 +314,10 @@ def _one_shot_probability(steps) -> float:
     for kind, payload in ops:
         if kind == "pair":
             a, b, amps = payload
-            tensor = amps.reshape(2, 2)  # (qubit a msb? a is modes[0] -> slot a)
-            # amps indexes (slot b, slot a) with slot a least significant?
             # pair qubit 0 -> first mode -> slot a; qubit 1 -> slot b.
             mat = np.zeros((4, 4), dtype=complex)
             mat[:, 0] = amps  # maps |00> of (b,a) to the pair state
-            state = apply_operator_pair(state, b, a, mat)
+            state = apply_operator(state, (b, a), mat)
     for kind, payload in ops:
         if kind == "fuse_mask":
             a, b = payload
@@ -328,12 +328,6 @@ def _one_shot_probability(steps) -> float:
             slot, mat = payload
             state = apply_single(state, slot, mat)
     return state.norm_sq
-
-
-def apply_operator_pair(state, q_msb, q_lsb, mat):
-    from .qstate import apply_operator
-
-    return apply_operator(state, (q_msb, q_lsb), mat)
 
 
 def _quoted_fixture(labels, terms):
@@ -439,17 +433,17 @@ def _factorisation_local(op: np.ndarray, tol: float = 1e-8) -> bool:
 
 def check_locality_classifier() -> dict:
     rng = np.random.default_rng(SEED + 9)
-    six = ResourceVariant("six")
     ground_truth_ok = True
+    six_frames = linking_frames(ResourceVariant("six"), NO_LINKING)
     for bits in itertools.product((0, 1), repeat=3):
         outcomes = dict(zip((1, 2, 3), bits))
-        sigma = frame_to_operator(predicted_sigma(six, outcomes, NO_LINKING))
+        sigma = frame_to_operator(six_frames(outcomes))
         ground_truth_ok &= is_local(sigma).is_local == (outcomes[2] == 0)
     for kind in ("seven", "eight"):
         variant = ResourceVariant(kind)
+        frames = linking_frames(variant, NO_LINKING)
         for bits in itertools.product((0, 1), repeat=len(variant.measured_vertices)):
-            outcomes = dict(zip(variant.measured_vertices, bits))
-            sigma = frame_to_operator(predicted_sigma(variant, outcomes, NO_LINKING))
+            sigma = frame_to_operator(frames(dict(zip(variant.measured_vertices, bits))))
             ground_truth_ok &= is_local(sigma).is_local
 
     def random_single(unitary=False):

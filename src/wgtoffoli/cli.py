@@ -34,7 +34,7 @@ from .toffoli import (
     UnrecoverableLinkingError,
     ZeroProbabilityBranchError,
     branch_outputs,
-    predicted_sigma,
+    linking_frames,
     run_gate,
     success_probability,
     toffoli_matrix,
@@ -214,10 +214,12 @@ def cmd_toffoli_enumerate(args) -> int:
 def _branch_table(variant, linking):
     tof = toffoli_matrix()
     rows = []
-    for bits, branch_op in branch_outputs(variant, linking, np.eye(8)).items():
+    operators = branch_outputs(variant, linking, np.eye(8))
+    frames = linking_frames(variant, linking)
+    for bits, branch_op in operators.items():
         outcomes = dict(zip(variant.measured_vertices, bits))
         probability = float(np.vdot(branch_op[:, 0], branch_op[:, 0]).real)
-        sigma = predicted_sigma(variant, outcomes, linking)
+        sigma = frames(outcomes)
         sigma_op = frame_to_operator(sigma)
         corrected = unit_scale(np.linalg.inv(sigma_op) @ branch_op)
         rows.append(

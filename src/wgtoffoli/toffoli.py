@@ -34,6 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .mbqc import (
     Pattern,
     PatternStep,
     WireWord,
-    enumerate_branches,
     frame_compose,
     frame_identity,
     make_word,
@@ -86,6 +86,9 @@ GADGET_TOP = 7  # eight-qubit gadget between c2 and c1
 RECOVERABLE_LINKING = frozenset({(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)})
 
 MAXIMAL = Fraction(1)  # pi
+
+# Seeded random logical inputs, besides |000>, in the branch-uniformity check.
+UNIFORMITY_RANDOM_INPUTS = 2
 
 
 class ZeroProbabilityBranchError(ValueError):
@@ -281,8 +284,13 @@ def _combine(*mats: np.ndarray | None) -> np.ndarray | None:
     return acc
 
 
+def _recoverable(variant: ResourceVariant, sx) -> bool:
+    """Whether the resource can absorb the inherited x-corruption ``sx``."""
+    return variant.kind not in ("six", "seven") or sx in RECOVERABLE_LINKING
+
+
 def _check_recoverable(variant: ResourceVariant, linking: LinkingByproducts):
-    if variant.kind in ("six", "seven") and linking.sx not in RECOVERABLE_LINKING:
+    if not _recoverable(variant, linking.sx):
         raise UnrecoverableLinkingError(
             f"x-corruption {linking.sx} is a guaranteed failure on the "
             f"{variant.kind}-qubit resource"
@@ -435,6 +443,73 @@ def _frame(c1=WireWord(), c2=WireWord(), t=WireWord(), **kwargs) -> ByproductOpe
     return ByproductOperator(WIRES, {"c1": c1, "c2": c2, "t": t}, **kwargs)
 
 
+def linking_frames(
+    variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING
+) -> Callable[[dict], ByproductOperator]:
+    """Frames of every branch of one linking case, as ``outcomes -> sigma``.
+
+    Linking byproducts reach a branch's frame only through a prefactor and
+    an sz frame, so the work that depends on the case alone is done once
+    here: the recoverability check, the theta-table checks, the linking
+    prefactor, the sz frame and the six-qubit non-local factor. The
+    returned function builds one branch's words and composes
+    ``(prefactor @ words) @ sz_frame``. It first checks that the outcomes
+    cover the measured vertices, and raises ``FrameUnavailable`` only for
+    a branch whose table entry is missing. ``predicted_sigma`` is the
+    one-branch call.
+    """
+    _check_recoverable(variant, linking)
+    needed = set(variant.measured_vertices)
+    theta = variant.theta
+    sx = linking.sx
+    six = variant.kind == "six"
+    h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
+    flip = -1 if (sx[1] ^ sx[2]) else 1
+    unavailable = None
+    if variant.kind in ("seven", "eight") and theta % 2 != Fraction(1):
+        unavailable = (
+            f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
+            f"not theta = {angles.describe(theta)}"
+        )
+    elif six:
+        try:
+            prefactor = _six_prefactor(sx, h8)
+        except FrameUnavailable as exc:
+            unavailable = str(exc)
+    elif variant.kind == "seven":
+        prefactor = _seven_prefactor(sx)
+    else:
+        prefactor = _eight_prefactor(sx)
+    if six and h8 is not None:
+        c2_word = make_word(k=-flip * h8)
+        factor, label = _nonlocal_factor(theta, flip)
+    sz_frame = _frame(
+        c1=make_word(z=linking.sz[0]),
+        c2=make_word(z=linking.sz[1]),
+        t=make_word(x=linking.sz[2]),
+    )
+
+    def sigma(outcomes) -> ByproductOperator:
+        if set(outcomes) != needed:
+            raise ValueError(f"outcomes must cover vertices {sorted(needed)}")
+        if not six and unavailable:  # six raises it after the s3 check
+            raise FrameUnavailable(unavailable)
+        frame = _frame(**_sigma_words(variant, outcomes))
+        if six and outcomes[2]:
+            if h8 is None:
+                raise FrameUnavailable(
+                    "six-qubit frames with s3 = 1 are tabulated for theta a "
+                    f"multiple of pi/2 only, not theta = {angles.describe(theta)}"
+                )
+            frame.words["c2"] = c2_word
+            frame.nonlocal_factor, frame.nonlocal_label = factor, label
+        if unavailable:
+            raise FrameUnavailable(unavailable)
+        return frame_compose(frame_compose(prefactor, frame), sz_frame)
+
+    return sigma
+
+
 def predicted_sigma(
     variant: ResourceVariant,
     outcomes,
@@ -446,48 +521,9 @@ def predicted_sigma(
     applied to the logical input, up to a global phase. The frame is
     non-local exactly for the six-qubit resource with outcome s3 = 1.
     Raises ``FrameUnavailable`` where the table has no entry for theta.
+    Loops over the branches of one linking case use ``linking_frames``.
     """
-    _check_recoverable(variant, linking)
-    needed = set(variant.measured_vertices)
-    if set(outcomes) != needed:
-        raise ValueError(f"outcomes must cover vertices {sorted(needed)}")
-    theta = variant.theta
-    if variant.kind in ("seven", "eight") and theta % 2 != Fraction(1):
-        raise FrameUnavailable(
-            f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
-            f"not theta = {angles.describe(theta)}"
-        )
-    h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
-
-    words = _sigma_words(variant, outcomes)
-    frame = _frame(**words)
-    sx = linking.sx
-
-    if variant.kind == "six":
-        s3 = outcomes[2]
-        flip = -1 if (sx[1] ^ sx[2]) else 1
-        if s3:
-            if h8 is None:
-                raise FrameUnavailable(
-                    "six-qubit frames with s3 = 1 are tabulated for theta a "
-                    f"multiple of pi/2 only, not theta = {angles.describe(theta)}"
-                )
-            frame.words["c2"] = make_word(k=-flip * h8)
-            factor, label = _nonlocal_factor(theta, flip)
-            frame.nonlocal_factor, frame.nonlocal_label = factor, label
-        prefactor = _six_prefactor(sx, h8)
-    elif variant.kind == "seven":
-        prefactor = _seven_prefactor(sx)
-    else:
-        prefactor = _eight_prefactor(sx)
-
-    combined = frame_compose(prefactor, frame)
-    sz_frame = _frame(
-        c1=make_word(z=linking.sz[0]),
-        c2=make_word(z=linking.sz[1]),
-        t=make_word(x=linking.sz[2]),
-    )
-    return frame_compose(combined, sz_frame)
+    return linking_frames(variant, linking)(outcomes)
 
 
 def _six_prefactor(sx, h8) -> ByproductOperator:
@@ -586,6 +622,44 @@ def branch_map(
     return run
 
 
+def _outcome_leaves(
+    variant: ResourceVariant,
+    linking: LinkingByproducts,
+    inputs: np.ndarray,
+    hadamard_encode: bool = True,
+):
+    """Embed each ``(B, 8)`` input row once and walk the outcome tree as one batch.
+
+    Returns the embedded states, the surviving vertices in ascending label
+    order and the ``(outcomes, leaf)`` pairs of ``mbqc.outcome_tree_leaves``.
+    Row ``b`` of a ``(B, 2, 2, 2)`` leaf is the branch output for input
+    ``b`` in ``run_branch``'s qubit layout; every node projects both
+    children from the shared parent tensor with the arithmetic of
+    ``qstate.project``, so each row is bitwise equal to that output.
+    """
+    pattern = measurement_program(variant, linking)
+    inputs = np.asarray(inputs, dtype=complex)
+    if inputs.ndim != 2 or inputs.shape[1] != 8:
+        raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
+    n = variant.vertex_count
+    states = [
+        encoded_state(variant, StateVector(3, row), linking, hadamard_encode) for row in inputs
+    ]
+    tensor = np.stack([state.amplitudes for state in states]).reshape((len(states),) + (2,) * n)
+
+    # Tensor axis of each measured vertex when its turn comes: qubit q of
+    # an r-qubit register sits on axis 1 + (r - 1 - q) after the batch axis.
+    qubits, survivors = measured_qubits(n, pattern)
+    axes = [n - depth - q for depth, q in enumerate(qubits)]
+
+    def split(node, depth, kets):
+        t0 = np.take(node, 0, axis=axes[depth])
+        t1 = np.take(node, 1, axis=axes[depth])
+        return [np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1 for ket in kets]
+
+    return states, survivors, outcome_tree_leaves(pattern, tensor, split)
+
+
 def branch_outputs(
     variant: ResourceVariant,
     linking: LinkingByproducts,
@@ -600,41 +674,18 @@ def branch_outputs(
     column ``b`` is the branch output for input row ``b``; with the
     identity as input that array is the branch operator.
 
-    Each input row is embedded once with ``encoded_state``. The outcome
-    tree of ``measurement_program`` is then walked with
-    ``mbqc.outcome_tree_leaves``: every node resolves its adaptive basis
-    from the outcomes above it and projects both children from the shared
-    parent tensor, with the arithmetic of ``qstate.project``. Every output
-    is therefore bitwise equal to ``branch_map(variant, linking, outcomes,
-    hadamard_encode)`` applied to the same row.
+    The rows share one walk of the outcome tree (``_outcome_leaves``), so
+    every output is bitwise equal to ``branch_map(variant, linking,
+    outcomes, hadamard_encode)`` applied to the same row.
     """
-    pattern = measurement_program(variant, linking)
-    inputs = np.asarray(inputs, dtype=complex)
-    if inputs.ndim != 2 or inputs.shape[1] != 8:
-        raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
-    batch = inputs.shape[0]
-    n = variant.vertex_count
-    states = [
-        encoded_state(variant, StateVector(3, row), linking, hadamard_encode).amplitudes
-        for row in inputs
-    ]
-    tensor = np.stack(states).reshape((batch,) + (2,) * n)
-
-    # Tensor axis of each measured vertex when its turn comes: qubit q of
-    # an r-qubit register sits on axis 1 + (r - 1 - q) after the batch axis.
-    qubits, survivors = measured_qubits(n, pattern)
-    axes = [n - depth - q for depth, q in enumerate(qubits)]
+    states, survivors, leaves = _outcome_leaves(variant, linking, inputs, hadamard_encode)
+    batch = len(states)
     # Put the survivors in wire order c1 c2 t.
     wire_axes = [len(survivors) - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
     leaf_order = [0] + wire_axes
 
-    def split(node, depth, kets):
-        t0 = np.take(node, 0, axis=axes[depth])
-        t1 = np.take(node, 1, axis=axes[depth])
-        return [np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1 for ket in kets]
-
     outputs = {}
-    for seen, leaf in outcome_tree_leaves(pattern, tensor, split):
+    for seen, leaf in leaves:
         key = tuple(seen[v] for v in variant.measured_vertices)
         leaf = np.transpose(leaf, leaf_order).reshape(batch, 8)
         outputs[key] = np.ascontiguousarray(leaf.T)
@@ -716,21 +767,28 @@ class SuccessReport:
 def verify_branch_uniformity(
     variant: ResourceVariant,
     linking: LinkingByproducts = NO_LINKING,
-    seeds=(0, 1),
 ) -> float:
-    """Max deviation of any branch probability from 2**-m over test inputs."""
-    pattern = measurement_program(variant, linking)
-    m = len(pattern.steps)
+    """Max deviation of any branch probability from 2**-m over test inputs.
+
+    The inputs are ``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` seeded random
+    states, walked as one batch (see ``_outcome_leaves``). Each probability
+    is the leaf row's squared norm, taken before any reordering, over the
+    embedded input's, so it is bitwise equal to the one
+    ``mbqc.enumerate_branches`` reports for that input.
+    """
+    m = len(variant.measured_vertices)
     expected = 0.5**m
     rng = np.random.default_rng(20250810)
-    inputs = [basis_state(3, 0)]
-    for _ in seeds:
+    inputs = [basis_state(3, 0).amplitudes]
+    for _ in range(UNIFORMITY_RANDOM_INPUTS):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        inputs.append(StateVector(3, amps / np.linalg.norm(amps)))
+        inputs.append(amps / np.linalg.norm(amps))
+    states, _, leaves = _outcome_leaves(variant, linking, np.stack(inputs))
+    initial = [state.norm_sq for state in states]
     worst = 0.0
-    for psi in inputs:
-        state = encoded_state(variant, psi, linking)
-        for _, probability, _ in enumerate_branches(state, pattern):
+    for _, leaf in leaves:
+        for row, norm_sq in zip(leaf.reshape(len(states), -1), initial):
+            probability = float(np.vdot(row, row).real) / norm_sq
             worst = max(worst, abs(probability - expected))
     return worst
 
@@ -760,7 +818,7 @@ def success_probability(
     if check_uniformity:
         probes = [(0, 0, 0), (1, 1, 1)] if uniform else [(0, 0, 0)]
         for sx in sx_cases:
-            if variant.kind in ("six", "seven") and sx not in RECOVERABLE_LINKING:
+            if not _recoverable(variant, sx):
                 continue
             for sz in probes:
                 err = verify_branch_uniformity(variant, LinkingByproducts(sx, sz))
@@ -773,16 +831,14 @@ def success_probability(
     total = Fraction(0)
     cases = []
     for sx in sx_cases:
-        if variant.kind in ("six", "seven") and sx not in RECOVERABLE_LINKING:
+        if not _recoverable(variant, sx):
             cases.append(LinkingCase(sx, False, 0, 2**m * len(sz_cases)))
             continue
         local = 0
         for sz in sz_cases:
-            linking = LinkingByproducts(sx, sz)
+            frames = linking_frames(variant, LinkingByproducts(sx, sz))
             for bits in _all_bits(m):
-                outcomes = dict(zip(variant.measured_vertices, bits))
-                sigma = predicted_sigma(variant, outcomes, linking)
-                if sigma.is_local:
+                if frames(dict(zip(variant.measured_vertices, bits))).is_local:
                     local += 1
         cases.append(LinkingCase(sx, True, local, 2**m * len(sz_cases)))
         total += case_weight * Fraction(local, len(sz_cases)) * branch_fraction

@@ -356,6 +356,50 @@ def test_branch_probabilities_uniform():
         assert err < 1e-10
 
 
+def uniformity_by_enumeration(variant, linking):
+    """The uniformity maximum over one ``enumerate_branches`` call per input."""
+    rng = np.random.default_rng(20250810)
+    inputs = [qs.basis_state(3, 0)]
+    for _ in range(tf.UNIFORMITY_RANDOM_INPUTS):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        inputs.append(qs.StateVector(3, amps / np.linalg.norm(amps)))
+    pattern = tf.measurement_program(variant, linking)
+    expected = 0.5 ** len(pattern.steps)
+    worst = 0.0
+    for psi in inputs:
+        state = tf.encoded_state(variant, psi, linking)
+        for _, probability, _ in mbqc.enumerate_branches(state, pattern):
+            worst = max(worst, abs(probability - expected))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "kind,theta",
+    [
+        ("six", Fraction(1)),
+        ("seven", Fraction(1)),
+        ("eight", Fraction(1)),
+        ("six", Fraction(1, 2)),
+        ("six", Fraction(3, 2)),
+    ],
+)
+def test_branch_uniformity_bitwise_equals_enumeration(kind, theta):
+    # The batched walk must reproduce the per-input enumeration exactly:
+    # norms taken from rows in any other qubit order differ in the last bits.
+    variant = tf.ResourceVariant(kind, theta)
+    sx_cases = (
+        list(itertools.product((0, 1), repeat=3))
+        if kind == "eight"
+        else sorted(tf.RECOVERABLE_LINKING)
+    )
+    for sx in sx_cases:
+        for sz in ((0, 0, 0), (1, 1, 1)):
+            linking = tf.LinkingByproducts(sx, sz)
+            assert tf.verify_branch_uniformity(variant, linking) == uniformity_by_enumeration(
+                variant, linking
+            ), linking
+
+
 # --- the CCZ(theta) family ---
 
 
@@ -409,6 +453,49 @@ def test_six_linking_prefactor_frame_unavailable_off_grid():
     linking = tf.LinkingByproducts(sx=(0, 1, 0))
     with pytest.raises(tf.FrameUnavailable, match="linking corrections"):
         tf.predicted_sigma(variant, {1: 0, 2: 0, 3: 0}, linking)
+
+
+def frame_bits(sigma):
+    factor = None if sigma.is_local else sigma.nonlocal_factor.tobytes()
+    return sigma.words, complex(sigma.global_phase), sigma.nonlocal_label, factor
+
+
+@pytest.mark.parametrize(
+    "kind,theta,sx,sz",
+    [
+        ("six", Fraction(1, 2), (1, 1, 1), (1, 0, 1)),
+        ("seven", Fraction(1), (0, 1, 0), (0, 1, 1)),
+        ("eight", Fraction(1), (0, 1, 1), (1, 1, 0)),
+    ],
+)
+def test_linking_frames_share_nothing_between_branches(kind, theta, sx, sz):
+    # One frame function serves every branch of a linking case; reusing it,
+    # in either order, must give the frames of independent single calls.
+    variant = tf.ResourceVariant(kind, theta)
+    linking = tf.LinkingByproducts(sx, sz)
+    branches = list(all_outcomes(variant))
+    frames = tf.linking_frames(variant, linking)
+    forward = [frame_bits(frames(outcomes)) for outcomes in branches]
+    backward = [frame_bits(frames(outcomes)) for outcomes in reversed(branches)][::-1]
+    single = [frame_bits(tf.predicted_sigma(variant, outcomes, linking)) for outcomes in branches]
+    assert forward == backward == single
+
+
+def test_linking_frames_raise_per_branch_in_single_call_order():
+    linking = tf.LinkingByproducts((0, 1, 0))
+    six = tf.linking_frames(tf.ResourceVariant("six", Fraction(1, 3)), linking)
+    with pytest.raises(tf.FrameUnavailable, match="s3 = 1"):
+        six({1: 0, 2: 1, 3: 0})
+    with pytest.raises(tf.FrameUnavailable, match="linking corrections"):
+        six({1: 0, 2: 0, 3: 0})
+    seven = tf.linking_frames(tf.ResourceVariant("seven", Fraction(1, 2)))
+    with pytest.raises(ValueError, match="outcomes must cover") as err:
+        seven({1: 0, 2: 0, 3: 0})
+    assert not isinstance(err.value, tf.FrameUnavailable)
+    with pytest.raises(tf.FrameUnavailable, match="theta = pi only"):
+        seven({1: 0, 2: 0, 3: 0, tf.GADGET_MID: 0})
+    with pytest.raises(tf.UnrecoverableLinkingError):
+        tf.linking_frames(tf.ResourceVariant("seven"), tf.LinkingByproducts((0, 0, 1)))
 
 
 def test_run_gate_falls_back_only_for_frame_unavailable(monkeypatch):

@@ -7,11 +7,17 @@ Each line names a case, the outcome bits, the branch probability in
 * ``mbqc.enumerate_branches`` on every uniformity case of
   ``toffoli.verify_branch_uniformity``: six, seven and eight at theta = pi
   and six at theta in {pi/2, 3pi/2, pi/4, pi/3}, every accepted sx and
-  sz, the same three logical inputs;
+  sz, the same three logical inputs, and the maximum deviation that
+  ``verify_branch_uniformity`` reports for each case;
 * ``mbqc.enumerate_branches`` on the ``large-graphs`` benchmark documents
   of the given seeds;
 * ``toffoli.branch_outputs`` for the same variants and linking cases, on
-  the identity plus two random inputs.
+  the identity plus two random inputs;
+* ``toffoli.predicted_sigma`` for six, seven and eight at theta in
+  {pi, pi/2, -pi/2, 3pi/2, pi/3, pi/4}, every sx (unrecoverable ones
+  included), every sz and every outcome assignment: the words, the global
+  phase in ``float.hex`` form, the non-local label and the SHA-256 of the
+  non-local factor, or the exception's type and message.
 
 Run it from a checkout and compare the outputs of two checkouts::
 
@@ -77,6 +83,9 @@ def uniformity_records():
                 case = f"{variant.kind}@{variant.theta}:{linking.sx}{linking.sz}:in{index}"
                 branches = mbqc.enumerate_branches(state, pattern)
                 yield from branch_lines(case.replace(" ", ""), branches)
+            worst = toffoli.verify_branch_uniformity(variant, linking)
+            case = f"{variant.kind}@{variant.theta}:{linking.sx}{linking.sz}"
+            yield f"uniformity {case.replace(' ', '')} {worst.hex()}"
 
 
 def large_graph_records(seeds):
@@ -100,13 +109,40 @@ def engine_records():
                 yield f"engine {case.replace(' ', '')} {bits} {digest(out)}"
 
 
+FRAME_THETAS = [Fraction(n, d) for n, d in ((1, 1), (1, 2), (-1, 2), (3, 2), (1, 3), (1, 4))]
+
+
+def frame_text(variant, outcomes, linking) -> str:
+    try:
+        sigma = toffoli.predicted_sigma(variant, outcomes, linking)
+    except ValueError as exc:  # UnrecoverableLinkingError, FrameUnavailable
+        return f"raises {type(exc).__name__}: {exc}"
+    phase = complex(sigma.global_phase)
+    text = f"{sigma.describe()} phase {phase.real.hex()},{phase.imag.hex()}"
+    if sigma.nonlocal_factor is not None:
+        text += f" factor {digest(sigma.nonlocal_factor)}"
+    return text
+
+
+def frame_records():
+    for kind, theta in itertools.product(toffoli.VARIANT_KINDS, FRAME_THETAS):
+        variant = toffoli.ResourceVariant(kind, theta)
+        for sx, sz in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
+            linking = toffoli.LinkingByproducts(sx, sz)
+            for bits in itertools.product((0, 1), repeat=len(variant.measured_vertices)):
+                outcomes = dict(zip(variant.measured_vertices, bits))
+                case = f"{kind}@{theta}:{sx}{sz}".replace(" ", "")
+                bits = "".join(map(str, bits))
+                yield f"frame {case} {bits} {frame_text(variant, outcomes, linking)}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
     args = parser.parse_args(argv)
     count = 0
     for line in itertools.chain(
-        uniformity_records(), large_graph_records(args.seeds), engine_records()
+        uniformity_records(), large_graph_records(args.seeds), engine_records(), frame_records()
     ):
         print(line)
         count += 1

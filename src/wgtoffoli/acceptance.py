@@ -39,10 +39,11 @@ from .qstate import (
 )
 from .toffoli import (
     NO_LINKING,
-    RECOVERABLE_LINKING,
+    VARIANT_KINDS,
     LinkingByproducts,
     ResourceVariant,
     branch_outputs,
+    build_resource,
     ccz_theta_matrix,
     hadamard_on_target,
     linking_frames,
@@ -54,8 +55,6 @@ from .verify import equal_up_to_phase, is_local, process_fidelity, unit_scale
 SEED = 20250810
 MAXIMAL = Fraction(1)
 
-ALL_BITS = list(itertools.product((0, 1), repeat=3))
-
 
 def _random_states(rng, count, num_qubits=3):
     out = []
@@ -65,32 +64,11 @@ def _random_states(rng, count, num_qubits=3):
     return out
 
 
-def _states_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Phase-free comparison of an unnormalised state with a reference vector."""
-    va, vb = np.asarray(a), np.asarray(b)
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0 or nb == 0:
-        return na == nb
-    return abs(abs(np.vdot(va, vb)) / (na * nb) - 1.0) <= tol
-
-
 def _all_outcomes(variant: ResourceVariant):
     """Every outcome assignment, as (bits, {vertex: bit}) pairs."""
     vertices = variant.measured_vertices
     for bits in itertools.product((0, 1), repeat=len(vertices)):
         yield bits, dict(zip(vertices, bits))
-
-
-def _successful_outcomes(variant: ResourceVariant):
-    """Outcome assignments whose predicted residual is a tensor product."""
-    for bits, outcomes in _all_outcomes(variant):
-        if variant.kind == "six" and outcomes[2] == 1:
-            continue
-        yield bits, outcomes
-
-
-def _sx_cases(variant: ResourceVariant):
-    return ALL_BITS if variant.kind == "eight" else sorted(RECOVERABLE_LINKING)
 
 
 def check_six_success() -> dict:
@@ -141,21 +119,24 @@ def check_gate_correctness() -> dict:
     worst_fidelity = 1.0
     checked = 0
     all_match = True
-    for kind in ("six", "seven", "eight"):
+    for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
-        for sx in _sx_cases(variant):
+        for sx in variant.spec.prefactors:
             linking = LinkingByproducts(sx=sx)
             outputs = branch_outputs(variant, linking, columns)
             frames = linking_frames(variant, linking)
-            for bits, outcomes in _successful_outcomes(variant):
+            for bits, outcomes in _all_outcomes(variant):
+                sigma = frames(outcomes)
+                if not sigma.is_local:
+                    continue
                 out = outputs[bits]
-                sigma_op = frame_to_operator(frames(outcomes))
+                sigma_op = frame_to_operator(sigma)
                 corrected = unit_scale(np.linalg.inv(sigma_op) @ out[:, :8])
                 all_match &= equal_up_to_phase(corrected, tof, 1e-10)
                 worst_fidelity = min(worst_fidelity, process_fidelity(corrected, tof))
                 expected = sigma_op @ tof
                 for k, psi in enumerate(inputs, start=8):
-                    all_match &= _states_match(out[:, k], expected @ psi.amplitudes, 1e-10)
+                    all_match &= equal_up_to_phase(out[:, k], expected @ psi.amplitudes, 1e-10)
                 checked += 1
     passed = all_match and worst_fidelity >= 1 - 1e-10
     return {
@@ -174,9 +155,9 @@ def check_sigma_formulas() -> dict:
     tof_inv = toffoli_matrix().conj().T
     checked = 0
     all_match = True
-    for kind in ("six", "seven", "eight"):
+    for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
-        for sx in _sx_cases(variant):
+        for sx in variant.spec.prefactors:
             for sz in ((0, 0, 0), (1, 1, 0)):
                 linking = LinkingByproducts(sx=sx, sz=sz)
                 operators = branch_outputs(variant, linking, np.eye(8))
@@ -376,21 +357,7 @@ def check_optics_recipe() -> dict:
         fixture_err = max(fixture_err, abs(1.0 - abs(np.vdot(expected, got))))
 
     register = optics.run_recipe(steps)
-    target = build_state(
-        WeightedGraph(
-            6,
-            [
-                (0, 1, Fraction(1, 2)),
-                (0, 3, Fraction(-1, 2)),
-                (0, 5, Fraction(1, 2)),
-                (1, 2, MAXIMAL),
-                (2, 3, MAXIMAL),
-                (3, 4, MAXIMAL),
-                (2, 5, MAXIMAL),
-                (4, 5, MAXIMAL),
-            ],
-        )
-    )
+    target = build_state(build_resource(ResourceVariant("six")))
     final = optics.sorted_state(register)
     fidelity = float(abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2)
 
@@ -434,16 +401,16 @@ def _factorisation_local(op: np.ndarray, tol: float = 1e-8) -> bool:
 def check_locality_classifier() -> dict:
     rng = np.random.default_rng(SEED + 9)
     ground_truth_ok = True
-    six_frames = linking_frames(ResourceVariant("six"), NO_LINKING)
-    for bits in itertools.product((0, 1), repeat=3):
-        outcomes = dict(zip((1, 2, 3), bits))
+    six = ResourceVariant("six")
+    six_frames = linking_frames(six, NO_LINKING)
+    for _, outcomes in _all_outcomes(six):
         sigma = frame_to_operator(six_frames(outcomes))
         ground_truth_ok &= is_local(sigma).is_local == (outcomes[2] == 0)
     for kind in ("seven", "eight"):
         variant = ResourceVariant(kind)
         frames = linking_frames(variant, NO_LINKING)
-        for bits in itertools.product((0, 1), repeat=len(variant.measured_vertices)):
-            sigma = frame_to_operator(frames(dict(zip(variant.measured_vertices, bits))))
+        for _, outcomes in _all_outcomes(variant):
+            sigma = frame_to_operator(frames(outcomes))
             ground_truth_ok &= is_local(sigma).is_local
 
     def random_single(unitary=False):

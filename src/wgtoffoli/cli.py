@@ -29,6 +29,7 @@ from .acceptance import build_report, canonical_json
 from .mbqc import frame_to_operator
 from .qstate import StateVector, from_amplitudes
 from .toffoli import (
+    VARIANT_KINDS,
     LinkingByproducts,
     ResourceVariant,
     UnrecoverableLinkingError,
@@ -84,7 +85,12 @@ def _parse_input(text: str) -> StateVector:
     try:
         with open(text) as handle:
             pairs = json.load(handle)
-        return from_amplitudes([complex(re, im) for re, im in pairs]).normalized()
+        state = from_amplitudes([complex(re, im) for re, im in pairs])
+        if not np.isfinite(state.amplitudes).all():
+            raise _usage_error("input amplitudes must be finite (NaN or infinity found)")
+        if not np.isfinite(state.norm_sq):
+            raise _usage_error("input state norm overflows; scale the amplitudes down")
+        return state.normalized()
     except OSError as exc:
         raise _usage_error(f"cannot read input state: {exc}")
     except (ValueError, TypeError):
@@ -351,7 +357,7 @@ def _build_parser() -> _Parser:
     toffoli_sub = toffoli.add_subparsers(dest="toffoli_command", required=True)
 
     def _common(p):
-        p.add_argument("--variant", choices=("six", "seven", "eight"), required=True)
+        p.add_argument("--variant", choices=VARIANT_KINDS, required=True)
         p.add_argument("--theta", default="1", help="rational multiple of pi (default 1)")
         p.add_argument("--sx", default="000", help="inherited X bits, order c1 c2 t")
         p.add_argument("--sz", default="000", help="inherited Z bits, order c1 c2 t")
@@ -372,7 +378,7 @@ def _build_parser() -> _Parser:
     enum.set_defaults(func=cmd_toffoli_enumerate)
 
     success = toffoli_sub.add_parser("success", help="exact success probability")
-    success.add_argument("--variant", choices=("six", "seven", "eight"), required=True)
+    success.add_argument("--variant", choices=VARIANT_KINDS, required=True)
     success.add_argument("--theta", default="1")
     success.add_argument("--linking", choices=("none", "uniform"), default="none")
     success.add_argument("--json")

@@ -14,7 +14,8 @@ target t     2 in, 5 out              0 (least significant)
 
 The six-qubit wiring: maximal edges (2,3), (3,4), (4,5), (3,6), (5,6)
 plus weighted edges (1,2,+theta/2), (1,4,-theta/2), (1,6,+theta/2).
-Measuring vertices 2, 3, 4 at alpha=0 induces the gate sequence
+Measuring vertices 2, 3, 4 (in that order) at alpha=0 induces the gate
+sequence
 
     CZ(theta/2) on (c2,t); H t; CZ on (c1,t); H t; CZ(-theta/2) on
     (c2,t); H t; CZ on (c1,t); CZ(theta/2) on (c1,c2)
@@ -22,10 +23,17 @@ Measuring vertices 2, 3, 4 at alpha=0 induces the gate sequence
 which equals H_t followed by a controlled-controlled phase of theta.
 The seven-qubit resource replaces the (1,4) edge with a gadget vertex 7
 (maximal edges 1-7, 7-4) so the residual of the x-type measurement
-byproduct stays a tensor product; the eight-qubit resource additionally
-replaces (1,6) with gadget vertex 8, after which every inherited x-type
-corruption can be absorbed as well. This wiring is pinned by the
-end-to-end branch-equivalence tests.
+byproduct stays a tensor product; it measures 3, 2, 4, 7. The
+eight-qubit resource additionally replaces (1,6) with gadget vertex 8
+(maximal edges 1-8, 8-6), after which every inherited x-type corruption
+can be absorbed as well; it measures 3, 2, 4, 7, 8. This wiring is
+pinned by the end-to-end branch-equivalence tests.
+
+Each resource is one ``VariantSpec`` record in ``VARIANT_SPECS``: its
+edges, its measurement schedule with the adaptive rules, its byproduct
+parities and its linking prefactors. The functions below read that
+table and never branch on the variant's name, so a new resource is a
+new record.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,7 +56,6 @@ from .mbqc import (
     PatternStep,
     WireWord,
     frame_compose,
-    frame_identity,
     make_word,
     measured_qubits,
     outcome_tree_leaves,
@@ -62,6 +69,7 @@ from .qstate import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    apply_cz_theta,
     apply_single,
     basis_state,
     kron_all,
@@ -71,7 +79,6 @@ from .qstate import (
 from .verify import is_local, unit_scale
 
 WIRES = ("c1", "c2", "t")
-VARIANT_KINDS = ("six", "seven", "eight")
 
 # Internal 0-based vertex indices (docs label = index + 1).
 C2_VERTEX = 0
@@ -81,11 +88,9 @@ C1_VERTEX = 5
 GADGET_MID = 6  # seven-qubit gadget between c2 and the t wire
 GADGET_TOP = 7  # eight-qubit gadget between c2 and c1
 
-# Inherited x-corruption patterns (c1, c2, t) the six/seven-qubit
-# resources can absorb; the rest force a failure before any measurement.
-RECOVERABLE_LINKING = frozenset({(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)})
-
 MAXIMAL = Fraction(1)  # pi
+# The two weighted-edge tokens of the spec table.
+PLUS_HALF, MINUS_HALF = "+theta/2", "-theta/2"
 
 # Seeded random logical inputs, besides |000>, in the branch-uniformity check.
 UNIFORMITY_RANDOM_INPUTS = 2
@@ -120,6 +125,145 @@ NO_LINKING = LinkingByproducts()
 
 
 @dataclass(frozen=True)
+class Step:
+    """One measurement of a schedule.
+
+    The basis is ``B(quarters * theta/4)``, pushed through H when
+    ``hadamard`` is set. The correction named ``static`` is absorbed when
+    the inherited sx bits of the wires in ``when`` have odd parity. With a
+    ``trigger`` vertex the basis adapts: outcome 1 there multiplies the
+    correction named ``conditional`` onto the static one.
+    """
+
+    vertex: int
+    quarters: int = 0
+    hadamard: bool = False
+    static: str | None = None
+    when: tuple[str, ...] = ()
+    trigger: int | None = None
+    conditional: str | None = None
+
+
+@dataclass(frozen=True)
+class Word:
+    """One wire's byproduct word ``X^x Z^z Rz(k*pi/4)``.
+
+    ``x`` and ``z`` list the measured vertices whose outcomes XOR into
+    each exponent; ``k`` is constant.
+    """
+
+    x: tuple[int, ...] = ()
+    z: tuple[int, ...] = ()
+    k: int = 0
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """One resource as data.
+
+    ``edges`` carry ``MAXIMAL``, ``PLUS_HALF`` or ``MINUS_HALF``;
+    ``schedule`` lists the measurements in the order they run; ``sigma``
+    gives each wire's measurement-byproduct word. ``prefactors`` maps each
+    accepted sx, in sorted order, to its linking prefactor: per wire
+    ``(x, z, k)`` with k in units of theta/2, the identity where a wire is
+    left out. Outcome 1 on ``nonlocal_vertex`` leaves the non-local
+    residual of the mid-circuit phase flip. With ``pi_only`` the frame
+    table covers theta = pi alone.
+    """
+
+    vertex_count: int
+    edges: tuple[tuple[int, int, object], ...]
+    schedule: tuple[Step, ...]
+    sigma: dict[str, Word]
+    prefactors: dict[tuple[int, int, int], dict[str, tuple[int, int, int]]]
+    nonlocal_vertex: int | None = None
+    pi_only: bool = False
+
+    @cached_property
+    def measured_vertices(self) -> tuple[int, ...]:
+        """Measured vertices in ascending label order (the outcome-bit order)."""
+        return tuple(sorted(step.vertex for step in self.schedule))
+
+
+# Edges every resource shares: the maximal spine and the (c2, t-in) weight.
+_SPINE = (
+    (1, 2, MAXIMAL),
+    (2, 3, MAXIMAL),
+    (3, 4, MAXIMAL),
+    (2, 5, MAXIMAL),
+    (4, 5, MAXIMAL),
+    (0, 1, PLUS_HALF),
+)
+_T_WORD = Word(x=(1, 3, 6), z=(2,))
+
+# One record per resource; vertices are 0-based (docs label = index + 1).
+VARIANT_SPECS = {
+    "six": VariantSpec(
+        vertex_count=6,
+        edges=_SPINE + ((0, 3, MINUS_HALF), (0, 5, PLUS_HALF)),
+        schedule=(
+            Step(1, static="Rz(-theta/2)", when=("c2",)),
+            Step(2, static="Z", when=("c1",)),
+            Step(3, static="Rz(theta/2)", when=("c2",)),
+        ),
+        sigma={"c1": Word(z=(3,)), "c2": Word(), "t": Word(x=(1, 3), z=(2,))},
+        prefactors={
+            (0, 0, 0): {},
+            (0, 1, 0): {"c1": (0, 0, 1), "c2": (1, 0, 0)},
+            (1, 0, 1): {"c1": (1, 0, 0), "c2": (0, 0, 1)},
+            (1, 1, 1): {"c1": (1, 0, -1), "c2": (1, 0, -1)},
+        },
+        nonlocal_vertex=2,
+    ),
+    "seven": VariantSpec(
+        vertex_count=7,
+        edges=_SPINE + ((0, 6, MAXIMAL), (6, 3, MAXIMAL), (0, 5, PLUS_HALF)),
+        schedule=(
+            Step(2),
+            Step(1, static="Rz(-theta/2)", when=("c2",)),
+            Step(3, 1, static="X", when=("c1", "c2"), trigger=2, conditional="X"),
+            Step(6, -1, True, static="Z", when=("c1",), trigger=2, conditional="Z"),
+        ),
+        sigma={"c1": Word(z=(3, 6)), "c2": Word(z=(6,), k=1), "t": _T_WORD},
+        prefactors={
+            (0, 0, 0): {},
+            (0, 1, 0): {"c1": (0, 0, 1), "c2": (1, 0, -1)},
+            (1, 0, 1): {"c1": (1, 0, 0), "c2": (0, 0, 1), "t": (0, 1, 0)},
+            (1, 1, 1): {"c1": (1, 0, -1), "c2": (1, 1, 0), "t": (0, 1, 0)},
+        },
+        pi_only=True,
+    ),
+    "eight": VariantSpec(
+        vertex_count=8,
+        edges=_SPINE + ((0, 6, MAXIMAL), (6, 3, MAXIMAL), (0, 7, MAXIMAL), (7, 5, MAXIMAL)),
+        schedule=(
+            Step(2, static="Z", when=("c1",)),
+            Step(1, static="Rz(-theta/2)", when=("c2",)),
+            Step(3, 1, static="X", when=("c2",), trigger=2, conditional="X"),
+            Step(6, -1, True, trigger=2, conditional="Z"),
+            Step(7, 1, True, static="Z", when=("c1", "t")),
+        ),
+        sigma={"c1": Word(z=(3, 6, 7), k=-1), "c2": Word(z=(6, 7)), "t": _T_WORD},
+        prefactors={
+            (0, 0, 0): {},
+            (0, 0, 1): {"c1": (0, 0, 1), "c2": (0, 0, 1), "t": (0, 1, 0)},
+            (0, 1, 0): {"c1": (0, 0, 1), "c2": (1, 0, 0)},
+            (0, 1, 1): {"c2": (1, 1, 1), "t": (0, 1, 0)},
+            (1, 0, 0): {"c1": (1, 0, 0), "t": (0, 1, 0)},
+            (1, 0, 1): {"c1": (1, 0, 1), "c2": (0, 0, 1)},
+            (1, 1, 0): {"c1": (1, 0, 1), "c2": (1, 0, 0), "t": (0, 1, 0)},
+            (1, 1, 1): {"c1": (1, 0, 0), "c2": (1, 1, 1)},
+        },
+        pi_only=True,
+    ),
+}
+VARIANT_KINDS = tuple(VARIANT_SPECS)
+# Inherited x-corruption patterns (c1, c2, t) the six/seven-qubit
+# resources can absorb; the rest force a failure before any measurement.
+RECOVERABLE_LINKING = frozenset(VARIANT_SPECS["six"].prefactors)
+
+
+@dataclass(frozen=True)
 class ResourceVariant:
     kind: str
     theta: Fraction = Fraction(1)
@@ -133,38 +277,23 @@ class ResourceVariant:
             raise ValueError("theta must be nonzero")
 
     @property
+    def spec(self) -> VariantSpec:
+        return VARIANT_SPECS[self.kind]
+
+    @property
     def measured_vertices(self) -> tuple[int, ...]:
-        base = (T_IN_VERTEX, 2, 3)
-        if self.kind == "six":
-            return base
-        if self.kind == "seven":
-            return base + (GADGET_MID,)
-        return base + (GADGET_MID, GADGET_TOP)
+        return VARIANT_SPECS[self.kind].measured_vertices
 
     @property
     def vertex_count(self) -> int:
-        return {"six": 6, "seven": 7, "eight": 8}[self.kind]
+        return VARIANT_SPECS[self.kind].vertex_count
 
 
 def build_resource(variant: ResourceVariant) -> WeightedGraph:
     """The gate resource graph with logical roles marked on its inputs."""
-    theta = variant.theta
-    half = theta / 2
-    edges = [
-        (1, 2, MAXIMAL),
-        (2, 3, MAXIMAL),
-        (3, 4, MAXIMAL),
-        (2, 5, MAXIMAL),
-        (4, 5, MAXIMAL),
-        (0, 1, half),
-    ]
-    if variant.kind == "six":
-        edges.append((0, 3, -half))
-        edges.append((0, 5, half))
-    elif variant.kind == "seven":
-        edges += [(0, 6, MAXIMAL), (6, 3, MAXIMAL), (0, 5, half)]
-    else:
-        edges += [(0, 6, MAXIMAL), (6, 3, MAXIMAL), (0, 7, MAXIMAL), (7, 5, MAXIMAL)]
+    half = variant.theta / 2
+    weights = {MAXIMAL: MAXIMAL, PLUS_HALF: half, MINUS_HALF: -half}
+    edges = [(i, j, weights[w]) for i, j, w in variant.spec.edges]
     # The H-basis target encoding is applied when a logical input is
     # embedded (see encoded_state), not to the bare resource state.
     inputs = {
@@ -201,10 +330,8 @@ def hadamard_on_target() -> np.ndarray:
 
 def _pair_phase(wire_a: int, wire_b: int, theta: float) -> np.ndarray:
     """CZ(theta) between two of the three wires, as an 8x8 diagonal."""
-    idx = np.arange(8)
-    bits_a = (idx >> (2 - wire_a)) & 1
-    bits_b = (idx >> (2 - wire_b)) & 1
-    return np.diag(np.exp(1j * theta * bits_a * bits_b)).astype(complex)
+    ones = StateVector(3, np.ones(8, dtype=complex))
+    return np.diag(apply_cz_theta(ones, 2 - wire_a, 2 - wire_b, theta).amplitudes)
 
 
 @dataclass(frozen=True)
@@ -237,27 +364,24 @@ def induced_circuit(sx=(0, 0, 0), theta: Fraction = Fraction(1)) -> list[Circuit
     ]
 
 
+def _gate_matrix(gate: CircuitGate) -> np.ndarray:
+    if gate.name == "h":
+        return kron_all(*(HADAMARD if wire in gate.wires else ID2 for wire in WIRES))
+    wire_a, wire_b = (WIRES.index(wire) for wire in gate.wires)
+    angle = np.pi if gate.angle is None else angles.radians(gate.angle)
+    return _pair_phase(wire_a, wire_b, angle)
+
+
 def target_unitary(theta: Angle) -> np.ndarray:
-    """Time-ordered product of the induced gate sequence (8x8).
+    """Time-ordered product of ``induced_circuit((0, 0, 0), theta)`` (8x8).
 
     For theta = pi this equals ``toffoli_matrix() @ hadamard_on_target()``;
     in general it is H on the target followed by a controlled-controlled
     phase of theta.
     """
-    rad = angles.radians(theta)
-    ht = hadamard_on_target()
     mat = np.eye(8, dtype=complex)
-    for gate in (
-        _pair_phase(1, 2, rad / 2),
-        ht,
-        _pair_phase(0, 2, np.pi),
-        ht,
-        _pair_phase(1, 2, -rad / 2),
-        ht,
-        _pair_phase(0, 2, np.pi),
-        _pair_phase(0, 1, rad / 2),
-    ):
-        mat = gate @ mat
+    for gate in induced_circuit((0, 0, 0), theta):
+        mat = _gate_matrix(gate) @ mat
     return mat
 
 
@@ -274,19 +398,9 @@ def logical_target(variant: ResourceVariant, hadamard_encode: bool = True) -> np
 # --- measurement programs ---
 
 
-def _combine(*mats: np.ndarray | None) -> np.ndarray | None:
-    """Left-to-right product of absorbed corrections, skipping identities."""
-    acc = None
-    for mat in mats:
-        if mat is None:
-            continue
-        acc = mat.copy() if acc is None else acc @ mat
-    return acc
-
-
 def _recoverable(variant: ResourceVariant, sx) -> bool:
     """Whether the resource can absorb the inherited x-corruption ``sx``."""
-    return variant.kind not in ("six", "seven") or sx in RECOVERABLE_LINKING
+    return sx in variant.spec.prefactors
 
 
 def _check_recoverable(variant: ResourceVariant, linking: LinkingByproducts):
@@ -302,72 +416,31 @@ def measurement_program(
 ) -> Pattern:
     """Measurement order, angles and absorbed corrections for one run.
 
-    The six-qubit program measures vertices 2, 3, 4 at alpha=0 with the
-    x-corruption corrections folded into the bases. The gadget variants
-    measure vertex 3 first and adapt the bases of vertices 4 and 7 on its
-    outcome (X on 4, Z on 7); vertex 4 moves to alpha=theta/4 and the
-    gadget vertices use the H-composed basis at -theta/4 and +theta/4.
+    Each step resolves one ``Step`` of the variant's schedule against the
+    inherited x-corruption; a step with a trigger adapts its basis to that
+    earlier outcome.
     """
     _check_recoverable(variant, linking)
     theta = variant.theta
-    half_neg = rz(angles.radians(-theta / 2))
-    half_pos = rz(angles.radians(theta / 2))
+    corrections = {
+        "X": PAULI_X,
+        "Z": PAULI_Z,
+        "Rz(-theta/2)": rz(angles.radians(-theta / 2)),
+        "Rz(theta/2)": rz(angles.radians(theta / 2)),
+    }
     quarter = theta / 4
-    sx_c1, sx_c2, sx_t = linking.sx
-
-    if variant.kind == "six":
-        absorb = {1: None, 2: None, 3: None}
-        if linking.sx == (0, 1, 0):
-            absorb[1], absorb[3] = half_neg, half_pos
-        elif linking.sx == (1, 0, 1):
-            absorb[2] = PAULI_Z
-        elif linking.sx == (1, 1, 1):
-            absorb[1], absorb[2], absorb[3] = half_neg, PAULI_Z, half_pos
-        return Pattern(
-            [
-                PatternStep(1, MeasurementBasis(absorbed=absorb[1])),
-                PatternStep(2, MeasurementBasis(absorbed=absorb[2])),
-                PatternStep(3, MeasurementBasis(absorbed=absorb[3])),
-            ]
-        )
-
-    if variant.kind == "seven":
-        base4 = base7 = None
-        if linking.sx == (0, 1, 0):
-            base2, base4 = half_neg, PAULI_X
-        elif linking.sx == (1, 0, 1):
-            base2, base4, base7 = None, PAULI_X, PAULI_Z
-        elif linking.sx == (1, 1, 1):
-            base2, base4, base7 = half_neg, None, PAULI_Z
+    sx = dict(zip(WIRES, linking.sx))
+    steps = []
+    for step in variant.spec.schedule:
+        alpha = step.quarters * quarter
+        static = corrections[step.static] if sum(sx[w] for w in step.when) & 1 else None
+        if step.trigger is None:
+            basis = MeasurementBasis(alpha, step.hadamard, static)
         else:
-            base2 = None
-        adaptive4 = _adaptive(2, quarter, False, base4, PAULI_X)
-        adaptive7 = _adaptive(2, -quarter, True, base7, PAULI_Z)
-        return Pattern(
-            [
-                PatternStep(2, MeasurementBasis()),
-                PatternStep(1, MeasurementBasis(absorbed=base2)),
-                PatternStep(3, adaptive4),
-                PatternStep(GADGET_MID, adaptive7),
-            ]
-        )
-
-    i, j, k = sx_c1, sx_c2, sx_t
-    base2 = half_neg if j else None
-    base3 = PAULI_Z if i else None
-    base4 = PAULI_X if j else None
-    base8 = PAULI_Z if (i ^ k) else None
-    adaptive4 = _adaptive(2, quarter, False, base4, PAULI_X, outcome_first=True)
-    adaptive7 = _adaptive(2, -quarter, True, None, PAULI_Z, outcome_first=True)
-    return Pattern(
-        [
-            PatternStep(2, MeasurementBasis(absorbed=base3)),
-            PatternStep(1, MeasurementBasis(absorbed=base2)),
-            PatternStep(3, adaptive4),
-            PatternStep(GADGET_MID, adaptive7),
-            PatternStep(GADGET_TOP, MeasurementBasis(alpha=quarter, hadamard=True, absorbed=base8)),
-        ]
-    )
+            conditional = corrections[step.conditional]
+            basis = _adaptive(step.trigger, alpha, step.hadamard, static, conditional)
+        steps.append(PatternStep(step.vertex, basis))
+    return Pattern(steps)
 
 
 def _adaptive(
@@ -376,19 +449,20 @@ def _adaptive(
     hadamard: bool,
     static: np.ndarray | None,
     conditional: np.ndarray,
-    outcome_first: bool = False,
 ):
     """Basis whose absorbed correction gains ``conditional`` on outcome 1.
 
-    ``outcome_first`` controls whether the outcome-dependent factor is
-    applied after (True) or before (False) the static corruption factor;
-    in all programs here the two commute.
+    The conditional factor goes after the static one. Where both are set
+    they are the same Pauli, so their product is the identity; it stays a
+    computed product because the kets it yields differ from unabsorbed
+    kets in the signs of their zeros.
     """
 
     def resolve(outcomes):
-        extra = conditional if outcomes.get(trigger_vertex) else None
-        combined = _combine(extra, static) if outcome_first else _combine(static, extra)
-        return MeasurementBasis(alpha=alpha, hadamard=hadamard, absorbed=combined)
+        absorbed = static
+        if outcomes.get(trigger_vertex):
+            absorbed = conditional if static is None else static @ conditional
+        return MeasurementBasis(alpha=alpha, hadamard=hadamard, absorbed=absorbed)
 
     return resolve
 
@@ -396,15 +470,10 @@ def _adaptive(
 # --- predicted byproduct frames ---
 
 
-def _nonlocal_factor_pi() -> tuple[np.ndarray, str]:
-    factor = kron_all(ID2, CNOT) @ kron_all(CZ, ID2)
-    return factor, "CNOT(c2,t).CZ(c1,c2)"
-
-
 def _nonlocal_factor(theta: Fraction, flip: int) -> tuple[np.ndarray, str]:
     """Residual of the mid-circuit phase flip, pushed to the end of the run."""
     if theta % 2 in (Fraction(1), Fraction(-1)):
-        return _nonlocal_factor_pi()
+        return kron_all(ID2, CNOT) @ kron_all(CZ, ID2), "CNOT(c2,t).CZ(c1,c2)"
     rad = angles.radians(theta) * flip
     tail = (
         _pair_phase(0, 1, angles.radians(theta / 2) * flip)
@@ -413,30 +482,6 @@ def _nonlocal_factor(theta: Fraction, flip: int) -> tuple[np.ndarray, str]:
     )
     factor = tail @ _pair_phase(1, 2, rad) @ tail.conj().T
     return factor, f"conjugated CZ({angles.describe(theta)}) on (c2,t)"
-
-
-def _sigma_words(variant: ResourceVariant, outcomes) -> dict[str, WireWord]:
-    """Measurement-byproduct words, before linking corrections."""
-    s2, s3, s4 = outcomes[1], outcomes[2], outcomes[3]
-    if variant.kind == "six":
-        return {
-            "c1": make_word(z=s4),
-            "c2": WireWord(),  # s3-dependent part handled by the caller
-            "t": make_word(x=s2 ^ s4, z=s3),
-        }
-    s7 = outcomes[GADGET_MID]
-    if variant.kind == "seven":
-        return {
-            "c1": make_word(z=s4 ^ s7),
-            "c2": make_word(z=s7, k=1),
-            "t": make_word(x=s2 ^ s4 ^ s7, z=s3),
-        }
-    s8 = outcomes[GADGET_TOP]
-    return {
-        "c1": make_word(z=s4 ^ s7 ^ s8, k=-1),
-        "c2": make_word(z=s7 ^ s8),
-        "t": make_word(x=s2 ^ s4 ^ s7, z=s3),
-    }
 
 
 def _frame(c1=WireWord(), c2=WireWord(), t=WireWord(), **kwargs) -> ByproductOperator:
@@ -459,30 +504,32 @@ def linking_frames(
     one-branch call.
     """
     _check_recoverable(variant, linking)
-    needed = set(variant.measured_vertices)
+    spec = variant.spec
+    needed = set(spec.measured_vertices)
     theta = variant.theta
-    sx = linking.sx
-    six = variant.kind == "six"
     h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
-    flip = -1 if (sx[1] ^ sx[2]) else 1
+    flip = -1 if (linking.sx[1] ^ linking.sx[2]) else 1
+    entries = spec.prefactors[linking.sx]
     unavailable = None
-    if variant.kind in ("seven", "eight") and theta % 2 != Fraction(1):
+    if spec.pi_only and theta != 1:
         unavailable = (
             f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
             f"not theta = {angles.describe(theta)}"
         )
-    elif six:
-        try:
-            prefactor = _six_prefactor(sx, h8)
-        except FrameUnavailable as exc:
-            unavailable = str(exc)
-    elif variant.kind == "seven":
-        prefactor = _seven_prefactor(sx)
+    elif h8 is None and any(k for _, _, k in entries.values()):
+        unavailable = (
+            f"{variant.kind}-qubit linking corrections are tabulated for theta a "
+            "multiple of pi/2 only"
+        )
     else:
-        prefactor = _eight_prefactor(sx)
-    if six and h8 is not None:
+        prefactor = _frame(
+            **{wire: make_word(x, z, k * h8 if k else 0) for wire, (x, z, k) in entries.items()}
+        )
+    nonlocal_vertex = spec.nonlocal_vertex
+    if nonlocal_vertex is not None and h8 is not None:
         c2_word = make_word(k=-flip * h8)
         factor, label = _nonlocal_factor(theta, flip)
+    words = [(wire, word.x, word.z, word.k) for wire, word in spec.sigma.items()]
     sz_frame = _frame(
         c1=make_word(z=linking.sz[0]),
         c2=make_word(z=linking.sz[1]),
@@ -490,21 +537,29 @@ def linking_frames(
     )
 
     def sigma(outcomes) -> ByproductOperator:
-        if set(outcomes) != needed:
+        if outcomes.keys() != needed:
             raise ValueError(f"outcomes must cover vertices {sorted(needed)}")
-        if not six and unavailable:  # six raises it after the s3 check
-            raise FrameUnavailable(unavailable)
-        frame = _frame(**_sigma_words(variant, outcomes))
-        if six and outcomes[2]:
-            if h8 is None:
-                raise FrameUnavailable(
-                    "six-qubit frames with s3 = 1 are tabulated for theta a "
-                    f"multiple of pi/2 only, not theta = {angles.describe(theta)}"
-                )
-            frame.words["c2"] = c2_word
-            frame.nonlocal_factor, frame.nonlocal_label = factor, label
+        nonlocal_branch = nonlocal_vertex is not None and outcomes[nonlocal_vertex]
+        if nonlocal_branch and h8 is None:
+            raise FrameUnavailable(
+                f"{variant.kind}-qubit frames with s{nonlocal_vertex + 1} = 1 are "
+                "tabulated for theta a multiple of pi/2 only, not theta = "
+                f"{angles.describe(theta)}"
+            )
         if unavailable:
             raise FrameUnavailable(unavailable)
+        branch_words = {}
+        for wire, xs, zs, k in words:
+            x = z = 0
+            for v in xs:
+                x ^= outcomes[v]
+            for v in zs:
+                z ^= outcomes[v]
+            branch_words[wire] = make_word(x, z, k)
+        frame = ByproductOperator(WIRES, branch_words)
+        if nonlocal_branch:
+            frame.words["c2"] = c2_word
+            frame.nonlocal_factor, frame.nonlocal_label = factor, label
         return frame_compose(frame_compose(prefactor, frame), sz_frame)
 
     return sigma
@@ -524,49 +579,6 @@ def predicted_sigma(
     Loops over the branches of one linking case use ``linking_frames``.
     """
     return linking_frames(variant, linking)(outcomes)
-
-
-def _six_prefactor(sx, h8) -> ByproductOperator:
-    if sx == (0, 0, 0):
-        return frame_identity(WIRES)
-    if h8 is None:
-        raise FrameUnavailable(
-            "six-qubit linking corrections are tabulated for theta a multiple "
-            "of pi/2 only"
-        )
-    if sx == (0, 1, 0):
-        return _frame(c1=make_word(k=h8), c2=make_word(x=1))
-    if sx == (1, 0, 1):
-        return _frame(c1=make_word(x=1), c2=make_word(k=h8))
-    return _frame(c1=make_word(x=1, k=-h8), c2=make_word(x=1, k=-h8))
-
-
-def _seven_prefactor(sx) -> ByproductOperator:
-    if sx == (0, 0, 0):
-        return frame_identity(WIRES)
-    if sx == (0, 1, 0):
-        return _frame(c1=make_word(k=2), c2=make_word(x=1, k=-2))
-    if sx == (1, 0, 1):
-        return _frame(c1=make_word(x=1), c2=make_word(k=2), t=make_word(z=1))
-    return _frame(
-        c1=make_word(x=1, k=-2), c2=make_word(x=1, z=1), t=make_word(z=1)
-    )
-
-
-def _eight_prefactor(sx) -> ByproductOperator:
-    i, j, k = sx
-    prefactor = frame_identity(WIRES)
-    if i:
-        prefactor = frame_compose(prefactor, _frame(c1=make_word(x=1), t=make_word(z=1)))
-    if j:
-        prefactor = frame_compose(prefactor, _frame(c1=make_word(k=2), c2=make_word(x=1)))
-    if k:
-        prefactor = frame_compose(
-            prefactor, _frame(c1=make_word(k=2), c2=make_word(k=2), t=make_word(z=1))
-        )
-    if j and k:
-        prefactor = frame_compose(prefactor, _frame(c1=make_word(z=1), c2=make_word(z=1)))
-    return prefactor
 
 
 # --- end-to-end gate runs ---
@@ -810,7 +822,8 @@ def success_probability(
     uniform = linking_model == "uniform"
     sx_cases = _all_bits(3) if uniform else [(0, 0, 0)]
     sz_cases = _all_bits(3) if uniform else [(0, 0, 0)]
-    m = len(variant.measured_vertices)
+    vertices = variant.measured_vertices
+    m = len(vertices)
     branch_fraction = Fraction(1, 2**m)
     case_weight = Fraction(1, len(sx_cases))
 
@@ -838,7 +851,7 @@ def success_probability(
         for sz in sz_cases:
             frames = linking_frames(variant, LinkingByproducts(sx, sz))
             for bits in _all_bits(m):
-                if frames(dict(zip(variant.measured_vertices, bits))).is_local:
+                if frames(dict(zip(vertices, bits))).is_local:
                     local += 1
         cases.append(LinkingCase(sx, True, local, 2**m * len(sz_cases)))
         total += case_weight * Fraction(local, len(sz_cases)) * branch_fraction

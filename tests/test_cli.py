@@ -68,6 +68,22 @@ def test_bad_outcome_bits(capsys):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "first,problem",
+    [
+        ([float("nan"), 0.0], "must be finite"),
+        ([1e308, 1e308], "norm overflows"),  # finite amplitudes, infinite norm
+    ],
+)
+def test_run_rejects_non_finite_input(tmp_path, capsys, first, problem):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps([first] + [[0.0, 0.0]] * 7))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["toffoli", "run", "--variant", "six", "--input", str(path)])
+    assert err.value.code == 1
+    assert problem in capsys.readouterr().err
+
+
 def test_graph_build(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_bytes(graphstate.to_json(build_resource(ResourceVariant("six"))))

@@ -61,6 +61,37 @@ def test_eight_adds_second_gadget():
     assert len(eight.edge_list()) == len(seven.edge_list()) + 1
 
 
+# The wiring of the toffoli module docstring, in its 1-based labels:
+# maximal edges, weighted edges as multiples of theta/2, measurement order.
+DOCSTRING_WIRING = {
+    "six": ([(2, 3), (3, 4), (4, 5), (3, 6), (5, 6)], [(1, 2, 1), (1, 4, -1), (1, 6, 1)], [2, 3, 4]),
+    "seven": (
+        [(2, 3), (3, 4), (4, 5), (3, 6), (5, 6), (1, 7), (4, 7)],
+        [(1, 2, 1), (1, 6, 1)],
+        [3, 2, 4, 7],
+    ),
+    "eight": (
+        [(2, 3), (3, 4), (4, 5), (3, 6), (5, 6), (1, 7), (4, 7), (1, 8), (6, 8)],
+        [(1, 2, 1)],
+        [3, 2, 4, 7, 8],
+    ),
+}
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_resource_matches_docstring_wiring(kind, theta):
+    maximal, weighted, order = DOCSTRING_WIRING[kind]
+    variant = tf.ResourceVariant(kind, theta)
+    expected = [(i - 1, j - 1, MAXIMAL) for i, j in maximal]
+    expected += [(i - 1, j - 1, (sign * theta / 2) % 2) for i, j, sign in weighted]
+    graph = tf.build_resource(variant)
+    assert graph.edge_list() == sorted(expected)
+    assert graph.vertex_count == variant.vertex_count == len(order) + 3
+    assert tf.measurement_program(variant).vertices == [v - 1 for v in order]
+    assert variant.measured_vertices == tuple(sorted(v - 1 for v in order))
+
+
 # --- reference gate ---
 
 
@@ -129,16 +160,34 @@ def test_gadget_programs_measure_vertex_two_first():
 
 
 def test_gadget_bases_adapt_on_first_outcome():
-    pattern = tf.measurement_program(tf.ResourceVariant("seven"))
+    for kind in ("seven", "eight"):
+        pattern = tf.measurement_program(tf.ResourceVariant(kind))
+        by_vertex = {s.vertex: s.basis for s in pattern.steps}
+        plain4 = by_vertex[3]({2: 0})
+        flipped4 = by_vertex[3]({2: 1})
+        assert plain4.alpha == Fraction(1, 4) and plain4.absorbed is None
+        np.testing.assert_allclose(flipped4.absorbed, qs.PAULI_X, atol=1e-15)
+        plain7 = by_vertex[tf.GADGET_MID]({2: 0})
+        flipped7 = by_vertex[tf.GADGET_MID]({2: 1})
+        assert plain7.alpha == Fraction(-1, 4) and plain7.hadamard
+        assert plain7.absorbed is None
+        np.testing.assert_allclose(flipped7.absorbed, qs.PAULI_Z, atol=1e-15)
+    top = by_vertex[tf.GADGET_TOP]
+    assert top.alpha == Fraction(1, 4) and top.hadamard and top.absorbed is None
+    # Eight-qubit, sx = (0,1,0): vertex 4 absorbs a static X, and outcome 1
+    # on vertex 3 adds the adaptive X; their product, the identity, is
+    # absorbed as computed.
+    pattern = tf.measurement_program(tf.ResourceVariant("eight"), tf.LinkingByproducts((0, 1, 0)))
     by_vertex = {s.vertex: s.basis for s in pattern.steps}
-    plain4 = by_vertex[3]({2: 0})
-    flipped4 = by_vertex[3]({2: 1})
-    assert plain4.alpha == Fraction(1, 4) and plain4.absorbed is None
-    np.testing.assert_allclose(flipped4.absorbed, qs.PAULI_X, atol=1e-15)
-    plain7 = by_vertex[tf.GADGET_MID]({2: 0})
-    flipped7 = by_vertex[tf.GADGET_MID]({2: 1})
-    assert plain7.alpha == Fraction(-1, 4) and plain7.hadamard
-    np.testing.assert_allclose(flipped7.absorbed, qs.PAULI_Z, atol=1e-15)
+    assert by_vertex[2].absorbed is None
+    np.testing.assert_allclose(by_vertex[1].absorbed, qs.rz(-np.pi / 2), atol=1e-15)
+    np.testing.assert_allclose(by_vertex[3]({2: 0}).absorbed, qs.PAULI_X, atol=1e-15)
+    met = by_vertex[3]({2: 1}).absorbed
+    assert met is not None
+    np.testing.assert_array_equal(met, qs.PAULI_X @ qs.PAULI_X)
+    assert by_vertex[tf.GADGET_MID]({2: 0}).absorbed is None
+    np.testing.assert_allclose(by_vertex[tf.GADGET_MID]({2: 1}).absorbed, qs.PAULI_Z, atol=1e-15)
+    assert by_vertex[tf.GADGET_TOP].absorbed is None
 
 
 @pytest.mark.parametrize("kind", ["six", "seven"])
@@ -437,6 +486,9 @@ def test_ccz_theta_off_grid_s3_frame_unavailable():
         ("six", Fraction(1, 3), {1: 0, 2: 1, 3: 0}, "multiple of pi/2"),
         ("six", Fraction(1, 4), {1: 1, 2: 1, 3: 1}, "multiple of pi/2"),
         ("seven", Fraction(1, 2), {1: 0, 2: 0, 3: 0, 6: 0}, "theta = pi only"),
+        # theta = -pi and 3pi give CCZ(pi) too, but the half weights differ
+        ("seven", Fraction(3), {1: 0, 2: 0, 3: 0, 6: 0}, "theta = pi only"),
+        ("eight", Fraction(-1), {1: 0, 2: 0, 3: 0, 6: 0, 7: 0}, "theta = pi only"),
     ],
 )
 def test_frame_unavailable_names_the_covered_angles(kind, theta, outcomes, covered):
@@ -556,7 +608,13 @@ def test_branch_walks_leave_no_reference_cycles():
 
 @pytest.mark.parametrize(
     "kind,theta",
-    [("seven", Fraction(1, 2)), ("eight", Fraction(1, 2)), ("six", Fraction(1, 3))],
+    [
+        ("seven", Fraction(1, 2)),
+        ("eight", Fraction(1, 2)),
+        ("six", Fraction(1, 3)),
+        ("seven", Fraction(-1)),
+        ("eight", Fraction(3)),
+    ],
 )
 def test_off_grid_runs_classified_by_extracted_residual(kind, theta):
     # Where no frame table applies, the verdict comes from the simulated

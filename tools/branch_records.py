@@ -17,7 +17,17 @@ Each line names a case, the outcome bits, the branch probability in
   {pi, pi/2, -pi/2, 3pi/2, pi/3, pi/4}, every sx (unrecoverable ones
   included), every sz and every outcome assignment: the words, the global
   phase in ``float.hex`` form, the non-local label and the SHA-256 of the
-  non-local factor, or the exception's type and message.
+  non-local factor, or the exception's type and message;
+* ``basis`` lines: for the same variants and theta values and every sx,
+  each step of ``toffoli.measurement_program`` resolved after every
+  outcome prefix of the steps before it, with the SHA-256 of both kets
+  from ``mbqc.basis_states`` (or the exception an unrecoverable sx
+  raises);
+* ``resource`` lines: the SHA-256 of ``graphstate.to_json`` of
+  ``toffoli.build_resource`` for the same variants and theta values.
+
+The script uses only names that every checkout since the frame records
+has, so one copy of it runs on both sides of a comparison.
 
 Run it from a checkout and compare the outputs of two checkouts::
 
@@ -36,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wgtoffoli import mbqc, toffoli
+from wgtoffoli import graphstate, mbqc, toffoli
 from wgtoffoli.qstate import StateVector, basis_state
 
 VARIANTS = [
@@ -136,13 +146,43 @@ def frame_records():
                 yield f"frame {case} {bits} {frame_text(variant, outcomes, linking)}"
 
 
+def basis_records():
+    for kind, theta in itertools.product(toffoli.VARIANT_KINDS, FRAME_THETAS):
+        variant = toffoli.ResourceVariant(kind, theta)
+        for sx in itertools.product((0, 1), repeat=3):
+            case = f"{kind}@{theta}:{sx}".replace(" ", "")
+            try:
+                pattern = toffoli.measurement_program(variant, toffoli.LinkingByproducts(sx))
+            except toffoli.UnrecoverableLinkingError as exc:
+                yield f"basis {case} raises {type(exc).__name__}: {exc}"
+                continue
+            for depth, step in enumerate(pattern.steps):
+                for prefix in itertools.product((0, 1), repeat=depth):
+                    seen = dict(zip(pattern.vertices, prefix))
+                    basis = step.basis(seen) if callable(step.basis) else step.basis
+                    kets = " ".join(digest(ket) for ket in mbqc.basis_states(basis))
+                    bits = "".join(map(str, prefix)) or "-"
+                    yield f"basis {case} {bits} v{step.vertex} {kets}"
+
+
+def resource_records():
+    for kind, theta in itertools.product(toffoli.VARIANT_KINDS, FRAME_THETAS):
+        doc = graphstate.to_json(toffoli.build_resource(toffoli.ResourceVariant(kind, theta)))
+        yield f"resource {kind}@{theta} {hashlib.sha256(doc).hexdigest()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
     args = parser.parse_args(argv)
     count = 0
     for line in itertools.chain(
-        uniformity_records(), large_graph_records(args.seeds), engine_records(), frame_records()
+        uniformity_records(),
+        large_graph_records(args.seeds),
+        engine_records(),
+        frame_records(),
+        basis_records(),
+        resource_records(),
     ):
         print(line)
         count += 1

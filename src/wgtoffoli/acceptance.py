@@ -21,8 +21,8 @@ from .mbqc import (
     Pattern,
     PatternStep,
     basis_states,
+    enumerate_branches,
     frame_to_operator,
-    run_branch,
 )
 from .qstate import (
     CNOT,
@@ -44,9 +44,8 @@ from .toffoli import (
     ResourceVariant,
     branch_outputs,
     build_resource,
-    ccz_theta_matrix,
-    hadamard_on_target,
     linking_frames,
+    logical_target,
     success_probability,
     toffoli_matrix,
 )
@@ -186,9 +185,9 @@ def check_gadget_identity() -> dict:
         gate = kron_all(rz(-theta / 2), rz(-theta / 2)) @ np.diag(
             [1, 1, 1, np.exp(1j * theta)]
         )
-        for outcome in (0, 1):
-            pattern = Pattern([PatternStep(1, MeasurementBasis(theta / 2, hadamard=True))])
-            probability, out = run_branch(state, pattern, {1: outcome})
+        pattern = Pattern([PatternStep(1, MeasurementBasis(theta / 2, hadamard=True))])
+        for outcomes, probability, out in enumerate_branches(state, pattern):
+            outcome = outcomes[1]
             byproduct = kron_all(PAULI_Z, PAULI_Z) if outcome else np.eye(4)
             expected = byproduct @ gate @ psi.amplitudes / np.sqrt(2)
             all_match &= bool(np.max(np.abs(out.amplitudes - expected)) <= 1e-10)
@@ -224,13 +223,12 @@ def check_ccz_generalisation() -> dict:
     tested = []
     for frac in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
         variant = ResourceVariant("six", theta=frac)
-        raw_target = hadamard_on_target() @ ccz_theta_matrix(float(frac) * np.pi)
-        raw_inv = np.linalg.inv(raw_target)
-        operators = branch_outputs(variant, NO_LINKING, np.eye(8), hadamard_encode=False)
+        target_inv = np.linalg.inv(logical_target(variant))
+        operators = branch_outputs(variant, NO_LINKING, np.eye(8))
         frames = linking_frames(variant, NO_LINKING)
         for bits, outcomes in _all_outcomes(variant):
-            residual = unit_scale(operators[bits] @ raw_inv)
-            if outcomes[2] == 0:
+            residual = unit_scale(operators[bits] @ target_inv)
+            if outcomes[variant.spec.nonlocal_vertex] == 0:
                 sigma = frames(outcomes)
                 all_match &= sigma.is_local
                 all_match &= equal_up_to_phase(
@@ -405,7 +403,7 @@ def check_locality_classifier() -> dict:
     six_frames = linking_frames(six, NO_LINKING)
     for _, outcomes in _all_outcomes(six):
         sigma = frame_to_operator(six_frames(outcomes))
-        ground_truth_ok &= is_local(sigma).is_local == (outcomes[2] == 0)
+        ground_truth_ok &= is_local(sigma).is_local == (outcomes[six.spec.nonlocal_vertex] == 0)
     for kind in ("seven", "eight"):
         variant = ResourceVariant(kind)
         frames = linking_frames(variant, NO_LINKING)

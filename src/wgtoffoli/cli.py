@@ -40,7 +40,7 @@ from .toffoli import (
     success_probability,
     toffoli_matrix,
 )
-from .verify import equal_up_to_phase, is_local, process_fidelity, unit_scale
+from .verify import equal_up_to_phase, process_fidelity, unit_scale
 
 USAGE_ERROR, VERIFY_ERROR, ZERO_PROB_ERROR = 1, 2, 3
 
@@ -90,6 +90,8 @@ def _parse_input(text: str) -> StateVector:
             raise _usage_error("input amplitudes must be finite (NaN or infinity found)")
         if not np.isfinite(state.norm_sq):
             raise _usage_error("input state norm overflows; scale the amplitudes down")
+        if state.norm_sq == 0:
+            raise _usage_error("input state has zero norm (every amplitude is 0 or underflows)")
         return state.normalized()
     except OSError as exc:
         raise _usage_error(f"cannot read input state: {exc}")
@@ -232,7 +234,7 @@ def _branch_table(variant, linking):
             {
                 "outcomes": "".join(map(str, bits)),
                 "probability": probability,
-                "local": bool(is_local(sigma_op).is_local),
+                "local": sigma.is_local,
                 "sigma": sigma.describe(),
                 "matches_prediction": bool(equal_up_to_phase(corrected, tof, 1e-10)),
                 "fidelity": float(process_fidelity(corrected, tof)),

@@ -33,6 +33,7 @@ from .qstate import (
     StateVector,
     kron_all,
     project,
+    project_axis,
     rz,
 )
 
@@ -147,21 +148,27 @@ def measured_qubits(num_qubits: int, pattern: Pattern) -> tuple[list[int], list[
 
 
 def outcome_tree_leaves(
-    pattern: Pattern, root, split: Callable
-) -> list[tuple[OutcomeBits, object]]:
+    pattern: Pattern, tensor: np.ndarray
+) -> list[tuple[OutcomeBits, np.ndarray]]:
     """Walk the outcome tree of ``pattern`` depth first, sharing every prefix.
 
-    ``split(node, depth, kets)`` returns the two children of a node: the
-    node projected onto ``kets[0]`` and ``kets[1]`` for step ``depth``.
-    Each node resolves its (possibly adaptive) basis once from the
-    outcomes above it, so a pattern of m steps costs ``2**m - 1`` basis
-    resolutions and ``2 * (2**m - 1)`` projections. Leaves come back as
-    ``(outcomes, node)`` in ``itertools.product`` order, with outcome keys
-    in step order. The walk keeps an explicit stack, so it leaves no
-    reference cycle behind.
+    ``tensor`` is a batch of n-qubit registers, shaped ``(B,) + (2,)*n``;
+    qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``. Each
+    node resolves its (possibly adaptive) basis once from the outcomes
+    above it and projects the measured qubit onto both kets in one
+    ``qstate.project_axis`` call, so a pattern of m steps costs ``2**m - 1``
+    basis resolutions and ``2 * (2**m - 1)`` projections, and every row of
+    a leaf is bitwise equal to ``run_branch`` on that register. Leaves
+    come back as ``(outcomes, leaf)`` in ``itertools.product`` order, with
+    outcome keys in step order and the survivors in ``measured_qubits``
+    order. The walk keeps an explicit stack, so it leaves no reference
+    cycle behind.
     """
+    n = tensor.ndim - 1
+    qubits, _ = measured_qubits(n, pattern)
+    axes = [n - depth - q for depth, q in enumerate(qubits)]
     leaves = []
-    stack = [({}, root)]
+    stack = [({}, tensor)]
     while stack:
         seen, node = stack.pop()
         depth = len(seen)
@@ -170,9 +177,9 @@ def outcome_tree_leaves(
             continue
         step = pattern.steps[depth]
         basis = step.basis(seen) if callable(step.basis) else step.basis
-        children = split(node, depth, basis_states(basis))
-        stack.append(({**seen, step.vertex: 1}, children[1]))
-        stack.append(({**seen, step.vertex: 0}, children[0]))
+        child0, child1 = project_axis(node, axes[depth], basis_states(basis))
+        stack.append(({**seen, step.vertex: 1}, child1))
+        stack.append(({**seen, step.vertex: 0}, child0))
     return leaves
 
 
@@ -181,10 +188,10 @@ def enumerate_branches(
 ) -> list[tuple[OutcomeBits, float, StateVector]]:
     """All ``2**m`` measurement branches, zero-probability ones included.
 
-    Branches come in ``itertools.product`` order over the steps. Every
-    measured prefix is projected once (see ``outcome_tree_leaves``) with
-    the arithmetic of ``run_branch``, so each result is bitwise equal to
-    ``run_branch(state, pattern, outcomes)``.
+    Branches come in ``itertools.product`` order over the steps. This is
+    ``outcome_tree_leaves`` on a batch of one, so each result is bitwise
+    equal to ``run_branch(state, pattern, outcomes)``. Without steps the
+    one branch is ``state`` itself.
     """
     m = len(pattern.steps)
     if m > MAX_PATTERN_QUBITS:
@@ -192,15 +199,14 @@ def enumerate_branches(
     initial = state.norm_sq
     if initial == 0:
         raise ValueError("cannot measure the zero state")
-    qubits, _ = measured_qubits(state.num_qubits, pattern)
-
-    def split(node, depth, kets):
-        return [project(node, qubits[depth], ket) for ket in kets]
-
-    return [
-        (outcomes, final.norm_sq / initial, final)
-        for outcomes, final in outcome_tree_leaves(pattern, state, split)
-    ]
+    if m == 0:
+        return [({}, 1.0, state)]
+    n = state.num_qubits
+    branches = []
+    for outcomes, leaf in outcome_tree_leaves(pattern, state.amplitudes.reshape((1,) + (2,) * n)):
+        final = StateVector(n - m, leaf.reshape(-1))
+        branches.append((outcomes, final.norm_sq / initial, final))
+    return branches
 
 
 # --- byproduct frames ---

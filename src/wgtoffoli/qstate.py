@@ -161,6 +161,26 @@ def apply_cz_theta(
     return StateVector(state.num_qubits, amps)
 
 
+def project_axis(tensor: np.ndarray, axis: int, kets) -> list[np.ndarray]:
+    """Contract one length-2 axis of ``tensor`` with each ``<ket|`` of ``kets``.
+
+    Returns one tensor per ket, without the axis. Every projection in the
+    package goes through here, so a branch has the same bits whichever
+    walk produced it.
+    """
+    t0 = np.take(tensor, 0, axis=axis)
+    t1 = np.take(tensor, 1, axis=axis)
+    out = []
+    for ket in kets:
+        ket = np.asarray(ket, dtype=complex)
+        if ket.shape != (2,):
+            raise ValueError("projection ket must be a single-qubit state")
+        if abs(np.vdot(ket, ket).real - 1.0) > 1e-10:
+            raise ValueError("projection ket must be normalised")
+        out.append(np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1)
+    return out
+
+
 def project(state: StateVector, qubit: int, ket: np.ndarray) -> StateVector:
     """Project one qubit onto ``ket`` and drop it from the register.
 
@@ -169,16 +189,8 @@ def project(state: StateVector, qubit: int, ket: np.ndarray) -> StateVector:
     relative order (those above ``qubit`` shift down by one).
     """
     _check_qubit(state, qubit)
-    ket = np.asarray(ket, dtype=complex)
-    if ket.shape != (2,):
-        raise ValueError("projection ket must be a single-qubit state")
-    if abs(np.vdot(ket, ket).real - 1.0) > 1e-10:
-        raise ValueError("projection ket must be normalised")
     n = state.num_qubits
-    axis = n - 1 - qubit
-    tensor = state.amplitudes.reshape((2,) * n)
-    out = np.conj(ket[0]) * np.take(tensor, 0, axis=axis)
-    out = out + np.conj(ket[1]) * np.take(tensor, 1, axis=axis)
+    [out] = project_axis(state.amplitudes.reshape((2,) * n), n - 1 - qubit, [ket])
     return StateVector(n - 1, out.reshape(-1))
 
 

@@ -59,7 +59,6 @@ from .mbqc import (
     make_word,
     measured_qubits,
     outcome_tree_leaves,
-    run_branch,
 )
 from .qstate import (
     CNOT,
@@ -73,7 +72,6 @@ from .qstate import (
     apply_single,
     basis_state,
     kron_all,
-    reorder_qubits,
     rz,
 )
 from .verify import is_local, unit_scale
@@ -258,9 +256,6 @@ VARIANT_SPECS = {
     ),
 }
 VARIANT_KINDS = tuple(VARIANT_SPECS)
-# Inherited x-corruption patterns (c1, c2, t) the six/seven-qubit
-# resources can absorb; the rest force a failure before any measurement.
-RECOVERABLE_LINKING = frozenset(VARIANT_SPECS["six"].prefactors)
 
 
 @dataclass(frozen=True)
@@ -385,14 +380,13 @@ def target_unitary(theta: Angle) -> np.ndarray:
     return mat
 
 
-def logical_target(variant: ResourceVariant, hadamard_encode: bool = True) -> np.ndarray:
+def logical_target(variant: ResourceVariant) -> np.ndarray:
     """Gate the resource performs on the logical input.
 
-    With the default H-basis target encoding and theta = pi the net gate
-    is exactly the Toffoli; without the encoding it is ``target_unitary``.
+    This is ``target_unitary`` after the H-basis target encoding of
+    ``encoded_state``; at theta = pi it is exactly the Toffoli.
     """
-    raw = target_unitary(variant.theta)
-    return raw @ hadamard_on_target() if hadamard_encode else raw
+    return target_unitary(variant.theta) @ hadamard_on_target()
 
 
 # --- measurement programs ---
@@ -588,20 +582,17 @@ def encoded_state(
     variant: ResourceVariant,
     input_state: StateVector,
     linking: LinkingByproducts = NO_LINKING,
-    hadamard_encode: bool = True,
 ) -> StateVector:
     """Physical resource state for a logical 3-qubit input.
 
-    The target component is pushed through H when ``hadamard_encode`` is
-    set; the inherited corruption acts on the physical input vertices
-    (z before x on each wire), exactly as byproducts arriving from an
-    earlier part of a larger computation would.
+    The target component is pushed through H (the H-basis target
+    encoding); the inherited corruption acts on the physical input
+    vertices (z before x on each wire), exactly as byproducts arriving
+    from an earlier part of a larger computation would.
     """
     if input_state.num_qubits != 3:
         raise ValueError("logical input must be a 3-qubit state")
-    psi = input_state
-    if hadamard_encode:
-        psi = apply_single(psi, 0, HADAMARD)
+    psi = apply_single(input_state, 0, HADAMARD)
     for wire_index, qubit in ((0, 2), (1, 1), (2, 0)):
         if linking.sz[wire_index]:
             psi = apply_single(psi, qubit, PAULI_Z)
@@ -611,72 +602,29 @@ def encoded_state(
     return build_state_with_input(graph, psi, (C1_VERTEX, C2_VERTEX, T_IN_VERTEX))
 
 
-def branch_map(
-    variant: ResourceVariant,
-    linking: LinkingByproducts,
-    outcomes,
-    hadamard_encode: bool = True,
-):
-    """Linear map from the logical input to the unnormalised branch output.
-
-    The output is reported in wire order (c1, c2, t) with c1 on the most
-    significant qubit; its squared norm is the branch probability.
-    """
-    pattern = measurement_program(variant, linking)
-    outcomes = dict(outcomes)
-
-    def run(psi: StateVector) -> StateVector:
-        state = encoded_state(variant, psi, linking, hadamard_encode)
-        _, out = run_branch(state, pattern, outcomes)
-        # Surviving vertices (c2, t-out, c1) sit on qubits (0, 1, 2).
-        return reorder_qubits(out, (1, 0, 2))
-
-    return run
-
-
-def _outcome_leaves(
-    variant: ResourceVariant,
-    linking: LinkingByproducts,
-    inputs: np.ndarray,
-    hadamard_encode: bool = True,
-):
+def _outcome_leaves(variant: ResourceVariant, linking: LinkingByproducts, inputs: np.ndarray):
     """Embed each ``(B, 8)`` input row once and walk the outcome tree as one batch.
 
     Returns the embedded states, the surviving vertices in ascending label
     order and the ``(outcomes, leaf)`` pairs of ``mbqc.outcome_tree_leaves``.
     Row ``b`` of a ``(B, 2, 2, 2)`` leaf is the branch output for input
-    ``b`` in ``run_branch``'s qubit layout; every node projects both
-    children from the shared parent tensor with the arithmetic of
-    ``qstate.project``, so each row is bitwise equal to that output.
+    ``b`` in ``run_branch``'s qubit layout, bitwise equal to that output.
     """
     pattern = measurement_program(variant, linking)
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 8:
         raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
     n = variant.vertex_count
-    states = [
-        encoded_state(variant, StateVector(3, row), linking, hadamard_encode) for row in inputs
-    ]
+    states = [encoded_state(variant, StateVector(3, row), linking) for row in inputs]
     tensor = np.stack([state.amplitudes for state in states]).reshape((len(states),) + (2,) * n)
-
-    # Tensor axis of each measured vertex when its turn comes: qubit q of
-    # an r-qubit register sits on axis 1 + (r - 1 - q) after the batch axis.
-    qubits, survivors = measured_qubits(n, pattern)
-    axes = [n - depth - q for depth, q in enumerate(qubits)]
-
-    def split(node, depth, kets):
-        t0 = np.take(node, 0, axis=axes[depth])
-        t1 = np.take(node, 1, axis=axes[depth])
-        return [np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1 for ket in kets]
-
-    return states, survivors, outcome_tree_leaves(pattern, tensor, split)
+    _, survivors = measured_qubits(n, pattern)
+    return states, survivors, outcome_tree_leaves(pattern, tensor)
 
 
 def branch_outputs(
     variant: ResourceVariant,
     linking: LinkingByproducts,
     inputs: np.ndarray,
-    hadamard_encode: bool = True,
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Unnormalised outputs of every measurement branch for a batch of inputs.
 
@@ -686,11 +634,12 @@ def branch_outputs(
     column ``b`` is the branch output for input row ``b``; with the
     identity as input that array is the branch operator.
 
-    The rows share one walk of the outcome tree (``_outcome_leaves``), so
-    every output is bitwise equal to ``branch_map(variant, linking,
-    outcomes, hadamard_encode)`` applied to the same row.
+    The rows share one walk of the outcome tree (``_outcome_leaves``), the
+    walk ``mbqc.enumerate_branches`` makes for a single state, so column
+    ``b`` is bitwise equal to ``run_branch`` on the embedded row ``b``
+    with the survivors put in wire order.
     """
-    states, survivors, leaves = _outcome_leaves(variant, linking, inputs, hadamard_encode)
+    states, survivors, leaves = _outcome_leaves(variant, linking, inputs)
     batch = len(states)
     # Put the survivors in wire order c1 c2 t.
     wire_axes = [len(survivors) - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
@@ -720,13 +669,31 @@ def run_gate(
     input_state: StateVector,
     linking: LinkingByproducts = NO_LINKING,
     outcomes=None,
-    hadamard_encode: bool = True,
 ) -> GateRun:
-    """Run one measurement branch of the gate on a logical input."""
+    """Run one measurement branch of the gate on a logical input.
+
+    One ``branch_outputs`` call walks the basis columns and the input
+    together: the input column is the output, and the basis columns give
+    the branch operator where the frame table has no entry.
+    """
     if outcomes is None:
         outcomes = {v: 0 for v in variant.measured_vertices}
-    out = branch_map(variant, linking, outcomes, hadamard_encode)(input_state)
-    probability = out.norm_sq / input_state.norm_sq
+    _check_recoverable(variant, linking)
+    if input_state.num_qubits != 3:
+        raise ValueError("logical input must be a 3-qubit state")
+    if set(outcomes) != set(variant.measured_vertices):
+        raise ValueError("outcome bits must cover exactly the measured vertices")
+    for vertex, bit in outcomes.items():
+        if bit not in (0, 1):
+            raise ValueError(f"outcome for vertex {vertex} must be 0 or 1")
+    initial = input_state.norm_sq
+    if initial == 0:
+        raise ValueError("cannot measure the zero state")
+    key = tuple(outcomes[v] for v in variant.measured_vertices)
+    columns = branch_outputs(variant, linking, np.vstack([np.eye(8), input_state.amplitudes]))[key]
+    # A contiguous copy: the norm of a strided column differs in the last bits.
+    out = StateVector(3, columns[:, 8].copy())
+    probability = out.norm_sq / initial
     if probability < 1e-12:
         raise ZeroProbabilityBranchError(f"branch {outcomes} has probability 0")
     try:
@@ -735,10 +702,8 @@ def run_gate(
         # No tabulated frame for this angle: classify the residual
         # extracted from the simulated branch operator instead.
         sigma = None
-        key = tuple(outcomes[v] for v in variant.measured_vertices)
-        branch_op = branch_outputs(variant, linking, np.eye(8), hadamard_encode)[key]
-        target_inv = np.linalg.inv(logical_target(variant, hadamard_encode))
-        success = is_local(unit_scale(branch_op @ target_inv)).is_local
+        target_inv = np.linalg.inv(logical_target(variant))
+        success = is_local(unit_scale(columns[:, :8] @ target_inv)).is_local
     else:
         success = sigma.is_local
     return GateRun(
@@ -783,10 +748,11 @@ def verify_branch_uniformity(
     """Max deviation of any branch probability from 2**-m over test inputs.
 
     The inputs are ``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` seeded random
-    states, walked as one batch (see ``_outcome_leaves``). Each probability
-    is the leaf row's squared norm, taken before any reordering, over the
+    states, walked as one batch by ``_outcome_leaves``, the walk
+    ``mbqc.enumerate_branches`` makes for one state. Each probability is
+    the leaf row's squared norm, taken before any reordering, over the
     embedded input's, so it is bitwise equal to the one
-    ``mbqc.enumerate_branches`` reports for that input.
+    ``enumerate_branches`` reports for that input.
     """
     m = len(variant.measured_vertices)
     expected = 0.5**m

@@ -84,6 +84,16 @@ def test_run_rejects_non_finite_input(tmp_path, capsys, first, problem):
     assert problem in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 1e-170])  # 1e-170 squared underflows to 0
+def test_run_rejects_zero_norm_input(tmp_path, capsys, amplitude):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps([[amplitude, 0.0]] * 8))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["toffoli", "run", "--variant", "six", "--input", str(path)])
+    assert err.value.code == 1
+    assert "zero norm" in capsys.readouterr().err
+
+
 def test_graph_build(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_bytes(graphstate.to_json(build_resource(ResourceVariant("six"))))

@@ -273,7 +273,7 @@ def test_enumerate_without_measurements_returns_the_state():
 )
 def test_enumerate_rejects_before_any_projection(monkeypatch, state, vertices, message):
     calls = []
-    monkeypatch.setattr(mbqc, "project", lambda *args: calls.append(args))
+    monkeypatch.setattr(mbqc, "project_axis", lambda *args: calls.append(args))
 
     def resolve(seen):
         calls.append(seen)

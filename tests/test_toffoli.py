@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from reference import branch_map, reconstruct_operator
 
 from wgtoffoli import mbqc
 from wgtoffoli import qstate as qs
@@ -21,6 +22,10 @@ def random_states(seed, count, n=3):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         out.append(qs.StateVector(n, amps / np.linalg.norm(amps)))
     return out
+
+
+def accepted_sx(variant):
+    return sorted(variant.spec.prefactors)
 
 
 def all_outcomes(variant):
@@ -116,21 +121,18 @@ def test_encoded_target_is_exact_toffoli():
     np.testing.assert_allclose(
         tf.logical_target(tf.ResourceVariant("six")), tf.toffoli_matrix(), atol=1e-12
     )
-    raw = tf.logical_target(tf.ResourceVariant("six"), hadamard_encode=False)
-    np.testing.assert_allclose(raw, tf.target_unitary(Fraction(1)), atol=1e-12)
+    encoded = tf.logical_target(tf.ResourceVariant("six"))
+    raw = tf.target_unitary(Fraction(1))
+    np.testing.assert_allclose(encoded, raw @ tf.hadamard_on_target(), atol=1e-12)
 
 
 def test_trivial_branch_reconstructs_the_raw_gate():
-    # without the H-basis encoding, the all-zero branch is the bare induced
+    # behind the H-basis encoding, the all-zero branch is the bare induced
     # circuit: H on the target followed by CCZ
     variant = tf.ResourceVariant("six")
-    branch_op = qs.reconstruct_operator(
-        tf.branch_map(variant, tf.NO_LINKING, {1: 0, 2: 0, 3: 0}, hadamard_encode=False),
-        3,
-    )
-    assert verify.equal_up_to_phase(
-        verify.unit_scale(branch_op), tf.target_unitary(Fraction(1)), 1e-10
-    )
+    branch_op = reconstruct_operator(branch_map(variant, tf.NO_LINKING, {1: 0, 2: 0, 3: 0}), 3)
+    raw = verify.unit_scale(branch_op @ tf.hadamard_on_target())
+    assert verify.equal_up_to_phase(raw, tf.target_unitary(Fraction(1)), 1e-10)
 
 
 # --- measurement programs ---
@@ -273,16 +275,11 @@ def test_branch_equivalence_random_sample(kind):
     tof = tf.toffoli_matrix()
     rng = np.random.default_rng(57)
     inputs = random_states(58, 2)
-    sx_cases = (
-        list(itertools.product((0, 1), repeat=3))
-        if kind == "eight"
-        else sorted(tf.RECOVERABLE_LINKING)
-    )
-    for sx in sx_cases:
+    for sx in accepted_sx(variant):
         sz = tuple(int(b) for b in rng.integers(0, 2, size=3))
         linking = tf.LinkingByproducts(sx=sx, sz=sz)
         for outcomes in all_outcomes(variant):
-            mapping = tf.branch_map(variant, linking, outcomes)
+            mapping = branch_map(variant, linking, outcomes)
             sigma_op = frame_to_operator(tf.predicted_sigma(variant, outcomes, linking))
             expected_op = sigma_op @ tof
             for psi in inputs:
@@ -297,19 +294,17 @@ def test_branch_equivalence_random_sample(kind):
 # --- batched branch engine ---
 
 
-def assert_engine_matches_reference(variant, linking, hadamard_encode=True):
+def assert_engine_matches_reference(variant, linking):
     """Engine outputs equal the per-column path bit for bit."""
     psis = random_states(62, 2)
     inputs = np.vstack([np.eye(8)] + [psi.amplitudes for psi in psis])
-    outputs = tf.branch_outputs(variant, linking, inputs, hadamard_encode)
+    outputs = tf.branch_outputs(variant, linking, inputs)
     m = len(variant.measured_vertices)
     assert list(outputs) == list(itertools.product((0, 1), repeat=m))
     for bits, out in outputs.items():
-        mapping = tf.branch_map(
-            variant, linking, dict(zip(variant.measured_vertices, bits)), hadamard_encode
-        )
+        mapping = branch_map(variant, linking, dict(zip(variant.measured_vertices, bits)))
         assert out.shape == (8, 10)
-        assert np.array_equal(out[:, :8], qs.reconstruct_operator(mapping, 3))
+        assert np.array_equal(out[:, :8], reconstruct_operator(mapping, 3))
         for column, psi in enumerate(psis, start=8):
             assert np.array_equal(out[:, column], mapping(psi).amplitudes)
 
@@ -318,20 +313,14 @@ def assert_engine_matches_reference(variant, linking, hadamard_encode=True):
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
 def test_branch_outputs_equal_reference_path(kind, sz):
     variant = tf.ResourceVariant(kind)
-    sx_cases = (
-        list(itertools.product((0, 1), repeat=3))
-        if kind == "eight"
-        else sorted(tf.RECOVERABLE_LINKING)
-    )
-    for sx in sx_cases:
+    for sx in accepted_sx(variant):
         assert_engine_matches_reference(variant, tf.LinkingByproducts(sx=sx, sz=sz))
 
 
-@pytest.mark.parametrize("hadamard_encode", [True, False])
-def test_branch_outputs_equal_reference_path_off_grid(hadamard_encode):
+def test_branch_outputs_equal_reference_path_off_grid():
     variant = tf.ResourceVariant("six", theta=Fraction(1, 3))
-    for sx in sorted(tf.RECOVERABLE_LINKING):
-        assert_engine_matches_reference(variant, tf.LinkingByproducts(sx=sx), hadamard_encode)
+    for sx in accepted_sx(variant):
+        assert_engine_matches_reference(variant, tf.LinkingByproducts(sx=sx))
 
 
 def test_branch_outputs_rejects_bad_input_shape():
@@ -361,7 +350,7 @@ def test_sz_bits_never_change_classification():
 # --- sign bookkeeping of the induced circuit ---
 
 
-@pytest.mark.parametrize("sx", sorted(tf.RECOVERABLE_LINKING))
+@pytest.mark.parametrize("sx", accepted_sx(tf.ResourceVariant("six")))
 def test_induced_circuit_keeps_middle_phase_opposite(sx):
     gates = tf.induced_circuit(sx)
     weighted = [g for g in gates if g.name == "cz_theta"]
@@ -436,12 +425,7 @@ def test_branch_uniformity_bitwise_equals_enumeration(kind, theta):
     # The batched walk must reproduce the per-input enumeration exactly:
     # norms taken from rows in any other qubit order differ in the last bits.
     variant = tf.ResourceVariant(kind, theta)
-    sx_cases = (
-        list(itertools.product((0, 1), repeat=3))
-        if kind == "eight"
-        else sorted(tf.RECOVERABLE_LINKING)
-    )
-    for sx in sx_cases:
+    for sx in accepted_sx(variant):
         for sz in ((0, 0, 0), (1, 1, 1)):
             linking = tf.LinkingByproducts(sx, sz)
             assert tf.verify_branch_uniformity(variant, linking) == uniformity_by_enumeration(
@@ -458,12 +442,10 @@ def test_ccz_theta_local_branches(frac):
     raw_target = tf.hadamard_on_target() @ tf.ccz_theta_matrix(float(frac) * np.pi)
     for s2, s4 in itertools.product((0, 1), repeat=2):
         outcomes = {1: s2, 2: 0, 3: s4}
-        branch_op = qs.reconstruct_operator(
-            tf.branch_map(variant, tf.NO_LINKING, outcomes, hadamard_encode=False), 3
-        )
+        branch_op = reconstruct_operator(branch_map(variant, tf.NO_LINKING, outcomes), 3)
         sigma = tf.predicted_sigma(variant, outcomes)
         assert sigma.is_local
-        expected = frame_to_operator(sigma) @ raw_target
+        expected = frame_to_operator(sigma) @ raw_target @ tf.hadamard_on_target()
         assert verify.equal_up_to_phase(
             verify.unit_scale(branch_op), verify.unit_scale(expected), 1e-10
         )
@@ -558,6 +540,19 @@ def test_run_gate_falls_back_only_for_frame_unavailable(monkeypatch):
     psi = random_states(64, 1)[0]
     with pytest.raises(ValueError, match="not a missing table entry"):
         tf.run_gate(tf.ResourceVariant("six"), psi)
+
+
+@pytest.mark.parametrize(
+    "outcomes,message",
+    [
+        ({1: 0, 2: 0}, "cover exactly"),
+        ({1: 0, 2: 0, 3: 0, 4: 0}, "cover exactly"),
+        ({1: 0, 2: 2, 3: 0}, "vertex 2 must be 0 or 1"),
+    ],
+)
+def test_run_gate_rejects_bad_outcomes(outcomes, message):
+    with pytest.raises(ValueError, match=message):
+        tf.run_gate(tf.ResourceVariant("six"), qs.basis_state(3, 0), outcomes=outcomes)
 
 
 SIX_FRAME_DEFECT = (

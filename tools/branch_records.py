@@ -24,10 +24,17 @@ Each line names a case, the outcome bits, the branch probability in
   from ``mbqc.basis_states`` (or the exception an unrecoverable sx
   raises);
 * ``resource`` lines: the SHA-256 of ``graphstate.to_json`` of
-  ``toffoli.build_resource`` for the same variants and theta values.
+  ``toffoli.build_resource`` for the same variants and theta values;
+* ``run`` lines: one ``toffoli.run_gate`` call for the same variants and
+  theta values, every accepted sx, sz in {000, 111}, every outcome
+  assignment and the three logical inputs: the probability in
+  ``float.hex`` form, the SHA-256 of the output amplitudes, the success
+  flag and ``sigma.describe()`` (or ``None``), or the exception's type
+  and message.
 
-The script uses only names that every checkout since the frame records
-has, so one copy of it runs on both sides of a comparison.
+The script uses only names that every checkout since the spec table
+(``ResourceVariant.spec``) has, so one copy of it runs on both sides of
+a comparison.
 
 Run it from a checkout and compare the outputs of two checkouts::
 
@@ -62,7 +69,7 @@ def digest(array: np.ndarray) -> str:
 
 def linking_cases(variant):
     for sx in itertools.product((0, 1), repeat=3):
-        if variant.kind in ("six", "seven") and sx not in toffoli.RECOVERABLE_LINKING:
+        if sx not in variant.spec.prefactors:
             continue
         for sz in itertools.product((0, 1), repeat=3):
             yield toffoli.LinkingByproducts(sx, sz)
@@ -171,6 +178,29 @@ def resource_records():
         yield f"resource {kind}@{theta} {hashlib.sha256(doc).hexdigest()}"
 
 
+def run_records():
+    inputs = logical_inputs()
+    for kind, theta in itertools.product(toffoli.VARIANT_KINDS, FRAME_THETAS):
+        variant = toffoli.ResourceVariant(kind, theta)
+        for sx, sz in itertools.product(sorted(variant.spec.prefactors), [(0, 0, 0), (1, 1, 1)]):
+            linking = toffoli.LinkingByproducts(sx, sz)
+            case = f"{kind}@{theta}:{sx}{sz}".replace(" ", "")
+            for bits in itertools.product((0, 1), repeat=len(variant.measured_vertices)):
+                outcomes = dict(zip(variant.measured_vertices, bits))
+                for index, psi in enumerate(inputs):
+                    try:
+                        run = toffoli.run_gate(variant, psi, linking, outcomes)
+                    except ValueError as exc:
+                        text = f"raises {type(exc).__name__}: {exc}"
+                    else:
+                        sigma = run.sigma.describe() if run.sigma else None
+                        text = (
+                            f"{run.probability.hex()} {digest(run.output.amplitudes)} "
+                            f"{run.success} {sigma}"
+                        )
+                    yield f"run {case} {''.join(map(str, bits))} in{index} {text}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
@@ -183,6 +213,7 @@ def main(argv=None) -> int:
         frame_records(),
         basis_records(),
         resource_records(),
+        run_records(),
     ):
         print(line)
         count += 1

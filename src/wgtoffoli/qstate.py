@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,9 +44,24 @@ def rz(alpha: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * alpha)]], dtype=complex)
 
 
-def kron_all(*matrices: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor addresses the most significant bits."""
-    return reduce(np.kron, matrices)
+def kron_all(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker product; the first factor addresses the most significant bits.
+
+    Each factor costs one broadcast multiply over interleaved axes and a
+    reshape. That is the product ``np.kron`` forms, without its per-call
+    axis bookkeeping, so the bytes equal ``reduce(np.kron, factors)``.
+    """
+    out = np.asarray(factors[0])
+    for factor in factors[1:]:
+        factor = np.asarray(factor)
+        ndim = max(out.ndim, factor.ndim)
+        left = (1,) * (ndim - out.ndim) + out.shape
+        right = (1,) * (ndim - factor.ndim) + factor.shape
+        out = out.reshape([d for s in left for d in (s, 1)]) * factor.reshape(
+            [d for s in right for d in (1, s)]
+        )
+        out = out.reshape([a * b for a, b in zip(left, right)])
+    return out
 
 
 def is_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
@@ -154,11 +168,12 @@ def apply_cz_theta(
         raise ValueError("controlled phase needs two distinct qubits")
     _check_qubit(state, qubit_a)
     _check_qubit(state, qubit_b)
-    idx = np.arange(1 << state.num_qubits)
-    mask = ((idx >> qubit_a) & (idx >> qubit_b) & 1).astype(bool)
+    n = state.num_qubits
     amps = state.amplitudes.copy()
-    amps[mask] *= np.exp(1j * theta)
-    return StateVector(state.num_qubits, amps)
+    both_set = [slice(None)] * n
+    both_set[n - 1 - qubit_a] = both_set[n - 1 - qubit_b] = 1
+    amps.reshape((2,) * n)[tuple(both_set)] *= np.exp(1j * theta)
+    return StateVector(n, amps)
 
 
 def project_axis(tensor: np.ndarray, axis: int, kets) -> list[np.ndarray]:

@@ -304,6 +304,14 @@ def _resource_graph(variant: ResourceVariant) -> WeightedGraph:
     return build_resource(variant)
 
 
+@lru_cache(maxsize=None)
+def _basis_embedding(variant: ResourceVariant) -> np.ndarray:
+    """Read-only ``(8, 2**n)`` rows: ``encoded_state`` of each basis input, uncorrupted."""
+    table = np.stack([encoded_state(variant, basis_state(3, j)).amplitudes for j in range(8)])
+    table.flags.writeable = False
+    return table
+
+
 # --- reference matrices (wire order c1, c2, t; c1 most significant) ---
 
 
@@ -602,23 +610,70 @@ def encoded_state(
     return build_state_with_input(graph, psi, (C1_VERTEX, C2_VERTEX, T_IN_VERTEX))
 
 
+# Bytes of each row of the complex 8x8 identity -> its basis index.
+_BASIS_ROWS = {row.tobytes(): j for j, row in enumerate(np.eye(8, dtype=complex))}
+
+
+def _linked_basis(linking: LinkingByproducts, j: int) -> tuple[int, int]:
+    """``(source, sign)`` with ``X^sx Z^sz H_t e_j = sign * H_t e_source``.
+
+    Corruption acts on the H-encoded input, Z then X on each wire. On a
+    control it flips the bit (X) or gives the sign ``(-1)^bit`` (Z); on
+    the target X.H = H.Z and Z.H = H.X, so sz_t flips the target bit and
+    sx_t gives the sign of the flipped bit.
+    """
+    c1, c2, t = (j >> 2) & 1, (j >> 1) & 1, j & 1
+    sx, sz = linking.sx, linking.sz
+    t ^= sz[2]
+    negative = (sz[0] & c1) ^ (sz[1] & c2) ^ (sx[2] & t)
+    return ((c1 ^ sx[0]) << 2) | ((c2 ^ sx[1]) << 1) | t, -1 if negative else 1
+
+
+def _embedded_rows(variant: ResourceVariant, linking: LinkingByproducts, inputs: np.ndarray):
+    """``encoded_state`` of every input row, as a ``(B, 2**n)`` array.
+
+    A row that is exactly a row of the identity comes from the shared
+    ``_basis_embedding`` through ``_linked_basis``; every other row is
+    built by ``encoded_state``. A negated table row keeps its zero
+    amplitudes as they are and adds 0.0 to the rest, so a real or
+    imaginary part that is exactly zero reads +0.0. That is what the
+    per-row build gives, so the rows match it in the signs of zeros too,
+    not only as values.
+    """
+    table = _basis_embedding(variant)
+    rows = []
+    for row in inputs:
+        j = _BASIS_ROWS.get(row.tobytes())
+        if j is None:
+            rows.append(encoded_state(variant, StateVector(3, row), linking).amplitudes)
+            continue
+        source, sign = _linked_basis(linking, j)
+        amps = table[source]
+        rows.append(amps if sign > 0 else np.where(amps == 0, amps, -amps + 0.0))
+    return np.stack(rows)
+
+
 def _outcome_leaves(variant: ResourceVariant, linking: LinkingByproducts, inputs: np.ndarray):
     """Embed each ``(B, 8)`` input row once and walk the outcome tree as one batch.
 
-    Returns the embedded states, the surviving vertices in ascending label
-    order and the ``(outcomes, leaf)`` pairs of ``mbqc.outcome_tree_leaves``.
-    Row ``b`` of a ``(B, 2, 2, 2)`` leaf is the branch output for input
-    ``b`` in ``run_branch``'s qubit layout, bitwise equal to that output.
+    Returns the ``(B, 2**n)`` embedded rows, the surviving vertices in
+    ascending label order and the ``(outcomes, leaf)`` pairs of
+    ``mbqc.outcome_tree_leaves``. Row ``b`` of a ``(B, 2, 2, 2)`` leaf is
+    the branch output for input ``b`` in ``run_branch``'s qubit layout.
+    Basis rows come from the shared embedding (``_embedded_rows``): their
+    outputs equal the per-column path as values and may differ from it
+    only in the sign of zeros, which ``_embedded_rows`` keeps as well.
+    Every other row is embedded on its own, as that path does.
     """
     pattern = measurement_program(variant, linking)
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 8:
         raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
     n = variant.vertex_count
-    states = [encoded_state(variant, StateVector(3, row), linking) for row in inputs]
-    tensor = np.stack([state.amplitudes for state in states]).reshape((len(states),) + (2,) * n)
+    embedded = _embedded_rows(variant, linking, inputs)
     _, survivors = measured_qubits(n, pattern)
-    return states, survivors, outcome_tree_leaves(pattern, tensor)
+    tensor = embedded.reshape((len(embedded),) + (2,) * n)
+    return embedded, survivors, outcome_tree_leaves(pattern, tensor)
 
 
 def branch_outputs(
@@ -636,11 +691,13 @@ def branch_outputs(
 
     The rows share one walk of the outcome tree (``_outcome_leaves``), the
     walk ``mbqc.enumerate_branches`` makes for a single state, so column
-    ``b`` is bitwise equal to ``run_branch`` on the embedded row ``b``
-    with the survivors put in wire order.
+    ``b`` is ``run_branch`` on the embedded row ``b`` with the survivors
+    put in wire order. Basis rows are embedded once per resource and
+    shared by every linking case: their columns equal the per-column
+    path as values and may differ from it only in the sign of zeros.
     """
-    states, survivors, leaves = _outcome_leaves(variant, linking, inputs)
-    batch = len(states)
+    embedded, survivors, leaves = _outcome_leaves(variant, linking, inputs)
+    batch = len(embedded)
     # Put the survivors in wire order c1 c2 t.
     wire_axes = [len(survivors) - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
     leaf_order = [0] + wire_axes
@@ -672,9 +729,9 @@ def run_gate(
 ) -> GateRun:
     """Run one measurement branch of the gate on a logical input.
 
-    One ``branch_outputs`` call walks the basis columns and the input
-    together: the input column is the output, and the basis columns give
-    the branch operator where the frame table has no entry.
+    ``branch_outputs`` walks the input alone. Only where the frame table
+    has no entry does a second call walk the basis columns, whose branch
+    operator is then classified instead.
     """
     if outcomes is None:
         outcomes = {v: 0 for v in variant.measured_vertices}
@@ -690,9 +747,8 @@ def run_gate(
     if initial == 0:
         raise ValueError("cannot measure the zero state")
     key = tuple(outcomes[v] for v in variant.measured_vertices)
-    columns = branch_outputs(variant, linking, np.vstack([np.eye(8), input_state.amplitudes]))[key]
-    # A contiguous copy: the norm of a strided column differs in the last bits.
-    out = StateVector(3, columns[:, 8].copy())
+    column = branch_outputs(variant, linking, input_state.amplitudes[None, :])[key]
+    out = StateVector(3, column[:, 0])
     probability = out.norm_sq / initial
     if probability < 1e-12:
         raise ZeroProbabilityBranchError(f"branch {outcomes} has probability 0")
@@ -702,8 +758,9 @@ def run_gate(
         # No tabulated frame for this angle: classify the residual
         # extracted from the simulated branch operator instead.
         sigma = None
+        operator = branch_outputs(variant, linking, np.eye(8))[key]
         target_inv = np.linalg.inv(logical_target(variant))
-        success = is_local(unit_scale(columns[:, :8] @ target_inv)).is_local
+        success = is_local(unit_scale(operator @ target_inv)).is_local
     else:
         success = sigma.is_local
     return GateRun(
@@ -749,10 +806,12 @@ def verify_branch_uniformity(
 
     The inputs are ``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` seeded random
     states, walked as one batch by ``_outcome_leaves``, the walk
-    ``mbqc.enumerate_branches`` makes for one state. Each probability is
+    ``mbqc.enumerate_branches`` makes for one state. ``|000>`` comes from
+    the shared basis embedding, which equals ``encoded_state`` as values
+    and may differ from it only in the sign of zeros. Each probability is
     the leaf row's squared norm, taken before any reordering, over the
-    embedded input's, so it is bitwise equal to the one
-    ``enumerate_branches`` reports for that input.
+    embedded input's, so it equals the one ``enumerate_branches``
+    reports for that input.
     """
     m = len(variant.measured_vertices)
     expected = 0.5**m
@@ -761,11 +820,11 @@ def verify_branch_uniformity(
     for _ in range(UNIFORMITY_RANDOM_INPUTS):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         inputs.append(amps / np.linalg.norm(amps))
-    states, _, leaves = _outcome_leaves(variant, linking, np.stack(inputs))
-    initial = [state.norm_sq for state in states]
+    embedded, _, leaves = _outcome_leaves(variant, linking, np.stack(inputs))
+    initial = [float(np.vdot(row, row).real) for row in embedded]
     worst = 0.0
     for _, leaf in leaves:
-        for row, norm_sq in zip(leaf.reshape(len(states), -1), initial):
+        for row, norm_sq in zip(leaf.reshape(len(embedded), -1), initial):
             probability = float(np.vdot(row, row).real) / norm_sq
             worst = max(worst, abs(probability - expected))
     return worst

@@ -1,7 +1,16 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
+from reference import apply_cz_theta_mask
 
 from wgtoffoli import qstate as qs
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return qs.StateVector(n, amps / np.linalg.norm(amps))
 
 
 def test_plus_state_amplitudes():
@@ -65,6 +74,28 @@ def test_cz_theta_symmetry_and_composition():
     left = qs.apply_cz_theta(qs.apply_cz_theta(state, 0, 2, a), 2, 0, b)
     right = qs.apply_cz_theta(state, 0, 2, a + b)
     np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-12)
+
+
+def test_cz_theta_matches_mask_form_bytes():
+    rng = np.random.default_rng(23)
+    for n in range(2, 13):
+        state = random_state(rng, n)
+        for a, b in itertools.permutations(range(n), 2):
+            for theta in (np.pi, np.pi / 2, -np.pi / 3, 0.7):
+                out = qs.apply_cz_theta(state, a, b, theta).amplitudes
+                expected = apply_cz_theta_mask(state, a, b, theta).amplitudes
+                assert out.tobytes() == expected.tobytes()
+
+
+def test_kron_all_matches_reduce_kron_bytes():
+    rng = np.random.default_rng(29)
+    kets = [qs.KET_PLUS, qs.KET_ZERO, qs.KET_MINUS] + [
+        random_state(rng, 1).amplitudes for _ in range(9)
+    ]
+    matrices = [qs.HADAMARD, qs.rz(0.3), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))]
+    for factors in (kets, matrices, [qs.CNOT, qs.PAULI_X], [qs.CZ, qs.ID2], [qs.ID2, qs.CNOT]):
+        assert qs.kron_all(*factors).tobytes() == reduce(np.kron, factors).tobytes()
+        assert qs.kron_all(*factors).shape == reduce(np.kron, factors).shape
 
 
 def test_cz_theta_rejects_equal_qubits():

@@ -323,6 +323,77 @@ def test_branch_outputs_equal_reference_path_off_grid():
         assert_engine_matches_reference(variant, tf.LinkingByproducts(sx=sx))
 
 
+@pytest.mark.parametrize("j", range(8))
+def test_linked_basis_is_the_corrupted_encoding(j):
+    # X^sx Z^sz (Z then X on each wire) after H_t, as 8x8 matrices.
+    h_t = tf.hadamard_on_target()
+    for sx, sz in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
+        corrupt = qs.kron_all(
+            *(
+                np.linalg.matrix_power(qs.PAULI_X, x) @ np.linalg.matrix_power(qs.PAULI_Z, z)
+                for x, z in zip(sx, sz)
+            )
+        )
+        source, sign = tf._linked_basis(tf.LinkingByproducts(sx, sz), j)
+        np.testing.assert_allclose(corrupt @ h_t[:, j], sign * h_t[:, source], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kind,theta",
+    [
+        ("six", Fraction(1)),
+        ("seven", Fraction(1)),
+        ("eight", Fraction(1)),
+        ("six", Fraction(1, 3)),
+    ],
+)
+def test_shared_embedding_equals_encoded_state(kind, theta):
+    variant = tf.ResourceVariant(kind, theta)
+    assert not tf._basis_embedding(variant).flags.writeable
+    for sx, sz in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
+        linking = tf.LinkingByproducts(sx, sz)
+        rows = tf._embedded_rows(variant, linking, np.eye(8, dtype=complex))
+        for j in range(8):
+            direct = tf.encoded_state(variant, qs.basis_state(3, j), linking).amplitudes
+            assert np.array_equal(rows[j], direct), (linking, j)
+            # The negation rule keeps the signs of zeros as well.
+            assert rows[j].tobytes() == direct.tobytes(), (linking, j)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_basis_columns_embedded_once_per_resource(monkeypatch, kind):
+    variant = tf.ResourceVariant(kind)
+    builds = count_calls(monkeypatch, tf, "build_state_with_input")
+    tf._basis_embedding.cache_clear()
+    for sx in accepted_sx(variant):
+        tf.branch_outputs(variant, tf.LinkingByproducts(sx, (1, 0, 1)), np.eye(8))
+    assert len(builds) == 8
+    # Any other row is still embedded on its own, once per call.
+    tf.branch_outputs(variant, tf.NO_LINKING, random_states(65, 1)[0].amplitudes[None, :])
+    assert len(builds) == 9
+
+
+@pytest.mark.parametrize(
+    "kind,theta,rows", [("six", Fraction(1), [1]), ("seven", Fraction(1, 2), [1, 8])]
+)
+def test_run_gate_walks_basis_columns_only_off_table(monkeypatch, kind, theta, rows):
+    walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
+    tf.run_gate(tf.ResourceVariant(kind, theta), random_states(66, 1)[0])
+    assert [tensor.shape[0] for _, tensor in walks] == rows
+
+
 def test_branch_outputs_rejects_bad_input_shape():
     with pytest.raises(ValueError):
         tf.branch_outputs(tf.ResourceVariant("six"), tf.NO_LINKING, np.eye(4))

@@ -1,8 +1,13 @@
 """Print one line per measurement branch, to compare two checkouts byte for byte.
 
 Each line names a case, the outcome bits, the branch probability in
-``float.hex`` form and the SHA-256 of the final amplitudes' ``tobytes``
-(so signed zeros and last bits count). Cases:
+``float.hex`` form and two SHA-256 digests of the final amplitudes: of
+their raw ``tobytes``, so signed zeros and last bits count, and of
+``(amps + 0.0).tobytes()``, which maps -0.0 to +0.0 in the real and the
+imaginary part. Lines that differ between two checkouts in the raw
+digest alone, with the same zero-sign-normalised digest, differ only in
+the signs of zeros. Every amplitude digest below (branch, graph state,
+engine and run lines) comes as such a pair. Cases:
 
 * ``mbqc.enumerate_branches`` on every uniformity case of
   ``toffoli.verify_branch_uniformity``: six, seven and eight at theta = pi
@@ -67,6 +72,11 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def amplitude_digests(amps: np.ndarray) -> str:
+    """The raw digest, then the digest with every -0.0 read as +0.0."""
+    return f"{digest(amps)} {digest(amps + 0.0)}"
+
+
 def linking_cases(variant):
     for sx in itertools.product((0, 1), repeat=3):
         if sx not in variant.spec.prefactors:
@@ -87,7 +97,7 @@ def logical_inputs():
 def branch_lines(case: str, branches):
     for outcomes, probability, final in branches:
         bits = ",".join(f"{v}:{b}" for v, b in outcomes.items())
-        yield f"{case} {bits} {probability.hex()} {digest(final.amplitudes)}"
+        yield f"{case} {bits} {probability.hex()} {amplitude_digests(final.amplitudes)}"
 
 
 def uniformity_records():
@@ -112,7 +122,7 @@ def large_graph_records(seeds):
     for seed in seeds:
         for index, op in enumerate(workloads.build("large-graphs", seed)):
             state, branches = op.run()
-            yield f"graph{seed}.{index} state {digest(state.amplitudes)}"
+            yield f"graph{seed}.{index} state {amplitude_digests(state.amplitudes)}"
             yield from branch_lines(f"graph{seed}.{index}", branches)
 
 
@@ -123,7 +133,7 @@ def engine_records():
             for bits, out in toffoli.branch_outputs(variant, linking, batch).items():
                 bits = "".join(map(str, bits))
                 case = f"{variant.kind}@{variant.theta}:{linking.sx}{linking.sz}"
-                yield f"engine {case.replace(' ', '')} {bits} {digest(out)}"
+                yield f"engine {case.replace(' ', '')} {bits} {amplitude_digests(out)}"
 
 
 FRAME_THETAS = [Fraction(n, d) for n, d in ((1, 1), (1, 2), (-1, 2), (3, 2), (1, 3), (1, 4))]
@@ -195,7 +205,7 @@ def run_records():
                     else:
                         sigma = run.sigma.describe() if run.sigma else None
                         text = (
-                            f"{run.probability.hex()} {digest(run.output.amplitudes)} "
+                            f"{run.probability.hex()} {amplitude_digests(run.output.amplitudes)} "
                             f"{run.success} {sigma}"
                         )
                     yield f"run {case} {''.join(map(str, bits))} in{index} {text}"

@@ -320,6 +320,13 @@ def _quoted_fixture(labels, terms):
     return total / np.linalg.norm(total)
 
 
+def recipe_fidelity(register: optics.PhotonRegister) -> float:
+    """Fidelity of a finished recipe's register with the six-qubit resource graph."""
+    target = build_state(build_resource(ResourceVariant("six")))
+    final = optics.sorted_state(register)
+    return float(abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2)
+
+
 def check_optics_recipe() -> dict:
     steps = optics.six_qubit_recipe()
     ket_h = np.array([1, 0], dtype=complex)
@@ -355,9 +362,7 @@ def check_optics_recipe() -> dict:
         fixture_err = max(fixture_err, abs(1.0 - abs(np.vdot(expected, got))))
 
     register = optics.run_recipe(steps)
-    target = build_state(build_resource(ResourceVariant("six")))
-    final = optics.sorted_state(register)
-    fidelity = float(abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2)
+    fidelity = recipe_fidelity(register)
 
     stepwise = register.cumulative_prob
     one_shot = _one_shot_probability(steps)

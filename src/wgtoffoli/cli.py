@@ -11,8 +11,10 @@ Subcommands::
 
 Angles on the command line are rational multiples of pi (``--theta 1/2``
 means pi/2). ``--json PATH`` writes a machine-readable report; identical
-invocations produce byte-identical files. Exit codes: 0 success, 1 usage
-error, 2 verification failure, 3 zero-probability branch requested.
+invocations produce byte-identical files. Exit codes (``EXIT_CODES``): 0
+success, 1 usage error or malformed input, 2 verification failure or an
+unrecoverable linking corruption, 3 a zero-probability gate branch or a
+recipe postselection with zero support.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import angles, graphstate, optics
-from .acceptance import build_report, canonical_json
+from .acceptance import build_report, canonical_json, recipe_fidelity
 from .mbqc import frame_to_operator
 from .qstate import StateVector, from_amplitudes
 from .toffoli import (
@@ -44,6 +46,14 @@ from .verify import equal_up_to_phase, process_fidelity, unit_scale
 
 USAGE_ERROR, VERIFY_ERROR, ZERO_PROB_ERROR = 1, 2, 3
 
+# Most specific first: the first class an error is an instance of picks its code.
+EXIT_CODES = (
+    (UnrecoverableLinkingError, VERIFY_ERROR),
+    (ZeroProbabilityBranchError, ZERO_PROB_ERROR),
+    (optics.PostselectionError, ZERO_PROB_ERROR),
+    (ValueError, USAGE_ERROR),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -56,6 +66,13 @@ def _write_report(path: str | None, report: dict):
     if path:
         with open(path, "wb") as handle:
             handle.write(canonical_json(report) + b"\n")
+
+
+def _finish(args, command: list[str], inputs: dict, results: dict) -> int:
+    """Write the ``--json`` envelope every command but ``verify all`` shares."""
+    report = {"format_version": 1, "command": command, "inputs": inputs, "results": results}
+    _write_report(args.json, report)
+    return 0
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -74,6 +91,17 @@ def _parse_theta(text: str) -> Fraction:
         return angles.parse_fraction(text)
     except ValueError as exc:
         raise _usage_error(str(exc))
+
+
+def _load(path: str, parse):
+    """Parse a graph or recipe file; a bad file is a usage error that names it."""
+    try:
+        with open(path, "rb") as handle:
+            return parse(handle.read())
+    except OSError as exc:
+        raise _usage_error(str(exc))
+    except ValueError as exc:
+        raise _usage_error(f"{path}: {exc}")
 
 
 def _parse_input(text: str) -> StateVector:
@@ -101,42 +129,23 @@ def _parse_input(text: str) -> StateVector:
         )
 
 
-def _amplitude_rows(state: StateVector):
-    rows = []
-    for index, amp in enumerate(state.amplitudes):
-        bits = format(index, f"0{state.num_qubits}b")
-        rows.append((bits, float(amp.real), float(amp.imag)))
-    return rows
-
-
-def _print_state(state: StateVector):
+def _print_state(state: StateVector) -> list[list[float]]:
+    """Print the amplitude table; return the amplitudes as ``[re, im]`` pairs."""
     print(f"{'basis':>{state.num_qubits + 2}}  {'re':>12}  {'im':>12}")
-    for bits, re, im in _amplitude_rows(state):
-        print(f"|{bits}>  {re:12.8f}  {im:12.8f}")
+    pairs = []
+    for index, amp in enumerate(state.amplitudes):
+        re, im = float(amp.real), float(amp.imag)
+        print(f"|{index:0{state.num_qubits}b}>  {re:12.8f}  {im:12.8f}")
+        pairs.append([re, im])
+    return pairs
 
 
 def cmd_graph_build(args) -> int:
-    try:
-        with open(args.file, "rb") as handle:
-            graph = graphstate.from_json(handle.read())
-    except OSError as exc:
-        raise _usage_error(str(exc))
-    except graphstate.GraphFormatError as exc:
-        raise _usage_error(f"{args.file}: {exc}")
+    graph = _load(args.file, graphstate.from_json)
     state = graphstate.build_state(graph)
     print(f"graph with {graph.vertex_count} vertices, {len(graph.edges)} edges")
-    _print_state(state)
-    report = {
-        "format_version": 1,
-        "command": ["graph", "build"],
-        "inputs": {"file": args.file},
-        "results": {
-            "vertices": graph.vertex_count,
-            "amplitudes": [[re, im] for _, re, im in _amplitude_rows(state)],
-        },
-    }
-    _write_report(args.json, report)
-    return 0
+    results = {"vertices": graph.vertex_count, "amplitudes": _print_state(state)}
+    return _finish(args, ["graph", "build"], {"file": args.file}, results)
 
 
 def _gate_args(args):
@@ -144,58 +153,39 @@ def _gate_args(args):
     m = len(variant.measured_vertices)
     sx = _bits(args.sx, 3, "--sx")
     sz = _bits(args.sz, 3, "--sz")
-    return variant, LinkingByproducts(sx, sz), m
+    inputs = {
+        "variant": variant.kind,
+        "theta": angles.describe(variant.theta),
+        "sx": args.sx,
+        "sz": args.sz,
+    }
+    return variant, LinkingByproducts(sx, sz), m, inputs
 
 
 def cmd_toffoli_run(args) -> int:
-    variant, linking, m = _gate_args(args)
-    outcome_bits = _bits(args.outcomes, m, "--outcomes")
-    outcomes = dict(zip(variant.measured_vertices, outcome_bits))
-    state = _parse_input(args.input)
-    try:
-        run = run_gate(variant, state, linking, outcomes)
-    except UnrecoverableLinkingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
-    except ZeroProbabilityBranchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ZERO_PROB_ERROR
+    variant, linking, m, inputs = _gate_args(args)
+    outcome_text = "0" * m if args.outcomes is None else args.outcomes
+    outcomes = dict(zip(variant.measured_vertices, _bits(outcome_text, m, "--outcomes")))
+    run = run_gate(variant, _parse_input(args.input), linking, outcomes)
     sigma_text = run.sigma.describe() if run.sigma else "(off-grid theta)"
     print(f"variant: {variant.kind}, theta = {angles.describe(variant.theta)}")
     print(f"branch probability: {run.probability:.10f}")
     print(f"residual: {sigma_text}")
     print(f"success (tensor-product residual): {run.success}")
     print("output state (wires c1 c2 t):")
-    _print_state(run.output)
-    report = {
-        "format_version": 1,
-        "command": ["toffoli", "run"],
-        "inputs": {
-            "variant": variant.kind,
-            "theta": angles.describe(variant.theta),
-            "input": args.input,
-            "outcomes": args.outcomes,
-            "sx": args.sx,
-            "sz": args.sz,
-        },
-        "results": {
-            "probability": run.probability,
-            "sigma": sigma_text,
-            "success": run.success,
-            "amplitudes": [[re, im] for _, re, im in _amplitude_rows(run.output)],
-        },
+    results = {
+        "probability": run.probability,
+        "sigma": sigma_text,
+        "success": run.success,
+        "amplitudes": _print_state(run.output),
     }
-    _write_report(args.json, report)
-    return 0
+    inputs.update(input=args.input, outcomes=outcome_text)
+    return _finish(args, ["toffoli", "run"], inputs, results)
 
 
 def cmd_toffoli_enumerate(args) -> int:
-    variant, linking, m = _gate_args(args)
-    try:
-        rows = _branch_table(variant, linking)
-    except UnrecoverableLinkingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VERIFY_ERROR
+    variant, linking, m, inputs = _gate_args(args)
+    rows = _branch_table(variant, linking)
     print(f"variant: {variant.kind}, sx={args.sx}, sz={args.sz}")
     header = f"{'outcomes':>{m + 2}}  {'prob':>10}  {'local':>5}  {'fidelity':>10}  residual"
     print(header)
@@ -204,19 +194,7 @@ def cmd_toffoli_enumerate(args) -> int:
             f"{row['outcomes']:>{m + 2}}  {row['probability']:>10.6f}  "
             f"{str(row['local']):>5}  {row['fidelity']:>10.8f}  {row['sigma']}"
         )
-    report = {
-        "format_version": 1,
-        "command": ["toffoli", "enumerate"],
-        "inputs": {
-            "variant": variant.kind,
-            "theta": angles.describe(variant.theta),
-            "sx": args.sx,
-            "sz": args.sz,
-        },
-        "results": {"branches": rows},
-    }
-    _write_report(args.json, report)
-    return 0
+    return _finish(args, ["toffoli", "enumerate"], inputs, {"branches": rows})
 
 
 def _branch_table(variant, linking):
@@ -245,62 +223,47 @@ def _branch_table(variant, linking):
 
 def cmd_toffoli_success(args) -> int:
     variant = ResourceVariant(args.variant, _parse_theta(args.theta))
-    report_obj = success_probability(variant, args.linking)
+    report = success_probability(variant, args.linking)
     print(
         f"p_success({variant.kind}, linking={args.linking}) = "
-        f"{report_obj.p_success} = {report_obj.p_float}"
+        f"{report.p_success} = {report.p_float}"
     )
-    for case in report_obj.cases:
+    for case in report.cases:
         status = (
             f"{case.local_branches}/{case.total_branches} local"
             if case.recoverable
             else "unrecoverable"
         )
         print(f"  sx={''.join(map(str, case.sx))}: {status}")
-    report = {
-        "format_version": 1,
-        "command": ["toffoli", "success"],
-        "inputs": {
-            "variant": variant.kind,
-            "theta": angles.describe(variant.theta),
-            "linking": args.linking,
-        },
-        "results": {
-            "p_success": str(report_obj.p_success),
-            "p_success_float": report_obj.p_float,
-            "branch_probability": str(report_obj.branch_probability),
-            "max_uniformity_error": report_obj.max_uniformity_error,
-            "cases": [
-                {
-                    "sx": "".join(map(str, case.sx)),
-                    "recoverable": case.recoverable,
-                    "local_branches": case.local_branches,
-                    "total_branches": case.total_branches,
-                }
-                for case in report_obj.cases
-            ],
-        },
+    inputs = {
+        "variant": variant.kind,
+        "theta": angles.describe(variant.theta),
+        "linking": args.linking,
     }
-    _write_report(args.json, report)
-    return 0
+    results = {
+        "p_success": str(report.p_success),
+        "p_success_float": report.p_float,
+        "branch_probability": str(report.branch_probability),
+        "max_uniformity_error": report.max_uniformity_error,
+        "cases": [
+            {
+                "sx": "".join(map(str, case.sx)),
+                "recoverable": case.recoverable,
+                "local_branches": case.local_branches,
+                "total_branches": case.total_branches,
+            }
+            for case in report.cases
+        ],
+    }
+    return _finish(args, ["toffoli", "success"], inputs, results)
 
 
 def cmd_optics_run(args) -> int:
     if args.recipe:
-        try:
-            with open(args.recipe, "rb") as handle:
-                steps = optics.steps_from_json(handle.read())
-        except OSError as exc:
-            raise _usage_error(str(exc))
-        except optics.RecipeError as exc:
-            raise _usage_error(f"{args.recipe}: {exc}")
+        steps = _load(args.recipe, optics.steps_from_json)
     else:
         steps = optics.six_qubit_recipe()
-    try:
-        register = optics.run_recipe(steps)
-    except optics.RecipeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ZERO_PROB_ERROR
+    register = optics.run_recipe(steps)
     print(f"surviving modes: {sorted(register.labels)}")
     print(f"coincidence probability: {register.cumulative_prob:.12f}")
     results = {
@@ -308,30 +271,19 @@ def cmd_optics_run(args) -> int:
         "coincidence_probability": register.cumulative_prob,
     }
     if not args.recipe:
-        from .toffoli import build_resource
-
-        target = graphstate.build_state(build_resource(ResourceVariant("six")))
-        final = optics.sorted_state(register)
-        fidelity = float(abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2)
+        fidelity = recipe_fidelity(register)
         print(f"fidelity with the six-qubit resource graph: {fidelity:.12f}")
         results["fidelity"] = fidelity
     if args.sweep_outcomes:
-        sweep = optics.sweep_measure_outcomes(steps)
         print("measurement-outcome branches (step index: outcome):")
         branches = []
-        for overrides, prob in sweep:
+        for overrides, prob in optics.sweep_measure_outcomes(steps):
             text = ",".join(f"{k}:{v}" for k, v in sorted(overrides.items()))
             print(f"  {text or '(none)'} -> {prob:.12f}")
             branches.append({"outcomes": text, "probability": prob})
         results["sweep"] = branches
-    report = {
-        "format_version": 1,
-        "command": ["optics", "run"],
-        "inputs": {"recipe": args.recipe or "built-in", "sweep": bool(args.sweep_outcomes)},
-        "results": results,
-    }
-    _write_report(args.json, report)
-    return 0
+    inputs = {"recipe": args.recipe or "built-in", "sweep": bool(args.sweep_outcomes)}
+    return _finish(args, ["optics", "run"], inputs, results)
 
 
 def cmd_verify_all(args) -> int:
@@ -404,18 +356,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "outcomes", "skip") is None:
-        variant = ResourceVariant(args.variant)
-        args.outcomes = "0" * len(variant.measured_vertices)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (ValueError, optics.RecipeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

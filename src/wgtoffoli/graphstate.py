@@ -10,7 +10,7 @@ of the graph lives on qubit ``v`` of the resulting register.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +29,16 @@ class GraphFormatError(ValueError):
 class InputAssignment:
     """Marks a vertex as a logical input wire.
 
-    ``hadamard`` requests that the vertex state be pushed through H when
-    the graph is built (used to pre-encode a target qubit).
+    The vertex starts in ``|+>``; ``hadamard`` requests that it be pushed
+    through H when the graph is built (used to pre-encode a target qubit).
     """
 
     role: str = "none"
-    state: np.ndarray = field(default_factory=lambda: KET_PLUS.copy())
     hadamard: bool = False
 
     def __post_init__(self):
         if self.role not in ROLES:
             raise GraphFormatError(f"unknown input role {self.role!r}")
-        self.state = np.asarray(self.state, dtype=complex)
-        if self.state.shape != (2,) or abs(np.vdot(self.state, self.state).real - 1) > 1e-10:
-            raise GraphFormatError("input state must be a normalised single-qubit ket")
 
 
 class WeightedGraph:
@@ -82,15 +78,6 @@ class WeightedGraph:
     def edge_list(self):
         return sorted((i, j, self.edges[(i, j)]) for i, j in self.edges)
 
-    def neighbors(self, v):
-        out = []
-        for (i, j), theta in self.edges.items():
-            if i == v:
-                out.append((j, theta))
-            elif j == v:
-                out.append((i, theta))
-        return sorted(out)
-
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
             return NotImplemented
@@ -101,7 +88,6 @@ class WeightedGraph:
         return all(
             self.inputs[v].role == other.inputs[v].role
             and self.inputs[v].hadamard == other.inputs[v].hadamard
-            and np.allclose(self.inputs[v].state, other.inputs[v].state)
             for v in self.inputs
         )
 
@@ -111,10 +97,7 @@ def build_state(graph: WeightedGraph) -> StateVector:
     kets = []
     for v in range(graph.vertex_count - 1, -1, -1):
         assignment = graph.inputs.get(v)
-        ket = KET_PLUS if assignment is None else assignment.state
-        if assignment is not None and assignment.hadamard:
-            ket = HADAMARD @ ket
-        kets.append(ket)
+        kets.append(HADAMARD @ KET_PLUS if assignment and assignment.hadamard else KET_PLUS)
     state = StateVector(graph.vertex_count, kron_all(*kets))
     return _apply_edges(graph, state)
 

@@ -285,18 +285,11 @@ class ByproductOperator:
     def is_local(self) -> bool:
         return self.nonlocal_factor is None
 
-    def word(self, wire: str) -> WireWord:
-        return self.words[wire]
-
     def describe(self) -> str:
         parts = [f"{w}:{self.words[w].label()}" for w in self.wires]
         if self.nonlocal_factor is not None:
             parts.append(f"nonlocal[{self.nonlocal_label or '8x8 factor'}]")
         return " ".join(parts)
-
-
-def frame_identity(wires=("c1", "c2", "t")) -> ByproductOperator:
-    return ByproductOperator(tuple(wires))
 
 
 def frame_to_operator(frame: ByproductOperator) -> np.ndarray:

@@ -40,7 +40,15 @@ from .qstate import (
 
 
 class RecipeError(ValueError):
-    """Ill-formed recipe or a postselection step with zero support."""
+    """Ill-formed recipe: a bad field, or a step on a mode it cannot use.
+
+    ``wgtoffoli optics run`` exits 1 on these and 3 on the subclass
+    ``PostselectionError``.
+    """
+
+
+class PostselectionError(RecipeError):
+    """A fuse or measurement step whose postselection has zero support."""
 
 
 @dataclass
@@ -124,7 +132,7 @@ def fuse(register: PhotonRegister, a: int, b: int, h_on: int) -> PhotonRegister:
     projected = StateVector(register.state.num_qubits, amps)
     ratio = projected.norm_sq / before
     if ratio < 1e-15:
-        raise RecipeError(f"fusing modes {a} and {b} has zero success probability")
+        raise PostselectionError(f"fusing modes {a} and {b} has zero success probability")
     out = apply_single(projected.normalized(), register.qubit_of(h_on), HADAMARD)
     return PhotonRegister(list(register.labels), out, register.cumulative_prob * ratio)
 
@@ -136,7 +144,7 @@ def _measure_out(register: PhotonRegister, mode: int, basis, outcome: int) -> Ph
     projected = project(register.state, q, kets[outcome])
     ratio = projected.norm_sq / before
     if ratio < 1e-15:
-        raise RecipeError(f"measuring mode {mode} with outcome {outcome} cannot occur")
+        raise PostselectionError(f"measuring mode {mode} with outcome {outcome} cannot occur")
     labels = [m for m in register.labels if m != mode]
     return PhotonRegister(labels, projected.normalized(), register.cumulative_prob * ratio)
 
@@ -186,7 +194,11 @@ def coincidence_probability(steps) -> float:
 
 
 def sweep_measure_outcomes(steps) -> list[tuple[dict[int, int], float]]:
-    """Cumulative probability of every measurement-outcome branch."""
+    """Cumulative probability of every measurement-outcome branch.
+
+    A branch whose postselection has zero support gets probability 0.0;
+    a malformed recipe raises its ``RecipeError``.
+    """
     measure_steps = [i for i, s in enumerate(steps) if s.op == "measure"]
     results = []
     for bits in np.ndindex(*(2,) * len(measure_steps)):
@@ -194,7 +206,7 @@ def sweep_measure_outcomes(steps) -> list[tuple[dict[int, int], float]]:
         try:
             register = run_recipe(steps, overrides)
             results.append((overrides, register.cumulative_prob))
-        except RecipeError:
+        except PostselectionError:
             results.append((overrides, 0.0))
     return results
 

@@ -98,9 +98,6 @@ class StateVector:
             raise ValueError("cannot normalise the zero vector")
         return StateVector(self.num_qubits, self.amplitudes / math.sqrt(n))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
 
 def plus_state(num_qubits: int) -> StateVector:
     """All qubits in (|0> + |1>)/sqrt(2)."""

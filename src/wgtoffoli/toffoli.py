@@ -20,7 +20,8 @@ sequence
     CZ(theta/2) on (c2,t); H t; CZ on (c1,t); H t; CZ(-theta/2) on
     (c2,t); H t; CZ on (c1,t); CZ(theta/2) on (c1,c2)
 
-which equals H_t followed by a controlled-controlled phase of theta.
+which equals a controlled-controlled phase of theta followed by H on
+the target (the operator ``H_t @ CCZ(theta)``).
 The seven-qubit resource replaces the (1,4) edge with a gadget vertex 7
 (maximal edges 1-7, 7-4) so the residual of the x-type measurement
 byproduct stays a tensor product; it measures 3, 2, 4, 7. The
@@ -379,8 +380,8 @@ def target_unitary(theta: Angle) -> np.ndarray:
     """Time-ordered product of ``induced_circuit((0, 0, 0), theta)`` (8x8).
 
     For theta = pi this equals ``toffoli_matrix() @ hadamard_on_target()``;
-    in general it is H on the target followed by a controlled-controlled
-    phase of theta.
+    in general it is ``H_t @ CCZ(theta)``: a controlled-controlled phase of
+    theta followed by H on the target.
     """
     mat = np.eye(8, dtype=complex)
     for gate in induced_circuit((0, 0, 0), theta):
@@ -669,6 +670,8 @@ def _outcome_leaves(variant: ResourceVariant, linking: LinkingByproducts, inputs
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 8:
         raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
+    if len(inputs) == 0:
+        raise ValueError("inputs is an empty batch: need at least one (8,) row")
     n = variant.vertex_count
     embedded = _embedded_rows(variant, linking, inputs)
     _, survivors = measured_qubits(n, pattern)

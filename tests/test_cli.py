@@ -156,6 +156,75 @@ def test_zero_probability_recipe_exit_code(tmp_path, capsys):
     assert "cannot occur" in err
 
 
+PLUS_MINUS = {"alpha": 0.0, "hadamard": False}
+
+EXIT_CODE_FILES = {
+    "graph.json": {"vertices": 2, "edges": [[0, 1, 1.0]]},
+    "self_loop.json": {"vertices": 2, "edges": [[0, 0, 1.0]]},
+    "zero_input.json": [[0.0, 0.0]] * 8,
+    # a fresh |+> photon never gives outcome 1 in the +/- basis
+    "zero_measure.json": {
+        "steps": [
+            {"op": "reset", "mode": 1},
+            {"op": "measure", "mode": 1, "basis": PLUS_MINUS, "outcome": 1},
+        ]
+    },
+    # modes 1 and 3 heralded in |H> and |V>: fusing them has no support
+    "zero_fuse.json": {
+        "steps": [
+            {"op": "reset", "mode": 1},
+            {"op": "reset", "mode": 2},
+            {"op": "fuse", "modes": [1, 2], "h_on": 2},
+            {"op": "measure", "mode": 2, "basis": PLUS_MINUS, "outcome": 0},
+            {"op": "reset", "mode": 3},
+            {"op": "reset", "mode": 4},
+            {"op": "fuse", "modes": [3, 4], "h_on": 4},
+            {"op": "measure", "mode": 4, "basis": PLUS_MINUS, "outcome": 1},
+            {"op": "fuse", "modes": [1, 3], "h_on": 1},
+        ]
+    },
+    "uncreated.json": {"steps": [{"op": "reset", "mode": 2}, {"op": "fuse", "modes": [1, 2], "h_on": 2}]},
+    "duplicate.json": {"steps": [{"op": "reset", "mode": 1}, {"op": "reset", "mode": 1}]},
+    "unknown_op.json": {"steps": [{"op": "warp", "mode": 1}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("graph build graph.json", 0),
+        ("graph build self_loop.json", 1),
+        ("graph build missing.json", 1),
+        ("toffoli run --variant six", 0),
+        ("toffoli run --variant six --theta 0", 1),
+        ("toffoli run --variant six --input zero_input.json", 1),
+        ("toffoli run --variant six --outcomes 01", 1),
+        ("toffoli run --variant six --sx 001", 2),
+        ("toffoli enumerate --variant six", 0),
+        ("toffoli enumerate --variant seven --theta 1/2", 1),
+        ("toffoli enumerate --variant seven --sx 100", 2),
+        ("toffoli success --variant eight --linking uniform", 0),
+        ("toffoli success --variant six --theta 1/4", 1),
+        ("optics run", 0),
+        ("optics run --recipe unknown_op.json", 1),
+        ("optics run --recipe uncreated.json", 1),
+        ("optics run --recipe duplicate.json", 1),
+        ("optics run --recipe zero_measure.json", 3),
+        ("optics run --recipe zero_fuse.json", 3),
+    ],
+)
+def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in EXIT_CODE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    try:
+        got = cli.main(argv.split())
+    except SystemExit as exc:  # parse-time usage errors
+        got = exc.code
+    assert got == code
+    assert ("error:" in capsys.readouterr().err) == (code != 0)
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

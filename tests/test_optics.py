@@ -15,6 +15,7 @@ from wgtoffoli.toffoli import ResourceVariant, build_resource
 H = np.array([1, 0], dtype=complex)
 V = np.array([0, 1], dtype=complex)
 MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
+PLUS_MINUS = optics.MeasurementBasis(alpha=Fraction(0), hadamard=False)
 
 
 def tilted(theta):
@@ -211,6 +212,49 @@ def test_sweep_outcomes_covers_all_branches():
     sweep = optics.sweep_measure_outcomes(steps)
     assert len(sweep) == 2
     assert abs(sum(p for _, p in sweep) - 0.5) < 1e-12  # fuse costs 1/2
+
+
+def test_zero_support_raises_postselection_error():
+    with pytest.raises(optics.PostselectionError, match="zero success probability"):
+        optics.fuse(fresh_register(np.kron(H, V), (1, 2)), 1, 2, h_on=1)
+    steps = [
+        optics.RecipeStep("reset", (1,)),
+        optics.RecipeStep("measure", (1,), basis=PLUS_MINUS, outcome=1),
+    ]
+    with pytest.raises(optics.PostselectionError, match="cannot occur"):
+        optics.run_recipe(steps)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [optics.RecipeStep("reset", (2,)), optics.RecipeStep("fuse", (1, 2), h_on=2)],
+        [optics.RecipeStep("reset", (1,)), optics.RecipeStep("reset", (1,))],
+    ],
+)
+def test_malformed_recipe_is_not_a_postselection_failure(steps):
+    with pytest.raises(optics.RecipeError) as err:
+        optics.run_recipe(steps)
+    assert not isinstance(err.value, optics.PostselectionError)
+
+
+def test_sweep_outcomes_propagates_malformed_recipe():
+    steps = [
+        optics.RecipeStep("reset", (1,)),
+        optics.RecipeStep("measure", (9,), basis=optics.COMPUTATIONAL),
+    ]
+    with pytest.raises(optics.RecipeError, match="mode 9 is not in the register"):
+        optics.sweep_measure_outcomes(steps)
+
+
+def test_sweep_outcomes_records_zero_support_as_zero():
+    steps = [
+        optics.RecipeStep("reset", (1,)),
+        optics.RecipeStep("measure", (1,), basis=PLUS_MINUS, outcome=0),
+    ]
+    (zero, p_zero), (one, p_one) = optics.sweep_measure_outcomes(steps)
+    assert (zero, one, p_one) == ({1: 0}, {1: 1}, 0.0)
+    assert abs(p_zero - 1) < 1e-12
 
 
 def test_recipe_json_round_trip():

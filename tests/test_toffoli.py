@@ -399,6 +399,13 @@ def test_branch_outputs_rejects_bad_input_shape():
         tf.branch_outputs(tf.ResourceVariant("six"), tf.NO_LINKING, np.eye(4))
 
 
+def test_branch_outputs_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        tf.branch_outputs(tf.ResourceVariant("six"), tf.NO_LINKING, np.zeros((0, 8)))
+    with pytest.raises(ValueError, match=r"shape \(B, 8\), got \(0, 4\)"):
+        tf.branch_outputs(tf.ResourceVariant("six"), tf.NO_LINKING, np.zeros((0, 4)))
+
+
 def test_success_flag_matches_schmidt_classification():
     variant = tf.ResourceVariant("six")
     rng = np.random.default_rng(59)

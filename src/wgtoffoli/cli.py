@@ -63,9 +63,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_report(path: str | None, report: dict):
+    """Write ``--json``; a path that cannot be written is a usage error."""
     if path:
-        with open(path, "wb") as handle:
-            handle.write(canonical_json(report) + b"\n")
+        try:
+            with open(path, "wb") as handle:
+                handle.write(canonical_json(report) + b"\n")
+        except OSError as exc:
+            raise _usage_error(f"cannot write report: {exc}")
 
 
 def _finish(args, command: list[str], inputs: dict, results: dict) -> int:

@@ -14,13 +14,20 @@ Byproduct frames
 A ``ByproductOperator`` stores, per logical wire, a word in canonical
 order ``X^x Z^z Rz(k*pi/4)`` with ``k`` in 0..3, an optional non-local
 matrix factor applied before the words, and an exact global phase.
+
+A word is a value: ``make_word``, the word product ``_word_mul``, the
+2x2 ``WireWord.matrix`` and the Kronecker product of a frame's words are
+memoised by value in bounded ``functools.lru_cache`` tables, so a branch
+loop looks each up instead of recomputing it. Every cached matrix is
+read-only; ``frame_to_operator`` always returns a fresh array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -212,8 +219,7 @@ def enumerate_branches(
 # --- byproduct frames ---
 
 
-@dataclass(frozen=True)
-class WireWord:
+class WireWord(NamedTuple):
     """Single-wire word X^x Z^z Rz(k*pi/4), canonicalised to k in 0..3."""
 
     x: int = 0
@@ -221,12 +227,8 @@ class WireWord:
     k: int = 0
 
     def matrix(self) -> np.ndarray:
-        out = rz(self.k * np.pi / 4)
-        if self.z:
-            out = PAULI_Z @ out
-        if self.x:
-            out = PAULI_X @ out
-        return out
+        """The 2x2 matrix, shared between calls and read-only."""
+        return _word_matrix(self)
 
     def label(self) -> str:
         parts = []
@@ -239,15 +241,41 @@ class WireWord:
         return ".".join(parts) or "I"
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=256)
+def _word_matrix(word: WireWord) -> np.ndarray:
+    out = rz(word.k * np.pi / 4)
+    if word.z:
+        out = PAULI_Z @ out
+    if word.x:
+        out = PAULI_X @ out
+    return _read_only(out)
+
+
+@lru_cache(maxsize=1024)
+def _words_matrix(words: tuple[WireWord, ...]) -> np.ndarray:
+    """Kronecker product of the word matrices, first word most significant."""
+    return _read_only(kron_all(*(_word_matrix(word) for word in words)))
+
+
 def make_word(x: int = 0, z: int = 0, k: int = 0) -> WireWord:
     """Build a word, folding Rz(pi) into Z so that k lands in 0..3."""
-    k %= 8
+    return _canonical_word(x & 1, z & 1, k % 8)
+
+
+@lru_cache(maxsize=256)
+def _canonical_word(x: int, z: int, k: int) -> WireWord:
     if k >= 4:
         k -= 4
         z ^= 1
-    return WireWord(x & 1, z & 1, k)
+    return WireWord(x, z, k)
 
 
+@lru_cache(maxsize=4096)
 def _word_mul(a: WireWord, b: WireWord) -> tuple[WireWord, complex]:
     """Product a*b in canonical form plus the exact scalar it picks up."""
     phase = 1.0 + 0.0j
@@ -261,12 +289,14 @@ def _word_mul(a: WireWord, b: WireWord) -> tuple[WireWord, complex]:
     return make_word(a.x ^ b.x, a.z ^ b.z, k_left + b.k), phase
 
 
-@dataclass
+@dataclass(eq=False)
 class ByproductOperator:
     """Per-wire correction words with an optional non-local factor.
 
     The full operator is ``global_phase * (word_0 x word_1 x ...) @
     nonlocal_factor`` with ``wires[0]`` on the most significant qubit.
+    Two frames are equal when their wires, words, label, phase and
+    factor (compared by value) are.
     """
 
     wires: tuple[str, ...]
@@ -276,10 +306,27 @@ class ByproductOperator:
     global_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        # Words already keyed in wire order (every frame the package builds)
+        # need neither filling in nor checking.
+        if tuple(self.words) == self.wires:
+            return
         for wire in self.wires:
             self.words.setdefault(wire, WireWord())
         if set(self.words) != set(self.wires):
             raise ValueError("frame words must match the declared wires")
+
+    def __eq__(self, other):
+        if not isinstance(other, ByproductOperator):
+            return NotImplemented
+        if (self.nonlocal_factor is None) != (other.nonlocal_factor is None):
+            return False
+        return (
+            self.wires == other.wires
+            and self.words == other.words
+            and self.nonlocal_label == other.nonlocal_label
+            and self.global_phase == other.global_phase
+            and (self.is_local or np.array_equal(self.nonlocal_factor, other.nonlocal_factor))
+        )
 
     @property
     def is_local(self) -> bool:
@@ -294,14 +341,18 @@ class ByproductOperator:
 
 def frame_to_operator(frame: ByproductOperator) -> np.ndarray:
     """Dense matrix of the frame on ``len(wires)`` qubits."""
-    out = kron_all(*(frame.words[w].matrix() for w in frame.wires))
+    out = _words_matrix(tuple([frame.words[w] for w in frame.wires]))
     if frame.nonlocal_factor is not None:
         out = out @ frame.nonlocal_factor
     return frame.global_phase * out
 
 
 def frame_compose(a: ByproductOperator, b: ByproductOperator) -> ByproductOperator:
-    """Operator product ``a @ b`` as a frame; phases are tracked exactly."""
+    """Operator product ``a @ b`` as a frame; phases are tracked exactly.
+
+    Both frames are valid already, so the product's words come out in
+    wire order and its construction takes the fast path.
+    """
     if a.wires != b.wires:
         raise ValueError(f"wire mismatch: {a.wires} vs {b.wires}")
     phase = a.global_phase * b.global_phase
@@ -318,5 +369,6 @@ def frame_compose(a: ByproductOperator, b: ByproductOperator) -> ByproductOperat
             phase,
         )
     # Fold everything to the right of a's words into the matrix factor.
-    tail = a.nonlocal_factor @ frame_to_operator(replace(b, global_phase=1.0 + 0.0j))
+    unit_b = ByproductOperator(a.wires, b.words, b.nonlocal_factor, b.nonlocal_label)
+    tail = a.nonlocal_factor @ frame_to_operator(unit_b)
     return ByproductOperator(a.wires, dict(a.words), tail, a.nonlocal_label, phase)

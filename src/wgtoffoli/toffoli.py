@@ -559,10 +559,11 @@ def linking_frames(
             for v in zs:
                 z ^= outcomes[v]
             branch_words[wire] = make_word(x, z, k)
-        frame = ByproductOperator(WIRES, branch_words)
         if nonlocal_branch:
-            frame.words["c2"] = c2_word
-            frame.nonlocal_factor, frame.nonlocal_label = factor, label
+            branch_words["c2"] = c2_word
+            frame = ByproductOperator(WIRES, branch_words, factor, label)
+        else:
+            frame = ByproductOperator(WIRES, branch_words)
         return frame_compose(frame_compose(prefactor, frame), sz_frame)
 
     return sigma

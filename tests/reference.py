@@ -5,16 +5,33 @@ and ``mbqc.run_branch`` on its own, one projection at a time, and
 ``reconstruct_operator`` stacks its outputs on the basis inputs into a
 branch operator. ``toffoli.branch_outputs`` must equal both as values.
 ``apply_cz_theta_mask`` is the controlled phase in its index-mask form,
-which ``qstate.apply_cz_theta`` must match byte for byte.
+which ``qstate.apply_cz_theta`` must match byte for byte. ``make_word``,
+``word_mul`` and ``word_matrix`` are the byproduct-word formulas computed
+afresh on every call, which the memoised ``mbqc`` word algebra must match
+in the word, in every bit of the phase and in the matrix bytes.
 """
 
 import numpy as np
 
-from wgtoffoli.mbqc import run_branch
-from wgtoffoli.qstate import StateVector, reconstruct_operator, reorder_qubits
+from wgtoffoli.mbqc import WireWord, run_branch
+from wgtoffoli.qstate import (
+    PAULI_X,
+    PAULI_Z,
+    StateVector,
+    reconstruct_operator,
+    reorder_qubits,
+    rz,
+)
 from wgtoffoli.toffoli import encoded_state, measurement_program
 
-__all__ = ["apply_cz_theta_mask", "branch_map", "reconstruct_operator"]
+__all__ = [
+    "apply_cz_theta_mask",
+    "branch_map",
+    "make_word",
+    "reconstruct_operator",
+    "word_matrix",
+    "word_mul",
+]
 
 
 def apply_cz_theta_mask(state: StateVector, qubit_a: int, qubit_b: int, theta: float):
@@ -42,3 +59,35 @@ def branch_map(variant, linking, outcomes):
         return reorder_qubits(out, (1, 0, 2))
 
     return run
+
+
+def make_word(x: int = 0, z: int = 0, k: int = 0) -> WireWord:
+    """X^x Z^z Rz(k*pi/4) with Rz(pi) folded into Z, so that k lands in 0..3."""
+    k %= 8
+    if k >= 4:
+        k -= 4
+        z ^= 1
+    return WireWord(x & 1, z & 1, k)
+
+
+def word_mul(a: WireWord, b: WireWord) -> tuple[WireWord, complex]:
+    """Canonical product a*b and the scalar it picks up, by the direct formula."""
+    phase = 1.0 + 0.0j
+    k_left = a.k
+    if b.x:
+        if a.z:
+            phase = -phase
+        if a.k:
+            phase *= np.exp(1j * np.pi / 4 * a.k)
+            k_left = -a.k
+    return make_word(a.x ^ b.x, a.z ^ b.z, k_left + b.k), phase
+
+
+def word_matrix(word: WireWord) -> np.ndarray:
+    """A fresh, writable 2x2 matrix of the word."""
+    out = rz(word.k * np.pi / 4)
+    if word.z:
+        out = PAULI_Z @ out
+    if word.x:
+        out = PAULI_X @ out
+    return out

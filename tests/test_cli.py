@@ -205,6 +205,7 @@ EXIT_CODE_FILES = {
         ("toffoli enumerate --variant seven --sx 100", 2),
         ("toffoli success --variant eight --linking uniform", 0),
         ("toffoli success --variant six --theta 1/4", 1),
+        ("toffoli success --variant six --json no_such_dir/report.json", 1),
         ("optics run", 0),
         ("optics run --recipe unknown_op.json", 1),
         ("optics run --recipe uncreated.json", 1),

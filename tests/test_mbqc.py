@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,6 +317,44 @@ def test_x_rz_commutation():
     np.testing.assert_allclose(rp * right.matrix(), r.matrix() @ qs.PAULI_X, atol=1e-12)
 
 
+CANONICAL_WORDS = [mbqc.WireWord(x, z, k) for x in (0, 1) for z in (0, 1) for k in range(4)]
+
+
+def hex_parts(value) -> tuple[str, str]:
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def test_memoised_word_algebra_matches_direct_formula():
+    # Twice over, so that the second round reads the memo tables.
+    for _ in range(2):
+        for x, z, k in itertools.product(range(4), range(3), range(-9, 17)):
+            assert mbqc.make_word(x, z, k) == reference.make_word(x, z, k)
+        for a, b in itertools.product(CANONICAL_WORDS, repeat=2):
+            word, phase = mbqc._word_mul(a, b)
+            want_word, want_phase = reference.word_mul(a, b)
+            assert word == want_word
+            # Bit for bit, so that the sign of a zero part counts too.
+            assert type(phase) is type(want_phase)
+            assert hex_parts(phase) == hex_parts(want_phase)
+        for word in CANONICAL_WORDS:
+            assert word.matrix().tobytes() == reference.word_matrix(word).tobytes()
+
+
+def test_cached_word_matrices_are_read_only():
+    word = mbqc.make_word(x=1, k=3)
+    frame = mbqc.ByproductOperator(("c1", "t"), {"c1": word})
+    first = mbqc.frame_to_operator(frame)
+    for cached in (word.matrix(), mbqc._words_matrix((word, mbqc.WireWord()))):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0
+    # The dense matrix is a fresh array on every call.
+    first[0, 0] = 7
+    np.testing.assert_array_equal(
+        mbqc.frame_to_operator(frame), qs.kron_all(reference.word_matrix(word), qs.ID2)
+    )
+
+
 word_strategy = st.builds(
     mbqc.make_word,
     x=st.integers(0, 1),
@@ -346,6 +385,17 @@ def test_frame_compose_with_nonlocal_factor():
         composed = mbqc.frame_to_operator(mbqc.frame_compose(left, right))
         product = mbqc.frame_to_operator(left) @ mbqc.frame_to_operator(right)
         np.testing.assert_allclose(composed, product, atol=1e-12)
+
+
+def test_frame_words_are_filled_in_and_checked():
+    z = mbqc.make_word(z=1)
+    partial = mbqc.ByproductOperator(("c1", "c2", "t"), {"t": z})
+    assert partial.words == {"t": z, "c1": mbqc.WireWord(), "c2": mbqc.WireWord()}
+    reordered = mbqc.ByproductOperator(("c1", "t"), {"t": z, "c1": z})
+    assert reordered.describe() == "c1:Z t:Z"
+    for words in ({"c1": z, "x": z}, {"c1": z, "t": z, "x": z}):
+        with pytest.raises(ValueError, match="declared wires"):
+            mbqc.ByproductOperator(("c1", "t"), words)
 
 
 def test_frame_compose_wire_mismatch():

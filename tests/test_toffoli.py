@@ -567,6 +567,25 @@ def test_six_linking_prefactor_frame_unavailable_off_grid():
         tf.predicted_sigma(variant, {1: 0, 2: 0, 3: 0}, linking)
 
 
+def test_frame_equality_compares_the_nonlocal_factor():
+    frames = tf.linking_frames(tf.ResourceVariant("six"))
+    local = {1: 0, 2: 0, 3: 0}
+    nonlocal_ = {1: 0, 2: 1, 3: 0}
+    assert frames(local) == frames(local)
+    assert frames(local) != frames({1: 1, 2: 0, 3: 0})
+    assert frames(nonlocal_) == frames(nonlocal_)
+    assert frames(nonlocal_) != frames(local)
+    sigma = frames(nonlocal_)
+    flipped = mbqc.ByproductOperator(
+        sigma.wires,
+        dict(sigma.words),
+        -sigma.nonlocal_factor,
+        sigma.nonlocal_label,
+        sigma.global_phase,
+    )
+    assert sigma != flipped
+
+
 def frame_bits(sigma):
     factor = None if sigma.is_local else sigma.nonlocal_factor.tobytes()
     return sigma.words, complex(sigma.global_phase), sigma.nonlocal_label, factor

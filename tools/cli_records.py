@@ -2,9 +2,10 @@
 
 Each case runs ``wgtoffoli.cli.main(argv)`` in this process and prints,
 tab-separated: the argv, the exit code, ``returned`` or ``raised`` (the
-code came back from ``main`` or as ``SystemExit``), and the SHA-256
-digests of the ``--json`` report (``-`` when none was written), of
-stdout and of stderr.
+code came back from ``main`` or as ``SystemExit``; any other exception
+prints ``-`` and ``raised`` with its type), and the SHA-256 digests of
+the ``--json`` report (``-`` when none was written), of stdout and of
+stderr.
 
 The cases cover every subcommand and every documented exit code:
 
@@ -24,7 +25,9 @@ The cases cover every subcommand and every documented exit code:
   and ``--json``), the built-in recipe read from a file, zero-probability
   measure and fuse recipes, recipes that use a mode they never created or
   create one twice, too many live modes, unparsable recipes and a
-  missing file.
+  missing file;
+* a ``--json`` path that cannot be written (a missing directory, a
+  directory).
 
 Input files are written to a fresh temporary directory that becomes the
 working directory, and argv names them relative to it, so no line
@@ -203,6 +206,8 @@ CASES = [
     ["optics", "run", "--recipe", "measure_uncreated.json", "--sweep-outcomes"],
     ["optics", "run", "--recipe", "broken.json"],
     ["optics", "run", "--recipe", "missing.json"],
+    ["toffoli", "success", "--variant", "six", "--json", "no_such_dir/report.json"],
+    ["toffoli", "run", "--variant", "six", "--json", "."],
 ]
 
 
@@ -211,16 +216,21 @@ def digest(data: bytes) -> str:
 
 
 def run_case(argv) -> str:
-    """Run one command with ``--json`` (when it has a subcommand) and return its line."""
+    """Run one command and return its line.
+
+    A command with a subcommand and no ``--json`` of its own gets ``--json REPORT``.
+    """
     if os.path.exists(REPORT):
         os.remove(REPORT)
-    full = list(argv) + (["--json", REPORT] if len(argv) >= 2 else [])
+    full = list(argv) + (["--json", REPORT] if len(argv) >= 2 and "--json" not in argv else [])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code, how = cli.main(full), "returned"
         except SystemExit as exc:
             code, how = exc.code, "raised"
+        except Exception as exc:  # an escaped error is a record, not the end of the run
+            code, how = "-", f"raised {type(exc).__name__}"
     report = "-"
     if os.path.exists(REPORT):
         with open(REPORT, "rb") as handle:

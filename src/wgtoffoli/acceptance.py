@@ -125,9 +125,9 @@ def check_gate_correctness() -> dict:
             outputs = branch_outputs(variant, linking, columns)
             frames = linking_frames(variant, linking)
             for bits, outcomes in _all_outcomes(variant):
-                sigma = frames(outcomes)
-                if not sigma.is_local:
+                if not frames.is_local(outcomes):
                     continue
+                sigma = frames(outcomes)
                 out = outputs[bits]
                 sigma_op = frame_to_operator(sigma)
                 corrected = unit_scale(np.linalg.inv(sigma_op) @ out[:, :8])

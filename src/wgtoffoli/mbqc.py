@@ -160,12 +160,14 @@ def outcome_tree_leaves(
     """Walk the outcome tree of ``pattern`` depth first, sharing every prefix.
 
     ``tensor`` is a batch of n-qubit registers, shaped ``(B,) + (2,)*n``;
-    qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``. Each
-    node resolves its (possibly adaptive) basis once from the outcomes
-    above it and projects the measured qubit onto both kets in one
-    ``qstate.project_axis`` call, so a pattern of m steps costs ``2**m - 1``
-    basis resolutions and ``2 * (2**m - 1)`` projections, and every row of
-    a leaf is bitwise equal to ``run_branch`` on that register. Leaves
+    qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``. A
+    fixed basis is resolved to its kets once per walk; an adaptive one is
+    resolved at each of its nodes from the outcomes above it. Each node
+    projects the measured qubit onto both kets in one
+    ``qstate.project_axis`` call, so a pattern of m steps costs one basis
+    resolution per fixed step, ``2**depth`` per adaptive step and
+    ``2 * (2**m - 1)`` projections, and every row of a leaf is bitwise
+    equal to ``run_branch`` on that register. Leaves
     come back as ``(outcomes, leaf)`` in ``itertools.product`` order, with
     outcome keys in step order and the survivors in ``measured_qubits``
     order. The walk keeps an explicit stack, so it leaves no reference
@@ -174,6 +176,7 @@ def outcome_tree_leaves(
     n = tensor.ndim - 1
     qubits, _ = measured_qubits(n, pattern)
     axes = [n - depth - q for depth, q in enumerate(qubits)]
+    fixed = [None if callable(step.basis) else basis_states(step.basis) for step in pattern.steps]
     leaves = []
     stack = [({}, tensor)]
     while stack:
@@ -183,8 +186,8 @@ def outcome_tree_leaves(
             leaves.append((seen, node))
             continue
         step = pattern.steps[depth]
-        basis = step.basis(seen) if callable(step.basis) else step.basis
-        child0, child1 = project_axis(node, axes[depth], basis_states(basis))
+        kets = fixed[depth] or basis_states(step.basis(seen))
+        child0, child1 = project_axis(node, axes[depth], kets)
         stack.append(({**seen, step.vertex: 1}, child1))
         stack.append(({**seen, step.vertex: 0}, child0))
     return leaves

@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -270,7 +270,7 @@ class ResourceVariant:
         if not isinstance(self.theta, Fraction):
             raise ValueError("theta must be a Fraction (rational multiple of pi)")
         if angles.is_zero(self.theta):
-            raise ValueError("theta must be nonzero")
+            raise ValueError(f"theta must be nonzero modulo 2pi, got {angles.describe(self.theta)}")
 
     @property
     def spec(self) -> VariantSpec:
@@ -491,68 +491,77 @@ def _frame(c1=WireWord(), c2=WireWord(), t=WireWord(), **kwargs) -> ByproductOpe
     return ByproductOperator(WIRES, {"c1": c1, "c2": c2, "t": t}, **kwargs)
 
 
-def linking_frames(
-    variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING
-) -> Callable[[dict], ByproductOperator]:
-    """Frames of every branch of one linking case, as ``outcomes -> sigma``.
+class LinkingFrames:
+    """The frame table of one linking case: ``frames(outcomes) -> sigma``.
 
     Linking byproducts reach a branch's frame only through a prefactor and
-    an sz frame, so the work that depends on the case alone is done once
-    here: the recoverability check, the theta-table checks, the linking
-    prefactor, the sz frame and the six-qubit non-local factor. The
-    returned function builds one branch's words and composes
-    ``(prefactor @ words) @ sz_frame``. It first checks that the outcomes
-    cover the measured vertices, and raises ``FrameUnavailable`` only for
-    a branch whose table entry is missing. ``predicted_sigma`` is the
-    one-branch call.
+    an sz frame, so the work that depends on the case alone is done once,
+    on construction: the recoverability check, the theta-table checks,
+    the linking prefactor and the sz frame. Each branch then goes through
+    ``_check``, which applies the coverage check and the
+    ``FrameUnavailable`` rules in that order and says whether the branch
+    is the non-local one. ``is_local`` returns that verdict and composes
+    no frame; calling the table builds the branch's words and composes
+    ``(prefactor @ words) @ sz_frame``, with the six-qubit non-local factor
+    built for a non-local branch alone.
     """
-    _check_recoverable(variant, linking)
-    spec = variant.spec
-    needed = set(spec.measured_vertices)
-    theta = variant.theta
-    h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
-    flip = -1 if (linking.sx[1] ^ linking.sx[2]) else 1
-    entries = spec.prefactors[linking.sx]
-    unavailable = None
-    if spec.pi_only and theta != 1:
-        unavailable = (
-            f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
-            f"not theta = {angles.describe(theta)}"
-        )
-    elif h8 is None and any(k for _, _, k in entries.values()):
-        unavailable = (
-            f"{variant.kind}-qubit linking corrections are tabulated for theta a "
-            "multiple of pi/2 only"
-        )
-    else:
-        prefactor = _frame(
-            **{wire: make_word(x, z, k * h8 if k else 0) for wire, (x, z, k) in entries.items()}
-        )
-    nonlocal_vertex = spec.nonlocal_vertex
-    if nonlocal_vertex is not None and h8 is not None:
-        c2_word = make_word(k=-flip * h8)
-        factor, label = _nonlocal_factor(theta, flip)
-    words = [(wire, word.x, word.z, word.k) for wire, word in spec.sigma.items()]
-    sz_frame = _frame(
-        c1=make_word(z=linking.sz[0]),
-        c2=make_word(z=linking.sz[1]),
-        t=make_word(x=linking.sz[2]),
-    )
 
-    def sigma(outcomes) -> ByproductOperator:
-        if outcomes.keys() != needed:
-            raise ValueError(f"outcomes must cover vertices {sorted(needed)}")
-        nonlocal_branch = nonlocal_vertex is not None and outcomes[nonlocal_vertex]
-        if nonlocal_branch and h8 is None:
-            raise FrameUnavailable(
-                f"{variant.kind}-qubit frames with s{nonlocal_vertex + 1} = 1 are "
-                "tabulated for theta a multiple of pi/2 only, not theta = "
-                f"{angles.describe(theta)}"
+    def __init__(self, variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING):
+        _check_recoverable(variant, linking)
+        spec = variant.spec
+        self._kind = variant.kind
+        self._theta = theta = variant.theta
+        self._needed = set(spec.measured_vertices)
+        self._nonlocal_vertex = spec.nonlocal_vertex
+        self._h8 = h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
+        self._flip = -1 if (linking.sx[1] ^ linking.sx[2]) else 1
+        entries = spec.prefactors[linking.sx]
+        self._unavailable = None
+        if spec.pi_only and theta != 1:
+            self._unavailable = (
+                f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
+                f"not theta = {angles.describe(theta)}"
             )
-        if unavailable:
-            raise FrameUnavailable(unavailable)
+        elif h8 is None and any(k for _, _, k in entries.values()):
+            self._unavailable = (
+                f"{variant.kind}-qubit linking corrections are tabulated for theta a "
+                "multiple of pi/2 only"
+            )
+        else:
+            self._prefactor = _frame(
+                **{wire: make_word(x, z, k * h8 if k else 0) for wire, (x, z, k) in entries.items()}
+            )
+        self._words = [(wire, word.x, word.z, word.k) for wire, word in spec.sigma.items()]
+        self._sz_frame = _frame(
+            c1=make_word(z=linking.sz[0]),
+            c2=make_word(z=linking.sz[1]),
+            t=make_word(x=linking.sz[2]),
+        )
+
+    def _check(self, outcomes) -> bool:
+        """Whether the branch is the non-local one, once the table covers it."""
+        if outcomes.keys() != self._needed:
+            raise ValueError(f"outcomes must cover vertices {sorted(self._needed)}")
+        vertex = self._nonlocal_vertex
+        nonlocal_branch = vertex is not None and bool(outcomes[vertex])
+        if nonlocal_branch and self._h8 is None:
+            raise FrameUnavailable(
+                f"{self._kind}-qubit frames with s{vertex + 1} = 1 are "
+                "tabulated for theta a multiple of pi/2 only, not theta = "
+                f"{angles.describe(self._theta)}"
+            )
+        if self._unavailable:
+            raise FrameUnavailable(self._unavailable)
+        return nonlocal_branch
+
+    def is_local(self, outcomes) -> bool:
+        """Whether the branch's frame is a tensor product, without building it."""
+        return not self._check(outcomes)
+
+    def __call__(self, outcomes) -> ByproductOperator:
+        nonlocal_branch = self._check(outcomes)
         branch_words = {}
-        for wire, xs, zs, k in words:
+        for wire, xs, zs, k in self._words:
             x = z = 0
             for v in xs:
                 x ^= outcomes[v]
@@ -560,13 +569,26 @@ def linking_frames(
                 z ^= outcomes[v]
             branch_words[wire] = make_word(x, z, k)
         if nonlocal_branch:
-            branch_words["c2"] = c2_word
+            branch_words["c2"] = make_word(k=-self._flip * self._h8)
+            factor, label = _nonlocal_factor(self._theta, self._flip)
             frame = ByproductOperator(WIRES, branch_words, factor, label)
         else:
             frame = ByproductOperator(WIRES, branch_words)
-        return frame_compose(frame_compose(prefactor, frame), sz_frame)
+        return frame_compose(frame_compose(self._prefactor, frame), self._sz_frame)
 
-    return sigma
+
+def linking_frames(
+    variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING
+) -> LinkingFrames:
+    """The frame table of one linking case, as a ``LinkingFrames``.
+
+    An sx the resource cannot absorb raises ``UnrecoverableLinkingError``
+    here, for the whole case; a branch without a table entry raises
+    ``FrameUnavailable`` alike from the table's call and its ``is_local``.
+    ``predicted_sigma`` is the one-branch call, and ``success_probability``
+    counts branches with ``is_local``.
+    """
+    return LinkingFrames(variant, linking)
 
 
 def predicted_sigma(
@@ -655,26 +677,34 @@ def _embedded_rows(variant: ResourceVariant, linking: LinkingByproducts, inputs:
     return np.stack(rows)
 
 
-def _outcome_leaves(variant: ResourceVariant, linking: LinkingByproducts, inputs: np.ndarray):
-    """Embed each ``(B, 8)`` input row once and walk the outcome tree as one batch.
+def _outcome_leaves(
+    variant: ResourceVariant, cases: Sequence[LinkingByproducts], inputs: np.ndarray
+):
+    """Embed each ``(B, 8)`` input row once per linking case and walk them as one batch.
 
-    Returns the ``(B, 2**n)`` embedded rows, the surviving vertices in
-    ascending label order and the ``(outcomes, leaf)`` pairs of
-    ``mbqc.outcome_tree_leaves``. Row ``b`` of a ``(B, 2, 2, 2)`` leaf is
-    the branch output for input ``b`` in ``run_branch``'s qubit layout.
-    Basis rows come from the shared embedding (``_embedded_rows``): their
-    outputs equal the per-column path as values and may differ from it
-    only in the sign of zeros, which ``_embedded_rows`` keeps as well.
+    ``cases`` is a sequence of linking cases that share one sx: the
+    measurement pattern reads sx alone, so their rows share one walk.
+    Returns the ``(len(cases) * B, 2**n)`` embedded rows, case by case,
+    the surviving vertices in ascending label order and the
+    ``(outcomes, leaf)`` pairs of ``mbqc.outcome_tree_leaves``. Row ``r``
+    of a ``(rows, 2, 2, 2)`` leaf is the branch output for embedded row
+    ``r`` in ``run_branch``'s qubit layout; each row is projected on its
+    own, so a batch gives every row the bits a walk of that row alone
+    would. Basis rows come from the shared embedding (``_embedded_rows``):
+    their outputs equal the per-column path as values and may differ from
+    it only in the sign of zeros, which ``_embedded_rows`` keeps as well.
     Every other row is embedded on its own, as that path does.
     """
-    pattern = measurement_program(variant, linking)
+    if len({linking.sx for linking in cases}) != 1:
+        raise ValueError("linking cases walked together must share one sx")
+    pattern = measurement_program(variant, cases[0])
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 8:
         raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
     if len(inputs) == 0:
         raise ValueError("inputs is an empty batch: need at least one (8,) row")
     n = variant.vertex_count
-    embedded = _embedded_rows(variant, linking, inputs)
+    embedded = np.concatenate([_embedded_rows(variant, linking, inputs) for linking in cases])
     _, survivors = measured_qubits(n, pattern)
     tensor = embedded.reshape((len(embedded),) + (2,) * n)
     return embedded, survivors, outcome_tree_leaves(pattern, tensor)
@@ -700,7 +730,7 @@ def branch_outputs(
     shared by every linking case: their columns equal the per-column
     path as values and may differ from it only in the sign of zeros.
     """
-    embedded, survivors, leaves = _outcome_leaves(variant, linking, inputs)
+    embedded, survivors, leaves = _outcome_leaves(variant, [linking], inputs)
     batch = len(embedded)
     # Put the survivors in wire order c1 c2 t.
     wire_axes = [len(survivors) - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
@@ -804,19 +834,24 @@ class SuccessReport:
 
 def verify_branch_uniformity(
     variant: ResourceVariant,
-    linking: LinkingByproducts = NO_LINKING,
+    linking: LinkingByproducts | Sequence[LinkingByproducts] = NO_LINKING,
 ) -> float:
     """Max deviation of any branch probability from 2**-m over test inputs.
 
-    The inputs are ``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` seeded random
-    states, walked as one batch by ``_outcome_leaves``, the walk
+    ``linking`` is one linking case or a sequence of cases that share one
+    sx, whose rows then go through one walk: the measurement pattern
+    reads sx alone. Each case embeds ``|000>`` and
+    ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, and every row is
+    walked in one batch by ``_outcome_leaves``, the walk
     ``mbqc.enumerate_branches`` makes for one state. ``|000>`` comes from
     the shared basis embedding, which equals ``encoded_state`` as values
     and may differ from it only in the sign of zeros. Each probability is
     the leaf row's squared norm, taken before any reordering, over the
     embedded input's, so it equals the one ``enumerate_branches``
-    reports for that input.
+    reports for that input and case, and the result is the maximum of
+    one call per case.
     """
+    cases = [linking] if isinstance(linking, LinkingByproducts) else list(linking)
     m = len(variant.measured_vertices)
     expected = 0.5**m
     rng = np.random.default_rng(20250810)
@@ -824,7 +859,7 @@ def verify_branch_uniformity(
     for _ in range(UNIFORMITY_RANDOM_INPUTS):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         inputs.append(amps / np.linalg.norm(amps))
-    embedded, _, leaves = _outcome_leaves(variant, linking, np.stack(inputs))
+    embedded, _, leaves = _outcome_leaves(variant, cases, np.stack(inputs))
     initial = [float(np.vdot(row, row).real) for row in embedded]
     worst = 0.0
     for _, leaf in leaves:
@@ -843,8 +878,11 @@ def success_probability(
 
     ``none`` runs the bare gate; ``uniform`` averages over all eight
     x-corruption and all eight z-corruption patterns with weight 1/8 each.
-    Branch probabilities are verified uniform by simulation, then counted
-    with exact rational arithmetic.
+    Branch probabilities are verified uniform by simulation: one
+    ``verify_branch_uniformity`` walk per accepted sx covers its sz
+    probes. Branches are then classified by ``LinkingFrames.is_local``,
+    which applies the frame table's checks and builds no frame, and
+    counted with exact rational arithmetic.
     """
     if linking_model not in ("none", "uniform"):
         raise ValueError(f"unknown linking model {linking_model!r}")
@@ -862,9 +900,8 @@ def success_probability(
         for sx in sx_cases:
             if not _recoverable(variant, sx):
                 continue
-            for sz in probes:
-                err = verify_branch_uniformity(variant, LinkingByproducts(sx, sz))
-                max_err = max(max_err, err)
+            err = verify_branch_uniformity(variant, [LinkingByproducts(sx, sz) for sz in probes])
+            max_err = max(max_err, err)
         if max_err > 1e-10:
             raise AssertionError(
                 f"branch probabilities deviate from uniform by {max_err}"
@@ -880,7 +917,7 @@ def success_probability(
         for sz in sz_cases:
             frames = linking_frames(variant, LinkingByproducts(sx, sz))
             for bits in _all_bits(m):
-                if frames(dict(zip(vertices, bits))).is_local:
+                if frames.is_local(dict(zip(vertices, bits))):
                     local += 1
         cases.append(LinkingCase(sx, True, local, 2**m * len(sz_cases)))
         total += case_weight * Fraction(local, len(sz_cases)) * branch_fraction

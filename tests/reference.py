@@ -9,26 +9,42 @@ which ``qstate.apply_cz_theta`` must match byte for byte. ``make_word``,
 ``word_mul`` and ``word_matrix`` are the byproduct-word formulas computed
 afresh on every call, which the memoised ``mbqc`` word algebra must match
 in the word, in every bit of the phase and in the matrix bytes.
+``local_branch_counts`` counts the local branches of each sx case one
+``predicted_sigma`` frame at a time, the way ``success_probability``
+counted before it classified branches without frames, and
+``uniformity_by_enumeration`` is the branch-uniformity check as one
+``enumerate_branches`` call per input and linking case.
 """
+
+import itertools
 
 import numpy as np
 
-from wgtoffoli.mbqc import WireWord, run_branch
+from wgtoffoli.mbqc import WireWord, enumerate_branches, run_branch
 from wgtoffoli.qstate import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    basis_state,
     reconstruct_operator,
     reorder_qubits,
     rz,
 )
-from wgtoffoli.toffoli import encoded_state, measurement_program
+from wgtoffoli.toffoli import (
+    UNIFORMITY_RANDOM_INPUTS,
+    LinkingByproducts,
+    encoded_state,
+    measurement_program,
+    predicted_sigma,
+)
 
 __all__ = [
     "apply_cz_theta_mask",
     "branch_map",
+    "local_branch_counts",
     "make_word",
     "reconstruct_operator",
+    "uniformity_by_enumeration",
     "word_matrix",
     "word_mul",
 ]
@@ -91,3 +107,40 @@ def word_matrix(word: WireWord) -> np.ndarray:
     if word.x:
         out = PAULI_X @ out
     return out
+
+
+def local_branch_counts(variant, linking_model):
+    """Local branches per sx case, in ``success_probability``'s case order.
+
+    Every branch of every accepted linking case gets its whole frame from
+    ``predicted_sigma``; the first error any frame raises propagates.
+    """
+    cases = list(itertools.product((0, 1), repeat=3)) if linking_model == "uniform" else [(0, 0, 0)]
+    vertices = variant.measured_vertices
+    counts = []
+    for sx in cases:
+        local = 0
+        if sx in variant.spec.prefactors:
+            for sz in cases:
+                for bits in itertools.product((0, 1), repeat=len(vertices)):
+                    outcomes = dict(zip(vertices, bits))
+                    local += predicted_sigma(variant, outcomes, LinkingByproducts(sx, sz)).is_local
+        counts.append(local)
+    return counts
+
+
+def uniformity_by_enumeration(variant, linking):
+    """The uniformity maximum of one linking case, one ``enumerate_branches`` call per input."""
+    rng = np.random.default_rng(20250810)
+    inputs = [basis_state(3, 0)]
+    for _ in range(UNIFORMITY_RANDOM_INPUTS):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        inputs.append(StateVector(3, amps / np.linalg.norm(amps)))
+    pattern = measurement_program(variant, linking)
+    expected = 0.5 ** len(pattern.steps)
+    worst = 0.0
+    for psi in inputs:
+        state = encoded_state(variant, psi, linking)
+        for _, probability, _ in enumerate_branches(state, pattern):
+            worst = max(worst, abs(probability - expected))
+    return worst

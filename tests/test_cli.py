@@ -226,6 +226,13 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, code):
     assert ("error:" in capsys.readouterr().err) == (code != 0)
 
 
+@pytest.mark.parametrize("theta,given", [("0", "0"), ("2", "2pi"), ("-4", "-4pi")])
+def test_zero_theta_names_the_angle_modulo_2pi(capsys, theta, given):
+    code, out, err = run_cli(["toffoli", "success", "--variant", "six", "--theta", theta], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: theta must be nonzero modulo 2pi, got {given}\n"
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

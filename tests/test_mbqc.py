@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wgtoffoli import mbqc
 from wgtoffoli import qstate as qs
+from wgtoffoli import toffoli
 from wgtoffoli.graphstate import WeightedGraph, build_state_with_input
 
 MAXIMAL = Fraction(1)
@@ -257,6 +258,32 @@ def test_enumerate_equals_run_branch_bitwise():
         assert np.array_equal(final.amplitudes, ref_final.amplitudes)
         zero_branches += probability == 0
     assert zero_branches == 8  # outcome 1 on the isolated vertex
+
+
+def count_basis_resolutions(monkeypatch):
+    resolved = []
+    original = mbqc.basis_states
+
+    def spy(basis):
+        resolved.append(basis)
+        return original(basis)
+
+    monkeypatch.setattr(mbqc, "basis_states", spy)
+    return resolved
+
+
+def test_walk_resolves_fixed_bases_once_and_adaptive_ones_per_node(monkeypatch):
+    resolved = count_basis_resolutions(monkeypatch)
+    state, pattern = mixed_pattern_state()
+    mbqc.enumerate_branches(state, pattern)
+    # Three fixed steps, then the adaptive step once at each of its 2**3 nodes.
+    assert [id(b) for b in resolved[:3]] == [id(step.basis) for step in pattern.steps[:3]]
+    assert len(resolved) == 3 + 2**3
+    resolved.clear()
+    # Seven: two fixed steps, then adaptive steps at depths 2 and 3.
+    variant = toffoli.ResourceVariant("seven")
+    toffoli.branch_outputs(variant, toffoli.NO_LINKING, np.eye(8))
+    assert len(resolved) == 2 + 2**2 + 2**3
 
 
 def test_enumerate_without_measurements_returns_the_state():

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from reference import branch_map, reconstruct_operator
+from reference import (
+    branch_map,
+    local_branch_counts,
+    reconstruct_operator,
+    uniformity_by_enumeration,
+)
 
 from wgtoffoli import mbqc
 from wgtoffoli import qstate as qs
@@ -466,27 +471,52 @@ def test_success_probabilities_exact(kind, model, expected):
     assert report.max_uniformity_error < 1e-10
 
 
+@pytest.mark.parametrize("model", ["none", "uniform"])
+@pytest.mark.parametrize(
+    "kind,theta",
+    [(kind, Fraction(1)) for kind in tf.VARIANT_KINDS]
+    + [("six", Fraction(1, 2)), ("six", Fraction(3, 2))],
+)
+def test_success_counts_the_local_predicted_frames(kind, theta, model):
+    variant = tf.ResourceVariant(kind, theta)
+    report = tf.success_probability(variant, model, check_uniformity=False)
+    assert [case.local_branches for case in report.cases] == local_branch_counts(variant, model)
+
+
+@pytest.mark.parametrize("model", ["none", "uniform"])
+@pytest.mark.parametrize(
+    "kind,theta",
+    [("six", Fraction(1, 3)), ("six", Fraction(1, 4))]
+    + [(kind, Fraction(theta)) for kind in ("seven", "eight") for theta in ("1/2", "-1", "3")],
+)
+def test_success_raises_what_the_first_missing_frame_raises(kind, theta, model):
+    variant = tf.ResourceVariant(kind, theta)
+    with pytest.raises(ValueError) as expected:
+        local_branch_counts(variant, model)
+    with pytest.raises(ValueError) as got:
+        tf.success_probability(variant, model, check_uniformity=False)
+    assert type(got.value) is type(expected.value) is tf.FrameUnavailable
+    assert str(got.value) == str(expected.value)
+
+
+def test_success_probability_composes_no_frame(monkeypatch):
+    composed = count_calls(monkeypatch, tf, "frame_compose")
+    factors = count_calls(monkeypatch, tf, "_nonlocal_factor")
+    for theta in (Fraction(1), Fraction(1, 2), Fraction(3, 2)):
+        tf.success_probability(tf.ResourceVariant("six", theta), "uniform")
+    assert composed == [] and factors == []
+    # The non-local factor is built for a non-local frame alone.
+    frames = tf.linking_frames(tf.ResourceVariant("six"))
+    frames({1: 0, 2: 0, 3: 0})
+    assert factors == []
+    frames({1: 0, 2: 1, 3: 0})
+    assert len(factors) == 1
+
+
 def test_branch_probabilities_uniform():
     for kind in ("six", "seven", "eight"):
         err = tf.verify_branch_uniformity(tf.ResourceVariant(kind))
         assert err < 1e-10
-
-
-def uniformity_by_enumeration(variant, linking):
-    """The uniformity maximum over one ``enumerate_branches`` call per input."""
-    rng = np.random.default_rng(20250810)
-    inputs = [qs.basis_state(3, 0)]
-    for _ in range(tf.UNIFORMITY_RANDOM_INPUTS):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        inputs.append(qs.StateVector(3, amps / np.linalg.norm(amps)))
-    pattern = tf.measurement_program(variant, linking)
-    expected = 0.5 ** len(pattern.steps)
-    worst = 0.0
-    for psi in inputs:
-        state = tf.encoded_state(variant, psi, linking)
-        for _, probability, _ in mbqc.enumerate_branches(state, pattern):
-            worst = max(worst, abs(probability - expected))
-    return worst
 
 
 @pytest.mark.parametrize(
@@ -502,13 +532,42 @@ def uniformity_by_enumeration(variant, linking):
 def test_branch_uniformity_bitwise_equals_enumeration(kind, theta):
     # The batched walk must reproduce the per-input enumeration exactly:
     # norms taken from rows in any other qubit order differ in the last bits.
+    # The sz probes of one sx share one walk, which must give the maximum of
+    # the separate walks, and success_probability reports the maximum of all.
     variant = tf.ResourceVariant(kind, theta)
+    inputs = np.vstack([np.eye(8)[:1]] + [psi.amplitudes for psi in random_states(67, 2)])
+    worst = []
     for sx in accepted_sx(variant):
-        for sz in ((0, 0, 0), (1, 1, 1)):
-            linking = tf.LinkingByproducts(sx, sz)
-            assert tf.verify_branch_uniformity(variant, linking) == uniformity_by_enumeration(
-                variant, linking
-            ), linking
+        cases = [tf.LinkingByproducts(sx, sz) for sz in ((0, 0, 0), (1, 1, 1))]
+        separate = [uniformity_by_enumeration(variant, linking) for linking in cases]
+        for linking, expected in zip(cases, separate):
+            assert tf.verify_branch_uniformity(variant, linking).hex() == expected.hex(), linking
+        assert tf.verify_branch_uniformity(variant, cases).hex() == max(separate).hex(), sx
+        worst += separate
+        # Each case's rows in the shared walk carry the bits of its own walk.
+        _, _, shared = tf._outcome_leaves(variant, cases, inputs)
+        for index, linking in enumerate(cases):
+            rows = slice(index * len(inputs), (index + 1) * len(inputs))
+            _, _, alone = tf._outcome_leaves(variant, [linking], inputs)
+            for (seen, leaf), (seen_alone, leaf_alone) in zip(shared, alone, strict=True):
+                assert seen == seen_alone
+                assert leaf[rows].tobytes() == leaf_alone.tobytes(), (linking, seen)
+    report = tf.success_probability(variant, "uniform")
+    assert report.max_uniformity_error.hex() == max(worst).hex()
+
+
+def test_success_walks_the_sz_probes_of_each_sx_once(monkeypatch):
+    walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
+    variant = tf.ResourceVariant("eight")
+    tf.success_probability(variant, "uniform")
+    # Two sz probes of three inputs each, in one walk per accepted sx.
+    assert [tensor.shape[0] for _, tensor in walks] == [6] * len(accepted_sx(variant))
+
+
+def test_uniformity_batch_must_share_one_sx():
+    cases = [tf.NO_LINKING, tf.LinkingByproducts((1, 1, 1))]
+    with pytest.raises(ValueError, match="share one sx"):
+        tf.verify_branch_uniformity(tf.ResourceVariant("six"), cases)
 
 
 # --- the CCZ(theta) family ---
@@ -615,16 +674,19 @@ def test_linking_frames_share_nothing_between_branches(kind, theta, sx, sz):
 def test_linking_frames_raise_per_branch_in_single_call_order():
     linking = tf.LinkingByproducts((0, 1, 0))
     six = tf.linking_frames(tf.ResourceVariant("six", Fraction(1, 3)), linking)
-    with pytest.raises(tf.FrameUnavailable, match="s3 = 1"):
-        six({1: 0, 2: 1, 3: 0})
-    with pytest.raises(tf.FrameUnavailable, match="linking corrections"):
-        six({1: 0, 2: 0, 3: 0})
     seven = tf.linking_frames(tf.ResourceVariant("seven", Fraction(1, 2)))
-    with pytest.raises(ValueError, match="outcomes must cover") as err:
-        seven({1: 0, 2: 0, 3: 0})
-    assert not isinstance(err.value, tf.FrameUnavailable)
-    with pytest.raises(tf.FrameUnavailable, match="theta = pi only"):
-        seven({1: 0, 2: 0, 3: 0, tf.GADGET_MID: 0})
+    # The classifier applies the same checks, in the same order.
+    for check in (six, six.is_local):
+        with pytest.raises(tf.FrameUnavailable, match="s3 = 1"):
+            check({1: 0, 2: 1, 3: 0})
+        with pytest.raises(tf.FrameUnavailable, match="linking corrections"):
+            check({1: 0, 2: 0, 3: 0})
+    for check in (seven, seven.is_local):
+        with pytest.raises(ValueError, match="outcomes must cover") as err:
+            check({1: 0, 2: 0, 3: 0})
+        assert not isinstance(err.value, tf.FrameUnavailable)
+        with pytest.raises(tf.FrameUnavailable, match="theta = pi only"):
+            check({1: 0, 2: 0, 3: 0, tf.GADGET_MID: 0})
     with pytest.raises(tf.UnrecoverableLinkingError):
         tf.linking_frames(tf.ResourceVariant("seven"), tf.LinkingByproducts((0, 0, 1)))
 

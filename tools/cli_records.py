@@ -18,7 +18,7 @@ The cases cover every subcommand and every documented exit code:
   and default outcomes, an unrecoverable sx, and bad input files (two
   qubits, all zero, underflowing, NaN, overflowing, not JSON, missing);
 * usage errors: bad bits, a wrong outcome count, an unknown variant, an
-  unparsable or zero theta, an unknown subcommand;
+  unparsable theta, a theta of 0, 2pi or -4pi, an unknown subcommand;
 * ``graph build`` on a weighted graph with a Hadamard input, a bad
   edge, 13 vertices, invalid JSON, non-UTF-8 bytes and a missing file;
 * ``optics run`` with the built-in recipe (plain, ``--sweep-outcomes``
@@ -192,6 +192,7 @@ CASES = [
     ["toffoli", "run", "--variant", "six", "--theta", "0"],
     ["toffoli", "run", "--variant", "six", "--theta", "half"],
     ["toffoli", "success", "--variant", "six", "--theta", "2"],
+    ["toffoli", "enumerate", "--variant", "seven", "--theta", "-4"],
     ["toffoli", "success", "--variant", "eight", "--linking", "sometimes"],
     ["toffoli"],
     ["teleport"],

@@ -9,10 +9,12 @@ first on even-numbered pairs). It prints one line per run as it finishes,
 then one row per end-to-end metric of the change tree's
 ``BENCHMARK.json``: the median and quartiles of each side, the change in
 the median as a percentage of the base median, the number of pairs the
-change won (ties count for neither side), the base's quartile spread and
-whether the gain rule holds: the change wins at least nine tenths of the
-pairs and the medians differ by more than the base's quartile spread. The
-last line counts the failed operations of each side.
+change won (ties count for neither side), the base's quartile spread,
+whether the gain rule holds (the change wins at least nine tenths of the
+pairs and the medians differ by more than the base's quartile spread) and
+whether the metric is within its bound (the change's median is worse than
+the base's by no more than the metric's ``bound``, a fraction of the base
+median). The last line counts the failed operations of each side.
 
 Both trees must be source checkouts; nothing is installed. ``S`` defaults
 to ``run_seconds`` of the change tree's ``BENCHMARK.json``.
@@ -68,18 +70,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return at(0.25), at(0.5), at(0.75)
 
 
-def summary_row(name: str, better: str, base: list[float], change: list[float]) -> str:
+def yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def summary_row(
+    name: str, better: str, bound: float, base: list[float], change: list[float]
+) -> str:
     b_q1, b_med, b_q3 = quartiles(base)
     c_q1, c_med, c_q3 = quartiles(change)
     sign = -1 if better == "lower" else 1
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     spread = b_q3 - b_q1
     gain = wins >= 0.9 * len(base) and sign * (c_med - b_med) > spread
+    within = sign * (c_med - b_med) >= -bound * abs(b_med)
     percent = 100 * (c_med - b_med) / b_med if b_med else float("nan")
     return (
         f"{name:<12} base {b_med:.6g} [{b_q1:.6g}-{b_q3:.6g}]  "
         f"change {c_med:.6g} [{c_q1:.6g}-{c_q3:.6g}]  {percent:+.1f}%  "
-        f"won {wins}/{len(base)}  base spread {spread:.3g}  gain {'yes' if gain else 'no'}"
+        f"won {wins}/{len(base)}  base spread {spread:.3g}  gain {yes_no(gain)}  "
+        f"within bound {yes_no(within)} ({bound:.0%})"
     )
 
 
@@ -111,7 +121,7 @@ def main() -> int:
     for metric in spec["end_to_end"]:
         name = metric["name"]
         base, change = ([r["metrics"][name]["value"] for r in results[side]] for side in SIDES)
-        print(summary_row(name, metric["better"], base, change))
+        print(summary_row(name, metric["better"], metric["bound"], base, change))
     failed = {side: sum(r["failed"] for r in results[side]) for side in SIDES}
     attempted = {side: sum(r["attempted"] for r in results[side]) for side in SIDES}
     print(" ".join(f"{side} failed {failed[side]}/{attempted[side]}" for side in SIDES))

@@ -111,9 +111,10 @@ def check_seven_eight_success() -> dict:
 def check_gate_correctness() -> dict:
     rng = np.random.default_rng(SEED + 3)
     inputs = _random_states(rng, 5)
+    psis = np.stack([psi.amplitudes for psi in inputs], axis=1)
     # Basis columns give the branch operator; the random states are
     # embedded directly, so they cross-check it independently.
-    columns = np.vstack([np.eye(8)] + [psi.amplitudes for psi in inputs])
+    columns = np.vstack([np.eye(8), psis.T])
     tof = toffoli_matrix()
     worst_fidelity = 1.0
     checked = 0
@@ -124,19 +125,23 @@ def check_gate_correctness() -> dict:
             linking = LinkingByproducts(sx=sx)
             outputs = branch_outputs(variant, linking, columns)
             frames = linking_frames(variant, linking)
-            for bits, outcomes in _all_outcomes(variant):
-                if not frames.is_local(outcomes):
-                    continue
-                sigma = frames(outcomes)
-                out = outputs[bits]
-                sigma_op = frame_to_operator(sigma)
-                corrected = unit_scale(np.linalg.inv(sigma_op) @ out[:, :8])
-                all_match &= equal_up_to_phase(corrected, tof, 1e-10)
-                worst_fidelity = min(worst_fidelity, process_fidelity(corrected, tof))
-                expected = sigma_op @ tof
-                for k, psi in enumerate(inputs, start=8):
-                    all_match &= equal_up_to_phase(out[:, k], expected @ psi.amplitudes, 1e-10)
-                checked += 1
+            local = [
+                (bits, outcomes)
+                for bits, outcomes in _all_outcomes(variant)
+                if frames.is_local(outcomes)
+            ]
+            outs = np.stack([outputs[bits] for bits, _ in local])
+            sigma_ops = np.stack([frame_to_operator(frames(outcomes)) for _, outcomes in local])
+            corrected = unit_scale(np.linalg.inv(sigma_ops) @ outs[:, :, :8])
+            all_match &= bool(equal_up_to_phase(corrected, tof, 1e-10).all())
+            worst_fidelity = min(worst_fidelity, float(process_fidelity(corrected, tof).min()))
+            # Each random input of each branch is one (8, 1) member.
+            got, expected = (
+                cols.transpose(0, 2, 1).reshape(-1, 8, 1)
+                for cols in (outs[:, :, 8:], sigma_ops @ tof @ psis)
+            )
+            all_match &= bool(equal_up_to_phase(got, expected, 1e-10).all())
+            checked += len(local)
     passed = all_match and worst_fidelity >= 1 - 1e-10
     return {
         "id": 3,
@@ -156,16 +161,18 @@ def check_sigma_formulas() -> dict:
     all_match = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
+        outcomes = list(_all_outcomes(variant))
         for sx in variant.spec.prefactors:
-            for sz in ((0, 0, 0), (1, 1, 0)):
-                linking = LinkingByproducts(sx=sx, sz=sz)
-                operators = branch_outputs(variant, linking, np.eye(8))
+            # The pattern reads sx alone, so both sz cases share one walk.
+            cases = [LinkingByproducts(sx=sx, sz=sz) for sz in ((0, 0, 0), (1, 1, 0))]
+            for linking, operators in zip(cases, branch_outputs(variant, cases, np.eye(8))):
                 frames = linking_frames(variant, linking)
-                for bits, outcomes in _all_outcomes(variant):
-                    residual = unit_scale(operators[bits] @ tof_inv)
-                    predicted = unit_scale(frame_to_operator(frames(outcomes)))
-                    all_match &= equal_up_to_phase(residual, predicted, 1e-10)
-                    checked += 1
+                residual = unit_scale(np.stack([operators[bits] for bits, _ in outcomes]) @ tof_inv)
+                predicted = unit_scale(
+                    np.stack([frame_to_operator(frames(branch)) for _, branch in outcomes])
+                )
+                all_match &= bool(equal_up_to_phase(residual, predicted, 1e-10).all())
+                checked += len(outcomes)
     return {
         "id": 4,
         "name": "predicted residual formulas match every extracted branch residual",
@@ -226,16 +233,14 @@ def check_ccz_generalisation() -> dict:
         target_inv = np.linalg.inv(logical_target(variant))
         operators = branch_outputs(variant, NO_LINKING, np.eye(8))
         frames = linking_frames(variant, NO_LINKING)
-        for bits, outcomes in _all_outcomes(variant):
-            residual = unit_scale(operators[bits] @ target_inv)
-            if outcomes[variant.spec.nonlocal_vertex] == 0:
-                sigma = frames(outcomes)
-                all_match &= sigma.is_local
-                all_match &= equal_up_to_phase(
-                    residual, unit_scale(frame_to_operator(sigma)), 1e-10
-                )
-            else:
-                locality_ok &= not is_local(residual).is_local
+        branches = list(_all_outcomes(variant))
+        residuals = unit_scale(np.stack([operators[bits] for bits, _ in branches]) @ target_inv)
+        local = np.array([outcomes[variant.spec.nonlocal_vertex] == 0 for _, outcomes in branches])
+        sigmas = [frames(outcomes) for (_, outcomes), keep in zip(branches, local) if keep]
+        all_match &= all(sigma.is_local for sigma in sigmas)
+        predicted = unit_scale(np.stack([frame_to_operator(sigma) for sigma in sigmas]))
+        all_match &= bool(equal_up_to_phase(residuals[local], predicted, 1e-10).all())
+        locality_ok &= not is_local(residuals[~local]).is_local.any()
         tested.append(str(frac))
     return {
         "id": 7,
@@ -401,39 +406,52 @@ def _factorisation_local(op: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(op - scale * product)) <= tol * np.max(np.abs(op)))
 
 
+def _kron_stack(*factors: np.ndarray) -> np.ndarray:
+    """``kron_all`` of each stack member's factors, multiplied in the same order."""
+    out = factors[0]
+    for factor in factors[1:]:
+        count, rows, cols = out.shape
+        _, f_rows, f_cols = factor.shape
+        out = out[:, :, None, :, None] * factor[:, None, :, None, :]
+        out = out.reshape(count, rows * f_rows, cols * f_cols)
+    return out
+
+
+def _random_factors(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(count, 3, 2, 2)`` random 2x2 matrices and ``(count, 6, 2, 2)`` random unitaries.
+
+    Row ``i`` holds the factors of the ``i``-th local operator and of the
+    six unitaries around the ``i``-th entangler. Each matrix is drawn as a
+    real and then an imaginary 2x2 part, in that order, so one draw gives
+    the stream of one draw per matrix; one stacked ``qr`` makes the last
+    six of each row unitary.
+    """
+    parts = rng.normal(size=(count, 9, 2, 2, 2))
+    singles = parts[:, :, 0] + 1j * parts[:, :, 1]
+    unitaries, _ = np.linalg.qr(singles[:, 3:])
+    return singles[:, :3], unitaries
+
+
 def check_locality_classifier() -> dict:
     rng = np.random.default_rng(SEED + 9)
     ground_truth_ok = True
-    six = ResourceVariant("six")
-    six_frames = linking_frames(six, NO_LINKING)
-    for _, outcomes in _all_outcomes(six):
-        sigma = frame_to_operator(six_frames(outcomes))
-        ground_truth_ok &= is_local(sigma).is_local == (outcomes[six.spec.nonlocal_vertex] == 0)
-    for kind in ("seven", "eight"):
+    for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
         frames = linking_frames(variant, NO_LINKING)
-        for _, outcomes in _all_outcomes(variant):
-            sigma = frame_to_operator(frames(outcomes))
-            ground_truth_ok &= is_local(sigma).is_local
+        vertex = variant.spec.nonlocal_vertex
+        outcomes = [branch for _, branch in _all_outcomes(variant)]
+        sigmas = np.stack([frame_to_operator(frames(branch)) for branch in outcomes])
+        expected = [vertex is None or branch[vertex] == 0 for branch in outcomes]
+        ground_truth_ok &= bool(np.array_equal(is_local(sigmas).is_local, expected))
 
-    def random_single(unitary=False):
-        mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        if unitary:
-            mat, _ = np.linalg.qr(mat)
-        return mat
-
-    entangler = kron_all(ID2, CNOT)
-    random_ok = True
-    for _ in range(100):
-        local_op = kron_all(*(random_single() for _ in range(3)))
-        random_ok &= is_local(local_op).is_local
+    singles, unitaries = _random_factors(rng, 100)
+    factors = np.concatenate([singles, unitaries[:, :3], unitaries[:, 3:]])
+    local_ops, left, right = np.split(_kron_stack(*factors.transpose(1, 0, 2, 3)), 3)
+    nonlocal_ops = left @ kron_all(ID2, CNOT) @ right
+    random_ok = bool(is_local(local_ops).is_local.all())
+    random_ok &= not is_local(nonlocal_ops).is_local.any()
+    for local_op, nonlocal_op in zip(local_ops, nonlocal_ops):
         random_ok &= _factorisation_local(local_op)
-        nonlocal_op = (
-            kron_all(*(random_single(True) for _ in range(3)))
-            @ entangler
-            @ kron_all(*(random_single(True) for _ in range(3)))
-        )
-        random_ok &= not is_local(nonlocal_op).is_local
         random_ok &= not _factorisation_local(nonlocal_op)
     return {
         "id": 9,

@@ -203,26 +203,27 @@ def cmd_toffoli_enumerate(args) -> int:
 
 def _branch_table(variant, linking):
     tof = toffoli_matrix()
-    rows = []
     operators = branch_outputs(variant, linking, np.eye(8))
     frames = linking_frames(variant, linking)
-    for bits, branch_op in operators.items():
-        outcomes = dict(zip(variant.measured_vertices, bits))
-        probability = float(np.vdot(branch_op[:, 0], branch_op[:, 0]).real)
-        sigma = frames(outcomes)
-        sigma_op = frame_to_operator(sigma)
-        corrected = unit_scale(np.linalg.inv(sigma_op) @ branch_op)
-        rows.append(
-            {
-                "outcomes": "".join(map(str, bits)),
-                "probability": probability,
-                "local": sigma.is_local,
-                "sigma": sigma.describe(),
-                "matches_prediction": bool(equal_up_to_phase(corrected, tof, 1e-10)),
-                "fidelity": float(process_fidelity(corrected, tof)),
-            }
+    sigmas = [frames(dict(zip(variant.measured_vertices, bits))) for bits in operators]
+    branch_ops = np.stack(list(operators.values()))
+    sigma_ops = np.stack([frame_to_operator(sigma) for sigma in sigmas])
+    corrected = unit_scale(np.linalg.inv(sigma_ops) @ branch_ops)
+    matches = equal_up_to_phase(corrected, tof, 1e-10)
+    fidelities = process_fidelity(corrected, tof)
+    return [
+        {
+            "outcomes": "".join(map(str, bits)),
+            "probability": float(np.vdot(branch_op[:, 0], branch_op[:, 0]).real),
+            "local": sigma.is_local,
+            "sigma": sigma.describe(),
+            "matches_prediction": bool(match),
+            "fidelity": float(fidelity),
+        }
+        for bits, branch_op, sigma, match, fidelity in zip(
+            operators, branch_ops, sigmas, matches, fidelities
         )
-    return rows
+    ]
 
 
 def cmd_toffoli_success(args) -> int:

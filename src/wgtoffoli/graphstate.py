@@ -16,7 +16,15 @@ import numpy as np
 
 from . import angles
 from .angles import Angle
-from .qstate import HADAMARD, KET_PLUS, MAX_QUBITS, StateVector, apply_cz_theta, kron_all
+from .qstate import (
+    HADAMARD,
+    KET_PLUS,
+    MAX_QUBITS,
+    StateVector,
+    _phase_both_set,
+    apply_cz_theta,
+    kron_all,
+)
 
 ROLES = ("none", "c1", "c2", "t")
 
@@ -108,19 +116,35 @@ def build_state_with_input(
     """Graph state with a joint (possibly entangled) input on given vertices.
 
     ``vertices[0]`` receives the most significant qubit of ``input_state``;
-    every other vertex starts in ``|+>``.
+    every other vertex starts in ``|+>``. This is ``embed_input_rows`` on
+    a batch of one.
+    """
+    rows = embed_input_rows(graph, input_state.amplitudes[None, :], vertices)
+    return StateVector(graph.vertex_count, rows[0])
+
+
+def embed_input_rows(graph: WeightedGraph, rows: np.ndarray, vertices) -> np.ndarray:
+    """``build_state_with_input`` of each ``(B, 2**k)`` input row, as ``(B, 2**n)``.
+
+    The batch is built as one ``(B, 2, ..., 2)`` tensor: the ``|+>`` outer
+    products, one transpose and one strided multiply per edge. Every
+    operation acts on each row alone, so a row gets the bits a batch of
+    one would give it.
     """
     n = graph.vertex_count
-    k = input_state.num_qubits
-    if len(vertices) != k or len(set(vertices)) != k:
+    k = len(vertices)
+    if len(set(vertices)) != k or rows.ndim != 2 or rows.shape[1] != 1 << k:
         raise ValueError("need one distinct vertex per input qubit")
     rest = [v for v in range(n) if v not in vertices]
-    tensor = input_state.amplitudes.reshape((2,) * k)
+    tensor = rows.reshape((len(rows),) + (2,) * k)
     for _ in rest:
         tensor = np.multiply.outer(tensor, KET_PLUS)
     order = list(vertices) + rest
-    tensor = np.moveaxis(tensor, range(n), [n - 1 - v for v in order])
-    return _apply_edges(graph, StateVector(n, tensor.reshape(-1)))
+    # A C-ordered copy: the phases below never write into ``rows``.
+    tensor = np.moveaxis(tensor, range(1, n + 1), [n - v for v in order]).copy()
+    for i, j, theta in graph.edge_list():
+        _phase_both_set(tensor, i, j, np.exp(1j * angles.radians(theta)))
+    return tensor.reshape(len(rows), -1)
 
 
 def _apply_edges(graph: WeightedGraph, state: StateVector) -> StateVector:

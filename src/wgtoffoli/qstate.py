@@ -64,15 +64,6 @@ def kron_all(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        return False
-    return bool(
-        np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))) <= tol
-    )
-
-
 @dataclass
 class StateVector:
     """Complex amplitudes over ``2**num_qubits`` basis states."""
@@ -167,10 +158,19 @@ def apply_cz_theta(
     _check_qubit(state, qubit_b)
     n = state.num_qubits
     amps = state.amplitudes.copy()
-    both_set = [slice(None)] * n
-    both_set[n - 1 - qubit_a] = both_set[n - 1 - qubit_b] = 1
-    amps.reshape((2,) * n)[tuple(both_set)] *= np.exp(1j * theta)
+    _phase_both_set(amps.reshape((2,) * n), qubit_a, qubit_b, np.exp(1j * theta))
     return StateVector(n, amps)
+
+
+def _phase_both_set(tensor: np.ndarray, qubit_a: int, qubit_b: int, phase: complex) -> None:
+    """Multiply, in place, the entries of ``tensor`` with both qubits set by ``phase``.
+
+    The last axes of ``tensor`` are the qubits, qubit 0 last, so any
+    leading batch axes pass through: one strided multiply covers a batch.
+    """
+    both_set = [slice(None)] * tensor.ndim
+    both_set[-1 - qubit_a] = both_set[-1 - qubit_b] = 1
+    tensor[tuple(both_set)] *= phase
 
 
 def project_axis(tensor: np.ndarray, axis: int, kets) -> list[np.ndarray]:

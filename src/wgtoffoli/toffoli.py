@@ -49,7 +49,7 @@ import numpy as np
 
 from . import angles
 from .angles import Angle
-from .graphstate import InputAssignment, WeightedGraph, build_state_with_input
+from .graphstate import InputAssignment, WeightedGraph, embed_input_rows
 from .mbqc import (
     ByproductOperator,
     MeasurementBasis,
@@ -70,7 +70,6 @@ from .qstate import (
     PAULI_Z,
     StateVector,
     apply_cz_theta,
-    apply_single,
     basis_state,
     kron_all,
     rz,
@@ -308,7 +307,7 @@ def _resource_graph(variant: ResourceVariant) -> WeightedGraph:
 @lru_cache(maxsize=None)
 def _basis_embedding(variant: ResourceVariant) -> np.ndarray:
     """Read-only ``(8, 2**n)`` rows: ``encoded_state`` of each basis input, uncorrupted."""
-    table = np.stack([encoded_state(variant, basis_state(3, j)).amplitudes for j in range(8)])
+    table = _encode_rows(variant, [NO_LINKING], np.eye(8, dtype=complex))
     table.flags.writeable = False
     return table
 
@@ -620,18 +619,49 @@ def encoded_state(
     The target component is pushed through H (the H-basis target
     encoding); the inherited corruption acts on the physical input
     vertices (z before x on each wire), exactly as byproducts arriving
-    from an earlier part of a larger computation would.
+    from an earlier part of a larger computation would. This is
+    ``_encode_rows`` on a batch of one.
     """
     if input_state.num_qubits != 3:
         raise ValueError("logical input must be a 3-qubit state")
-    psi = apply_single(input_state, 0, HADAMARD)
+    rows = _encode_rows(variant, [linking], input_state.amplitudes[None, :])
+    return StateVector(variant.vertex_count, rows[0])
+
+
+def _on_wire(rows: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
+    """``apply_single(row, qubit, matrix)`` of each ``(B, 8)`` row.
+
+    Each row is laid out as ``apply_operator`` lays out a single state,
+    ``(2, 4)`` with the qubit first, so one stacked matmul gives every row
+    the bits of its own call.
+    """
+    axis = 3 - qubit
+    front = [0, axis] + [a for a in (1, 2, 3) if a != axis]
+    back = [front.index(a) for a in range(4)]
+    tensor = rows.reshape(-1, 2, 2, 2).transpose(front).reshape(-1, 2, 4)
+    return (matrix @ tensor).reshape(-1, 2, 2, 2).transpose(back).reshape(-1, 8)
+
+
+def _encode_rows(
+    variant: ResourceVariant, cases: Sequence[LinkingByproducts], inputs: np.ndarray
+) -> np.ndarray:
+    """``encoded_state`` of every ``(B, 8)`` input row under every linking case.
+
+    Returns ``(len(cases) * B, 2**n)`` rows, case by case, built as one
+    batch: one H on the target of every row, the per-case Z and X
+    corruption on the rows of the cases that carry it, then one
+    ``embed_input_rows`` call for the whole batch.
+    """
+    encoded = np.tile(_on_wire(inputs, 0, HADAMARD), (len(cases), 1))
+    sz = np.repeat([linking.sz for linking in cases], len(inputs), axis=0) == 1
+    sx = np.repeat([linking.sx for linking in cases], len(inputs), axis=0) == 1
     for wire_index, qubit in ((0, 2), (1, 1), (2, 0)):
-        if linking.sz[wire_index]:
-            psi = apply_single(psi, qubit, PAULI_Z)
-        if linking.sx[wire_index]:
-            psi = apply_single(psi, qubit, PAULI_X)
+        for flags, pauli in ((sz, PAULI_Z), (sx, PAULI_X)):
+            hit = flags[:, wire_index]
+            if hit.any():
+                encoded[hit] = _on_wire(encoded[hit], qubit, pauli)
     graph = _resource_graph(variant)
-    return build_state_with_input(graph, psi, (C1_VERTEX, C2_VERTEX, T_IN_VERTEX))
+    return embed_input_rows(graph, encoded, (C1_VERTEX, C2_VERTEX, T_IN_VERTEX))
 
 
 # Bytes of each row of the complex 8x8 identity -> its basis index.
@@ -653,28 +683,38 @@ def _linked_basis(linking: LinkingByproducts, j: int) -> tuple[int, int]:
     return ((c1 ^ sx[0]) << 2) | ((c2 ^ sx[1]) << 1) | t, -1 if negative else 1
 
 
-def _embedded_rows(variant: ResourceVariant, linking: LinkingByproducts, inputs: np.ndarray):
-    """``encoded_state`` of every input row, as a ``(B, 2**n)`` array.
+def _embedded_rows(
+    variant: ResourceVariant, cases: Sequence[LinkingByproducts], inputs: np.ndarray
+) -> np.ndarray:
+    """``encoded_state`` of every input row under every case, ``(len(cases) * B, 2**n)``.
 
-    A row that is exactly a row of the identity comes from the shared
-    ``_basis_embedding`` through ``_linked_basis``; every other row is
-    built by ``encoded_state``. A negated table row keeps its zero
-    amplitudes as they are and adds 0.0 to the rest, so a real or
-    imaginary part that is exactly zero reads +0.0. That is what the
-    per-row build gives, so the rows match it in the signs of zeros too,
-    not only as values.
+    Rows come case by case. A row that is exactly a row of the identity
+    comes from the shared ``_basis_embedding`` through ``_linked_basis``;
+    every other row, for every case, is built in one ``_encode_rows``
+    batch. A negated table row keeps its zero amplitudes as they are and
+    adds 0.0 to the rest, so a real or imaginary part that is exactly
+    zero reads +0.0. That is what the per-row build gives, so the rows
+    match it in the signs of zeros too, not only as values.
     """
     table = _basis_embedding(variant)
-    rows = []
-    for row in inputs:
-        j = _BASIS_ROWS.get(row.tobytes())
-        if j is None:
-            rows.append(encoded_state(variant, StateVector(3, row), linking).amplitudes)
-            continue
-        source, sign = _linked_basis(linking, j)
-        amps = table[source]
-        rows.append(amps if sign > 0 else np.where(amps == 0, amps, -amps + 0.0))
-    return np.stack(rows)
+    basis = [_BASIS_ROWS.get(row.tobytes()) for row in inputs]
+    built = [b for b, j in enumerate(basis) if j is None]
+    out = np.empty((len(cases), len(inputs), table.shape[1]), dtype=complex)
+    if built:
+        encoded = _encode_rows(variant, cases, inputs[built])
+        out[:, built] = encoded.reshape(len(cases), len(built), -1)
+    for block, linking in zip(out, cases):
+        for b, j in enumerate(basis):
+            if j is not None:
+                source, sign = _linked_basis(linking, j)
+                amps = table[source]
+                block[b] = amps if sign > 0 else np.where(amps == 0, amps, -amps + 0.0)
+    return out.reshape(len(cases) * len(inputs), -1)
+
+
+def _case_list(linking) -> list[LinkingByproducts]:
+    """One linking case, or a sequence of cases, as a list of cases."""
+    return [linking] if isinstance(linking, LinkingByproducts) else list(linking)
 
 
 def _outcome_leaves(
@@ -690,10 +730,9 @@ def _outcome_leaves(
     of a ``(rows, 2, 2, 2)`` leaf is the branch output for embedded row
     ``r`` in ``run_branch``'s qubit layout; each row is projected on its
     own, so a batch gives every row the bits a walk of that row alone
-    would. Basis rows come from the shared embedding (``_embedded_rows``):
-    their outputs equal the per-column path as values and may differ from
-    it only in the sign of zeros, which ``_embedded_rows`` keeps as well.
-    Every other row is embedded on its own, as that path does.
+    would. Basis rows come from the shared embedding and every other row
+    from one batched build (``_embedded_rows``); both equal
+    ``encoded_state`` of the row byte for byte, signs of zeros included.
     """
     if len({linking.sx for linking in cases}) != 1:
         raise ValueError("linking cases walked together must share one sx")
@@ -704,7 +743,7 @@ def _outcome_leaves(
     if len(inputs) == 0:
         raise ValueError("inputs is an empty batch: need at least one (8,) row")
     n = variant.vertex_count
-    embedded = np.concatenate([_embedded_rows(variant, linking, inputs) for linking in cases])
+    embedded = _embedded_rows(variant, cases, inputs)
     _, survivors = measured_qubits(n, pattern)
     tensor = embedded.reshape((len(embedded),) + (2,) * n)
     return embedded, survivors, outcome_tree_leaves(pattern, tensor)
@@ -712,36 +751,44 @@ def _outcome_leaves(
 
 def branch_outputs(
     variant: ResourceVariant,
-    linking: LinkingByproducts,
+    linking: LinkingByproducts | Sequence[LinkingByproducts],
     inputs: np.ndarray,
-) -> dict[tuple[int, ...], np.ndarray]:
+) -> dict[tuple[int, ...], np.ndarray] | list[dict[tuple[int, ...], np.ndarray]]:
     """Unnormalised outputs of every measurement branch for a batch of inputs.
 
     ``inputs`` is a ``(B, 8)`` array whose rows are logical input states
-    (wire order c1 c2 t). The result maps each outcome tuple, in
-    ``variant.measured_vertices`` order, to an ``(8, B)`` array whose
-    column ``b`` is the branch output for input row ``b``; with the
-    identity as input that array is the branch operator.
+    (wire order c1 c2 t). For one linking case the result maps each
+    outcome tuple, in ``variant.measured_vertices`` order, to an
+    ``(8, B)`` array whose column ``b`` is the branch output for input
+    row ``b``; with the identity as input that array is the branch
+    operator. ``linking`` may instead be a sequence of cases that share
+    one sx; the result is then a list with one such dict per case, each
+    byte-identical to the case's own call, and the one-case call is the
+    sequence of one.
 
-    The rows share one walk of the outcome tree (``_outcome_leaves``), the
-    walk ``mbqc.enumerate_branches`` makes for a single state, so column
-    ``b`` is ``run_branch`` on the embedded row ``b`` with the survivors
-    put in wire order. Basis rows are embedded once per resource and
-    shared by every linking case: their columns equal the per-column
-    path as values and may differ from it only in the sign of zeros.
+    Every row of every case shares one walk of the outcome tree
+    (``_outcome_leaves``), the walk ``mbqc.enumerate_branches`` makes for
+    a single state, so column ``b`` is ``run_branch`` on the embedded row
+    ``b`` with the survivors put in wire order. Basis rows are embedded
+    once per resource and shared by every linking case; every other row
+    is built in one batch per call. Both equal ``encoded_state`` byte for
+    byte.
     """
-    embedded, survivors, leaves = _outcome_leaves(variant, [linking], inputs)
-    batch = len(embedded)
+    cases = _case_list(linking)
+    embedded, survivors, leaves = _outcome_leaves(variant, cases, inputs)
+    batch = len(embedded) // len(cases)
     # Put the survivors in wire order c1 c2 t.
     wire_axes = [len(survivors) - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
     leaf_order = [0] + wire_axes
 
-    outputs = {}
+    outputs = [{} for _ in cases]
     for seen, leaf in leaves:
         key = tuple(seen[v] for v in variant.measured_vertices)
-        leaf = np.transpose(leaf, leaf_order).reshape(batch, 8)
-        outputs[key] = np.ascontiguousarray(leaf.T)
-    return dict(sorted(outputs.items()))
+        leaf = np.transpose(leaf, leaf_order).reshape(len(embedded), 8)
+        for c, case_outputs in enumerate(outputs):
+            case_outputs[key] = np.ascontiguousarray(leaf[c * batch : (c + 1) * batch].T)
+    outputs = [dict(sorted(case_outputs.items())) for case_outputs in outputs]
+    return outputs[0] if isinstance(linking, LinkingByproducts) else outputs
 
 
 @dataclass
@@ -844,14 +891,14 @@ def verify_branch_uniformity(
     ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, and every row is
     walked in one batch by ``_outcome_leaves``, the walk
     ``mbqc.enumerate_branches`` makes for one state. ``|000>`` comes from
-    the shared basis embedding, which equals ``encoded_state`` as values
-    and may differ from it only in the sign of zeros. Each probability is
-    the leaf row's squared norm, taken before any reordering, over the
-    embedded input's, so it equals the one ``enumerate_branches``
-    reports for that input and case, and the result is the maximum of
-    one call per case.
+    the shared basis embedding and the random rows of every case from one
+    batched build; both equal ``encoded_state`` byte for byte. Each
+    probability is the leaf row's squared norm, taken before any
+    reordering, over the embedded input's, so it equals the one
+    ``enumerate_branches`` reports for that input and case, and the result
+    is the maximum of one call per case.
     """
-    cases = [linking] if isinstance(linking, LinkingByproducts) else list(linking)
+    cases = _case_list(linking)
     m = len(variant.measured_vertices)
     expected = 0.5**m
     rng = np.random.default_rng(20250810)

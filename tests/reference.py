@@ -14,25 +14,38 @@ in the word, in every bit of the phase and in the matrix bytes.
 counted before it classified branches without frames, and
 ``uniformity_by_enumeration`` is the branch-uniformity check as one
 ``enumerate_branches`` call per input and linking case.
+``encoded_state_per_row`` embeds one logical input the way
+``toffoli.encoded_state`` did before rows were built in batches: kernel
+calls on one state and the index-mask controlled phase per edge. The
+per-matrix ``unit_scale``, ``process_fidelity`` and ``schmidt_values``
+are the ``verify`` formulas before they took stacks.
 """
 
 import itertools
 
 import numpy as np
 
+from wgtoffoli import angles
 from wgtoffoli.mbqc import WireWord, enumerate_branches, run_branch
 from wgtoffoli.qstate import (
+    HADAMARD,
+    KET_PLUS,
     PAULI_X,
     PAULI_Z,
     StateVector,
+    apply_single,
     basis_state,
     reconstruct_operator,
     reorder_qubits,
     rz,
 )
 from wgtoffoli.toffoli import (
+    C1_VERTEX,
+    C2_VERTEX,
+    T_IN_VERTEX,
     UNIFORMITY_RANDOM_INPUTS,
     LinkingByproducts,
+    build_resource,
     encoded_state,
     measurement_program,
     predicted_sigma,
@@ -41,10 +54,14 @@ from wgtoffoli.toffoli import (
 __all__ = [
     "apply_cz_theta_mask",
     "branch_map",
+    "encoded_state_per_row",
     "local_branch_counts",
     "make_word",
+    "process_fidelity",
     "reconstruct_operator",
+    "schmidt_values",
     "uniformity_by_enumeration",
+    "unit_scale",
     "word_matrix",
     "word_mul",
 ]
@@ -144,3 +161,40 @@ def uniformity_by_enumeration(variant, linking):
         for _, probability, _ in enumerate_branches(state, pattern):
             worst = max(worst, abs(probability - expected))
     return worst
+
+
+def encoded_state_per_row(variant, psi: StateVector, linking) -> StateVector:
+    """H on the target, Z then X corruption per wire, ``|+>`` elsewhere, one CZ per edge."""
+    psi = apply_single(psi, 0, HADAMARD)
+    for wire_index, qubit in ((0, 2), (1, 1), (2, 0)):
+        if linking.sz[wire_index]:
+            psi = apply_single(psi, qubit, PAULI_Z)
+        if linking.sx[wire_index]:
+            psi = apply_single(psi, qubit, PAULI_X)
+    graph = build_resource(variant)
+    n = graph.vertex_count
+    order = [C1_VERTEX, C2_VERTEX, T_IN_VERTEX]
+    order += [v for v in range(n) if v not in order]
+    tensor = psi.amplitudes.reshape(2, 2, 2)
+    for _ in range(n - 3):
+        tensor = np.multiply.outer(tensor, KET_PLUS)
+    state = StateVector(n, np.moveaxis(tensor, range(n), [n - 1 - v for v in order]).reshape(-1))
+    for i, j, theta in graph.edge_list():
+        state = apply_cz_theta_mask(state, i, j, angles.radians(theta))
+    return state
+
+
+def unit_scale(op: np.ndarray) -> np.ndarray:
+    return op * np.sqrt(op.shape[0] / np.vdot(op, op).real)
+
+
+def process_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    return float(abs(np.trace(a.conj().T @ b)) ** 2 / a.shape[0] ** 2)
+
+
+def schmidt_values(op: np.ndarray, wire: int) -> np.ndarray:
+    """Singular values of the ``wire``-versus-rest matricisation of one 8x8 operator."""
+    others = [w for w in range(3) if w != wire]
+    axes = [wire, 3 + wire] + others + [3 + w for w in others]
+    mat = np.transpose(op.reshape((2,) * 6), axes).reshape(4, 16)
+    return np.linalg.svd(mat, compute_uv=False)

@@ -4,12 +4,18 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion; the same checks back ``wgtoffoli verify all``.
 """
 
+import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wgtoffoli import acceptance
+from wgtoffoli.qstate import kron_all
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_all.txt"
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +83,76 @@ def test_criterion_9_locality_classifier(checks):
     assert checks[9]["details"]["randomised_operators"] == 200
 
 
-def test_criterion_10_reports_byte_identical(tmp_path):
-    paths = [tmp_path / "first.json", tmp_path / "second.json"]
-    for path in paths:
+def test_criterion_9_draws_equal_one_draw_per_matrix():
+    # The one-shot draw and the stacked qr against the loop they replace:
+    # per operator pair, three random 2x2 matrices and then six unitaries.
+    rng = np.random.default_rng(acceptance.SEED + 9)
+    singles, unitaries = acceptance._random_factors(rng, 100)
+    loop = np.random.default_rng(acceptance.SEED + 9)
+
+    def random_single(unitary=False):
+        mat = loop.normal(size=(2, 2)) + 1j * loop.normal(size=(2, 2))
+        if unitary:
+            mat, _ = np.linalg.qr(mat)
+        return mat
+
+    for index in range(100):
+        for mat in singles[index]:
+            assert mat.tobytes() == random_single().tobytes()
+        for mat in unitaries[index]:
+            assert mat.tobytes() == random_single(True).tobytes()
+    assert rng.normal() == loop.normal()
+    # The stacked Kronecker product multiplies in kron_all's order.
+    stacked = acceptance._kron_stack(*unitaries[:, :3].transpose(1, 0, 2, 3))
+    for index, product in enumerate(stacked):
+        assert product.tobytes() == kron_all(*unitaries[index, :3]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def verify_runs(tmp_path_factory):
+    """Two ``verify all --json`` subprocess runs, as (report bytes, stdout) pairs."""
+    directory = tmp_path_factory.mktemp("verify")
+    runs = []
+    for path in (directory / "first.json", directory / "second.json"):
         result = subprocess.run(
             [sys.executable, "-m", "wgtoffoli.cli", "verify", "all", "--json", str(path)],
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stdout + result.stderr
-    first, second = (path.read_bytes() for path in paths)
+        runs.append((path.read_bytes(), result.stdout))
+    return runs
+
+
+def test_criterion_10_reports_byte_identical(verify_runs):
+    first, second = (report for report, _ in verify_runs)
     assert first == second
     print("\nPASS  criterion 10: repeated runs produce byte-identical reports")
+
+
+def numpy_build() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        name = "unknown"
+    return {"numpy": np.__version__, "blas": name}
+
+
+def test_verify_all_matches_golden_digests(verify_runs):
+    # Byte identity with the checked-in digests, not only between two runs.
+    lines = GOLDEN.read_text().splitlines()
+    fields = dict(line.split(" ", 1) for line in lines if line and not line.startswith("#"))
+    build = numpy_build()
+    if {key: fields[key] for key in build} != build:
+        pytest.fail(
+            f"{GOLDEN.name} holds digests from numpy {fields['numpy']} with BLAS "
+            f"{fields['blas']}, but this is numpy {build['numpy']} with BLAS {build['blas']}: "
+            "float bits may differ between builds, so the digests cannot be compared"
+        )
+    report, stdout = verify_runs[0]
+    digests = {"report": report, "stdout": stdout.encode()}
+    differ = [
+        name for name, data in digests.items() if hashlib.sha256(data).hexdigest() != fields[name]
+    ]
+    assert not differ, f"verify all differs from {GOLDEN.name} in: {', '.join(differ)}"

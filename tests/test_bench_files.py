@@ -1,0 +1,56 @@
+"""Checked-in ``BENCH_*.json`` files against ``BENCHMARK.json``.
+
+Each file is the ``--out`` document of ``tools/paired_bench.py``; it must
+parse and name only a workload and metrics the benchmark defines.
+"""
+
+import importlib.util
+import json
+from argparse import Namespace
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {workload["name"] for workload in SPEC["workloads"]}
+METRICS = {metric["name"] for metric in SPEC["end_to_end"] + SPEC["per_layer"]}
+SIDES = ("base", "change")
+
+
+def undefined_names(doc: dict) -> list[str]:
+    """Every workload or metric name in ``doc`` that ``BENCHMARK.json`` does not define."""
+    names = [] if doc["workload"] in WORKLOADS else [doc["workload"]]
+    names += [name for name in doc["metrics"] if name not in METRICS]
+    for side in SIDES:
+        for run in doc["runs"][side]:
+            names += [name for name in run["metrics"] if name not in METRICS]
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_bench_file_names_only_benchmark_workloads_and_metrics(path):
+    doc = json.loads(path.read_text())
+    assert undefined_names(doc) == []
+    assert len(doc["seeds"]) == doc["metrics"]["wall_s"]["pairs"]
+    for side in SIDES:
+        assert len(doc["runs"][side]) == len(doc["seeds"])
+        assert doc["trees"][side]["src_lines"] > 0
+
+
+def test_paired_bench_record_passes_the_file_check():
+    spec = importlib.util.spec_from_file_location("paired_bench", ROOT / "tools" / "paired_bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    run = {
+        "failed": 0,
+        "attempted": 1,
+        "metrics": {metric["name"]: {"value": 1.0} for metric in SPEC["end_to_end"]},
+    }
+    args = Namespace(workload="verify-all", seeds=[1, 2])
+    trees = dict.fromkeys(SIDES, ROOT)
+    record = bench.bench_record(SPEC, args, 5.0, trees, {side: [run, run] for side in SIDES}, ([0.0], [0.0]))
+    doc = json.loads(json.dumps(record))
+    assert undefined_names(doc) == []
+    assert doc["metrics"]["wall_s"]["pairs_won"] == 0
+    assert doc["trees"]["change"]["src_lines"] > 0

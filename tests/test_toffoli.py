@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from reference import (
     branch_map,
+    encoded_state_per_row,
     local_branch_counts,
     reconstruct_operator,
     uniformity_by_enumeration,
@@ -27,6 +28,12 @@ def random_states(seed, count, n=3):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         out.append(qs.StateVector(n, amps / np.linalg.norm(amps)))
     return out
+
+
+ALL_LINKING = [
+    tf.LinkingByproducts(sx, sz)
+    for sx, sz in itertools.product(itertools.product((0, 1), repeat=3), repeat=2)
+]
 
 
 def accepted_sx(variant):
@@ -328,6 +335,26 @@ def test_branch_outputs_equal_reference_path_off_grid():
         assert_engine_matches_reference(variant, tf.LinkingByproducts(sx=sx))
 
 
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_multi_case_branch_outputs_equal_separate_calls(kind):
+    # Every sz case of one sx in one call: one dict per case, byte-identical
+    # to the case's own call.
+    variant = tf.ResourceVariant(kind)
+    inputs = np.vstack([np.eye(8), signed_zero_inputs()[:2]])
+    for sx in accepted_sx(variant)[:2]:
+        cases = [tf.LinkingByproducts(sx, sz) for sz in itertools.product((0, 1), repeat=3)]
+        joint = tf.branch_outputs(variant, cases, inputs)
+        assert isinstance(joint, list) and len(joint) == len(cases)
+        for linking, outputs in zip(cases, joint):
+            alone = tf.branch_outputs(variant, linking, inputs)
+            assert list(outputs) == list(alone)
+            for bits, out in outputs.items():
+                assert out.flags.c_contiguous
+                assert out.tobytes() == alone[bits].tobytes(), (linking, bits)
+    with pytest.raises(ValueError, match="share one sx"):
+        tf.branch_outputs(variant, [tf.NO_LINKING, tf.LinkingByproducts((0, 1, 0))], inputs)
+
+
 @pytest.mark.parametrize("j", range(8))
 def test_linked_basis_is_the_corrupted_encoding(j):
     # X^sx Z^sz (Z then X on each wire) after H_t, as 8x8 matrices.
@@ -355,14 +382,44 @@ def test_linked_basis_is_the_corrupted_encoding(j):
 def test_shared_embedding_equals_encoded_state(kind, theta):
     variant = tf.ResourceVariant(kind, theta)
     assert not tf._basis_embedding(variant).flags.writeable
-    for sx, sz in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
-        linking = tf.LinkingByproducts(sx, sz)
-        rows = tf._embedded_rows(variant, linking, np.eye(8, dtype=complex))
+    rows = tf._embedded_rows(variant, ALL_LINKING, np.eye(8, dtype=complex))
+    for index, linking in enumerate(ALL_LINKING):
         for j in range(8):
+            row = rows[8 * index + j]
             direct = tf.encoded_state(variant, qs.basis_state(3, j), linking).amplitudes
-            assert np.array_equal(rows[j], direct), (linking, j)
+            assert np.array_equal(row, direct), (linking, j)
             # The negation rule keeps the signs of zeros as well.
-            assert rows[j].tobytes() == direct.tobytes(), (linking, j)
+            assert row.tobytes() == direct.tobytes(), (linking, j)
+
+
+def signed_zero_inputs():
+    """Five seeded non-basis rows, with exact and negative zeros in both parts."""
+    rows = np.vstack([psi.amplitudes for psi in random_states(68, 5)])
+    rows[0, 2] = complex(-0.0, 0.0)
+    rows[1, 5] = complex(0.0, -0.0)
+    rows[2] = 0.0
+    rows[2, 3], rows[2, 6] = complex(-0.0, -1.0), complex(0.6, -0.0)
+    return rows
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_batched_embedding_equals_encoded_state_per_row(kind, theta):
+    # One build for every row of all 64 linking cases, against one build per row.
+    variant = tf.ResourceVariant(kind, theta)
+    inputs = signed_zero_inputs()
+    rows = tf._embedded_rows(variant, ALL_LINKING, inputs)
+    assert rows.shape == (len(ALL_LINKING) * len(inputs), 1 << variant.vertex_count)
+    for index, linking in enumerate(ALL_LINKING):
+        for b, amps in enumerate(inputs):
+            psi = qs.StateVector(3, amps)
+            direct = tf.encoded_state(variant, psi, linking).amplitudes
+            assert rows[index * len(inputs) + b].tobytes() == direct.tobytes(), (linking, b)
+    # The per-row kernel path on eight cases: each sx once and each sz once.
+    for index, linking in list(enumerate(ALL_LINKING))[::9]:
+        for b, amps in enumerate(inputs):
+            kernels = encoded_state_per_row(variant, qs.StateVector(3, amps), linking)
+            assert rows[index * len(inputs) + b].tobytes() == kernels.amplitudes.tobytes()
 
 
 def count_calls(monkeypatch, module, name):
@@ -380,14 +437,15 @@ def count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
 def test_basis_columns_embedded_once_per_resource(monkeypatch, kind):
     variant = tf.ResourceVariant(kind)
-    builds = count_calls(monkeypatch, tf, "build_state_with_input")
+    builds = count_calls(monkeypatch, tf, "_encode_rows")
     tf._basis_embedding.cache_clear()
     for sx in accepted_sx(variant):
         tf.branch_outputs(variant, tf.LinkingByproducts(sx, (1, 0, 1)), np.eye(8))
-    assert len(builds) == 8
-    # Any other row is still embedded on its own, once per call.
+    # One build of the eight basis rows.
+    assert [(len(cases), len(rows)) for _, cases, rows in builds] == [(1, 8)]
+    # Any other row is still built, once per call and case.
     tf.branch_outputs(variant, tf.NO_LINKING, random_states(65, 1)[0].amplitudes[None, :])
-    assert len(builds) == 9
+    assert [(len(cases), len(rows)) for _, cases, rows in builds] == [(1, 8), (1, 1)]
 
 
 @pytest.mark.parametrize(

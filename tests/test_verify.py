@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import reference
 
 from wgtoffoli import qstate as qs
 from wgtoffoli import verify
@@ -65,3 +66,92 @@ def test_unit_scale_restores_unitary_norm():
     scaled = 0.125 * np.eye(8)
     rescaled = verify.unit_scale(scaled)
     assert abs(np.vdot(rescaled, rescaled).real - 8) < 1e-12
+
+
+# --- stacks ---
+
+
+def seeded_stack(seed, count):
+    """Scaled unitaries, half of them tensor products, in a seeded order."""
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(count, 8, 8)) + 1j * rng.normal(size=(count, 8, 8))
+    unitaries, _ = np.linalg.qr(mats)
+    singles = rng.normal(size=(count, 3, 2, 2)) + 1j * rng.normal(size=(count, 3, 2, 2))
+    wires, _ = np.linalg.qr(singles)
+    for index in range(0, count, 2):
+        unitaries[index] = qs.kron_all(*wires[index])
+    return unitaries * rng.uniform(0.1, 3.0, size=(count, 1, 1))
+
+
+@pytest.mark.parametrize("count", [1, 7])
+def test_stacked_calls_equal_matrix_calls_byte_for_byte(count):
+    ops = seeded_stack(40 + count, count)
+    target = qs.kron_all(qs.ID2, qs.CNOT)
+    scaled = verify.unit_scale(ops)
+    assert scaled.shape == ops.shape
+    verdict = verify.is_local(ops)
+    equal = verify.equal_up_to_phase(scaled, np.exp(0.3j) * scaled)
+    fidelities = verify.process_fidelity(scaled, target)
+    assert verdict.is_local.shape == equal.shape == fidelities.shape == (count,)
+    for index, op in enumerate(ops):
+        # Each member has the bits of its own 2-D call and of the per-matrix formula.
+        single = verify.unit_scale(op)
+        assert scaled[index].tobytes() == single.tobytes() == reference.unit_scale(op).tobytes()
+        alone = verify.is_local(op)
+        assert alone.is_local is bool(verdict.is_local[index]) is (index % 2 == 0)
+        for wire in range(3):
+            values = verdict.schmidt_singular_values[wire][index]
+            assert values.tobytes() == alone.schmidt_singular_values[wire].tobytes()
+            assert values.tobytes() == reference.schmidt_values(op, wire).tobytes()
+        assert verify.equal_up_to_phase(single, np.exp(0.3j) * single) is bool(equal[index])
+        fidelity = verify.process_fidelity(single, target)
+        assert isinstance(fidelity, float)
+        assert float(fidelities[index]).hex() == fidelity.hex()
+        assert fidelity.hex() == reference.process_fidelity(single, target).hex()
+
+
+def test_stacked_equality_tests_each_member():
+    ops = verify.unit_scale(seeded_stack(50, 4))
+    other = ops * np.exp(1j * np.arange(4))[:, None, None]
+    other[2] = ops[3]
+    assert verify.equal_up_to_phase(ops, other).tolist() == [True, True, False, True]
+    # One-axis operands are one member, as before stacks.
+    assert verify.equal_up_to_phase(ops[0, :, 0], -ops[0, :, 0]) is True
+    with pytest.raises(ValueError, match="shape mismatch"):
+        verify.equal_up_to_phase(ops, ops[:, :4])
+    with pytest.raises(ValueError, match=r"identically zero \(stack index 1\)"):
+        verify.equal_up_to_phase(ops[:2], np.stack([ops[0], np.zeros((8, 8))]))
+
+
+def test_process_fidelity_warns_on_a_non_unitary_member():
+    ops = verify.unit_scale(seeded_stack(51, 3))
+    ops[1] = np.ones((8, 8)) / 8
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fidelities = verify.process_fidelity(ops, np.eye(8))
+    messages = [str(w.message) for w in caught]
+    assert messages == ["first operator (stack index 1) is not unitary; fidelity may be meaningless"]
+    assert fidelities.shape == (3,)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_is_local_rejects_zero_and_non_finite_operators(bad):
+    ops = seeded_stack(52, 3)
+    if bad == 0.0:
+        ops[2] = 0.0
+        match = r"zero operator .* \(stack index 2\)"
+    else:
+        ops[2, 4, 1] = bad
+        match = r"non-finite entry \(stack index 2\)"
+    with pytest.raises(ValueError, match=match):
+        verify.is_local(ops)
+    # A single matrix is the stack of one.
+    with pytest.raises(ValueError, match=match.replace("2", "0")):
+        verify.is_local(ops[2])
+
+
+def test_unit_scale_names_the_zero_member():
+    ops = seeded_stack(53, 3)
+    ops[1] = 0.0
+    with pytest.raises(ValueError, match=r"zero operator \(stack index 1\)"):
+        verify.unit_scale(ops)

@@ -389,21 +389,31 @@ def check_optics_recipe() -> dict:
     }
 
 
-def _factorisation_local(op: np.ndarray, tol: float = 1e-8) -> bool:
-    """Brute-force locality oracle: peel single-wire factors off by SVD."""
-    op = np.asarray(op, dtype=complex)
+def _factorisation_local(ops: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Brute-force locality oracle: peel single-wire factors off by SVD.
+
+    ``ops`` is a ``(B, 8, 8)`` stack; each peeling step is one stacked
+    SVD, and the result holds one verdict per member. The method shares
+    nothing with ``verify.is_local``, so check 9 can hold one against the
+    other.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    count = len(ops)
+    rest = ops.reshape(count, 2, 2, 2, 2, 2, 2).transpose(0, 1, 4, 2, 5, 3, 6)
+    rest = rest.reshape(count, 4, 16)
     factors = []
-    rest = op.reshape(2, 2, 2, 2, 2, 2)
-    rest = np.transpose(rest, (0, 3, 1, 4, 2, 5)).reshape(4, 16)
     for _ in range(2):
         u, s, vh = np.linalg.svd(rest)
-        factors.append((u[:, 0] * np.sqrt(s[0])).reshape(2, 2))
-        tail_dim = vh.shape[1]
-        rest = (vh[0] * np.sqrt(s[0])).reshape(4, tail_dim // 4)
-    factors.append(rest.reshape(2, 2))
-    product = kron_all(*factors)
-    scale = np.vdot(product, op) / np.vdot(product, product)
-    return bool(np.max(np.abs(op - scale * product)) <= tol * np.max(np.abs(op)))
+        root = np.sqrt(s[:, :1])
+        factors.append((u[:, :, 0] * root).reshape(count, 2, 2))
+        rest = (vh[:, 0] * root).reshape(count, 4, -1)
+    factors.append(rest.reshape(count, 2, 2))
+    product = _kron_stack(*factors)
+    scale = np.einsum("bij,bij->b", product.conj(), ops) / np.einsum(
+        "bij,bij->b", product.conj(), product
+    )
+    residual = np.abs(ops - scale[:, None, None] * product).max(axis=(1, 2))
+    return residual <= tol * np.abs(ops).max(axis=(1, 2))
 
 
 def _kron_stack(*factors: np.ndarray) -> np.ndarray:
@@ -432,6 +442,19 @@ def _random_factors(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
     return singles[:, :3], unitaries
 
 
+def _random_operators(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random local 8x8 operators and ``count`` non-local ones.
+
+    A local operator is the Kronecker product of three random 2x2
+    matrices; a non-local one puts CNOT(c2, t) between two layers of
+    random single-wire unitaries.
+    """
+    singles, unitaries = _random_factors(rng, count)
+    factors = np.concatenate([singles, unitaries[:, :3], unitaries[:, 3:]])
+    local_ops, left, right = np.split(_kron_stack(*factors.transpose(1, 0, 2, 3)), 3)
+    return local_ops, left @ kron_all(ID2, CNOT) @ right
+
+
 def check_locality_classifier() -> dict:
     rng = np.random.default_rng(SEED + 9)
     ground_truth_ok = True
@@ -444,15 +467,11 @@ def check_locality_classifier() -> dict:
         expected = [vertex is None or branch[vertex] == 0 for branch in outcomes]
         ground_truth_ok &= bool(np.array_equal(is_local(sigmas).is_local, expected))
 
-    singles, unitaries = _random_factors(rng, 100)
-    factors = np.concatenate([singles, unitaries[:, :3], unitaries[:, 3:]])
-    local_ops, left, right = np.split(_kron_stack(*factors.transpose(1, 0, 2, 3)), 3)
-    nonlocal_ops = left @ kron_all(ID2, CNOT) @ right
+    local_ops, nonlocal_ops = _random_operators(rng, 100)
     random_ok = bool(is_local(local_ops).is_local.all())
     random_ok &= not is_local(nonlocal_ops).is_local.any()
-    for local_op, nonlocal_op in zip(local_ops, nonlocal_ops):
-        random_ok &= _factorisation_local(local_op)
-        random_ok &= not _factorisation_local(nonlocal_op)
+    random_ok &= bool(_factorisation_local(local_ops).all())
+    random_ok &= not _factorisation_local(nonlocal_ops).any()
     return {
         "id": 9,
         "name": "locality classifier matches the known partition and a second method",

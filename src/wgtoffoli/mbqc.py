@@ -24,6 +24,7 @@ read-only; ``frame_to_operator`` always returns a fresh array.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -157,40 +158,54 @@ def measured_qubits(num_qubits: int, pattern: Pattern) -> tuple[list[int], list[
 def outcome_tree_leaves(
     pattern: Pattern, tensor: np.ndarray
 ) -> list[tuple[OutcomeBits, np.ndarray]]:
-    """Walk the outcome tree of ``pattern`` depth first, sharing every prefix.
+    """Walk the outcome tree of ``pattern`` one level at a time.
 
     ``tensor`` is a batch of n-qubit registers, shaped ``(B,) + (2,)*n``;
-    qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``. A
-    fixed basis is resolved to its kets once per walk; an adaptive one is
-    resolved at each of its nodes from the outcomes above it. Each node
-    projects the measured qubit onto both kets in one
-    ``qstate.project_axis`` call, so a pattern of m steps costs one basis
-    resolution per fixed step, ``2**depth`` per adaptive step and
-    ``2 * (2**m - 1)`` projections, and every row of a leaf is bitwise
-    equal to ``run_branch`` on that register. Leaves
-    come back as ``(outcomes, leaf)`` in ``itertools.product`` order, with
-    outcome keys in step order and the survivors in ``measured_qubits``
-    order. The walk keeps an explicit stack, so it leaves no reference
-    cycle behind.
+    qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``. The
+    ``2**d`` nodes at depth d are held as one ``(2**d, B) + (2,)*(n-d)``
+    array, and each step projects them onto both kets with
+    ``qstate.project_axis``. A fixed basis is resolved to its kets once
+    per walk and projects its whole level in one call. An adaptive basis
+    is called once per node with the outcomes above it; the nodes are
+    grouped by the identity of the basis object it returns, and each
+    group costs one ``basis_states`` and one ``project_axis`` call. So a
+    pattern of m fixed steps makes m kernel calls, and an adaptive step
+    one per distinct basis at its depth. The projection is elementwise,
+    so every row of a leaf is bitwise equal to ``run_branch`` on that
+    register. Leaves come back as ``(outcomes, leaf)`` in
+    ``itertools.product`` order, with outcome keys in step order and the
+    survivors in ``measured_qubits`` order; each leaf is a view into one
+    array of the last level.
     """
     n = tensor.ndim - 1
     qubits, _ = measured_qubits(n, pattern)
-    axes = [n - depth - q for depth, q in enumerate(qubits)]
-    fixed = [None if callable(step.basis) else basis_states(step.basis) for step in pattern.steps]
-    leaves = []
-    stack = [({}, tensor)]
-    while stack:
-        seen, node = stack.pop()
-        depth = len(seen)
-        if depth == len(pattern.steps):
-            leaves.append((seen, node))
-            continue
-        step = pattern.steps[depth]
-        kets = fixed[depth] or basis_states(step.basis(seen))
-        child0, child1 = project_axis(node, axes[depth], kets)
-        stack.append(({**seen, step.vertex: 1}, child1))
-        stack.append(({**seen, step.vertex: 0}, child0))
-    return leaves
+    vertices = pattern.vertices
+    level = tensor[np.newaxis]
+    for depth, step in enumerate(pattern.steps):
+        axis = 1 + n - depth - qubits[depth]
+        if callable(step.basis):
+            # Each entry holds its basis, so no id is reused while grouping.
+            groups = {}
+            for node, seen in enumerate(_outcome_prefixes(vertices[:depth])):
+                basis = step.basis(seen)
+                groups.setdefault(id(basis), (basis, []))[1].append(node)
+            groups = list(groups.values())
+        else:
+            groups = [(step.basis, None)]
+        child_shape = level.shape[1:axis] + level.shape[axis + 1 :]
+        children = np.empty((len(level), 2) + child_shape, dtype=complex)
+        for basis, nodes in groups:
+            rows = slice(None) if len(groups) == 1 else nodes
+            children[rows, 0], children[rows, 1] = project_axis(
+                level[rows], axis, basis_states(basis)
+            )
+        level = children.reshape((-1,) + child_shape)
+    return list(zip(_outcome_prefixes(vertices), level))
+
+
+def _outcome_prefixes(vertices: list[int]) -> list[OutcomeBits]:
+    """Outcome dicts over ``vertices`` in ``itertools.product`` order."""
+    return [dict(zip(vertices, bits)) for bits in itertools.product((0, 1), repeat=len(vertices))]
 
 
 def enumerate_branches(
@@ -199,9 +214,11 @@ def enumerate_branches(
     """All ``2**m`` measurement branches, zero-probability ones included.
 
     Branches come in ``itertools.product`` order over the steps. This is
-    ``outcome_tree_leaves`` on a batch of one, so each result is bitwise
-    equal to ``run_branch(state, pattern, outcomes)``. Without steps the
-    one branch is ``state`` itself.
+    ``outcome_tree_leaves`` on a batch of one: m kernel calls when every
+    basis is fixed, one per distinct basis at an adaptive depth, and each
+    branch's amplitudes are a view into the walk's last level. Each
+    result is bitwise equal to ``run_branch(state, pattern, outcomes)``.
+    Without steps the one branch is ``state`` itself.
     """
     m = len(pattern.steps)
     if m > MAX_PATTERN_QUBITS:

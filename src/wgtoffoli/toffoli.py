@@ -454,17 +454,22 @@ def _adaptive(
 ):
     """Basis whose absorbed correction gains ``conditional`` on outcome 1.
 
-    The conditional factor goes after the static one. Where both are set
-    they are the same Pauli, so their product is the identity; it stays a
-    computed product because the kets it yields differ from unabsorbed
-    kets in the signs of their zeros.
+    Both bases are built once, and the returned function picks one by the
+    trigger outcome, so the walk resolves their kets once per depth
+    rather than once per node. The conditional factor goes after the
+    static one. Where both are set they are the same Pauli, so their
+    product is the identity; it stays a computed product because the kets
+    it yields differ from unabsorbed kets in the signs of their zeros.
     """
+    untriggered = MeasurementBasis(alpha=alpha, hadamard=hadamard, absorbed=static)
+    triggered = MeasurementBasis(
+        alpha=alpha,
+        hadamard=hadamard,
+        absorbed=conditional if static is None else static @ conditional,
+    )
 
     def resolve(outcomes):
-        absorbed = static
-        if outcomes.get(trigger_vertex):
-            absorbed = conditional if static is None else static @ conditional
-        return MeasurementBasis(alpha=alpha, hadamard=hadamard, absorbed=absorbed)
+        return triggered if outcomes.get(trigger_vertex) else untriggered
 
     return resolve
 

@@ -18,7 +18,9 @@ counted before it classified branches without frames, and
 ``toffoli.encoded_state`` did before rows were built in batches: kernel
 calls on one state and the index-mask controlled phase per edge. The
 per-matrix ``unit_scale``, ``process_fidelity`` and ``schmidt_values``
-are the ``verify`` formulas before they took stacks.
+are the ``verify`` formulas before they took stacks, and
+``factorisation_local`` is check 9's second locality method before it
+took stacks.
 """
 
 import itertools
@@ -35,6 +37,7 @@ from wgtoffoli.qstate import (
     StateVector,
     apply_single,
     basis_state,
+    kron_all,
     reconstruct_operator,
     reorder_qubits,
     rz,
@@ -55,6 +58,7 @@ __all__ = [
     "apply_cz_theta_mask",
     "branch_map",
     "encoded_state_per_row",
+    "factorisation_local",
     "local_branch_counts",
     "make_word",
     "process_fidelity",
@@ -198,3 +202,20 @@ def schmidt_values(op: np.ndarray, wire: int) -> np.ndarray:
     axes = [wire, 3 + wire] + others + [3 + w for w in others]
     mat = np.transpose(op.reshape((2,) * 6), axes).reshape(4, 16)
     return np.linalg.svd(mat, compute_uv=False)
+
+
+def factorisation_local(op: np.ndarray, tol: float = 1e-8) -> bool:
+    """Check 9's second locality method on one 8x8 operator, peeling by per-matrix SVD."""
+    op = np.asarray(op, dtype=complex)
+    factors = []
+    rest = op.reshape(2, 2, 2, 2, 2, 2)
+    rest = np.transpose(rest, (0, 3, 1, 4, 2, 5)).reshape(4, 16)
+    for _ in range(2):
+        u, s, vh = np.linalg.svd(rest)
+        factors.append((u[:, 0] * np.sqrt(s[0])).reshape(2, 2))
+        tail_dim = vh.shape[1]
+        rest = (vh[0] * np.sqrt(s[0])).reshape(4, tail_dim // 4)
+    factors.append(rest.reshape(2, 2))
+    product = kron_all(*factors)
+    scale = np.vdot(product, op) / np.vdot(product, product)
+    return bool(np.max(np.abs(op - scale * product)) <= tol * np.max(np.abs(op)))

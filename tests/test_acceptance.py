@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
 from wgtoffoli import acceptance
 from wgtoffoli.qstate import kron_all
@@ -106,6 +107,23 @@ def test_criterion_9_draws_equal_one_draw_per_matrix():
     stacked = acceptance._kron_stack(*unitaries[:, :3].transpose(1, 0, 2, 3))
     for index, product in enumerate(stacked):
         assert product.tobytes() == kron_all(*unitaries[index, :3]).tobytes()
+
+
+def test_criterion_9_stacked_factorisation_equals_per_matrix_form():
+    rng = np.random.default_rng(acceptance.SEED + 9)
+    local_ops, nonlocal_ops = acceptance._random_operators(rng, 100)
+    ops = np.concatenate([local_ops, nonlocal_ops])
+    expected = [reference.factorisation_local(op) for op in ops]
+    assert expected == [True] * 100 + [False] * 100
+    assert acceptance._factorisation_local(ops).tolist() == expected
+    # A local operator pushed off the product set along a non-local
+    # direction, by residuals just under and just over the tolerance.
+    base, direction = local_ops[0], nonlocal_ops[0]
+    base = base / np.abs(base).max()
+    pair = np.stack([base + eps * direction for eps in (1e-8, 2e-8)])
+    expected = [reference.factorisation_local(op) for op in pair]
+    assert expected == [True, False]
+    assert acceptance._factorisation_local(pair).tolist() == expected
 
 
 @pytest.fixture(scope="module")

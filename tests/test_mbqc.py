@@ -1,4 +1,7 @@
 import itertools
+import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgtoffoli import mbqc
+from wgtoffoli import graphstate, mbqc
 from wgtoffoli import qstate as qs
 from wgtoffoli import toffoli
 from wgtoffoli.graphstate import WeightedGraph, build_state_with_input
@@ -272,18 +275,46 @@ def count_basis_resolutions(monkeypatch):
     return resolved
 
 
-def test_walk_resolves_fixed_bases_once_and_adaptive_ones_per_node(monkeypatch):
+def count_projections(monkeypatch):
+    """Node count of each ``project_axis`` call the walk makes."""
+    nodes = []
+    original = mbqc.project_axis
+
+    def spy(level, axis, kets):
+        nodes.append(len(level))
+        return original(level, axis, kets)
+
+    monkeypatch.setattr(mbqc, "project_axis", spy)
+    return nodes
+
+
+def test_walk_resolves_fixed_bases_once_and_adaptive_ones_per_distinct_basis(monkeypatch):
     resolved = count_basis_resolutions(monkeypatch)
+    projected = count_projections(monkeypatch)
     state, pattern = mixed_pattern_state()
     mbqc.enumerate_branches(state, pattern)
-    # Three fixed steps, then the adaptive step once at each of its 2**3 nodes.
+    # Three fixed steps, one projection of the whole level each. The
+    # adaptive callable builds a fresh basis at each of its 2**3 nodes, so
+    # each node is its own group.
     assert [id(b) for b in resolved[:3]] == [id(step.basis) for step in pattern.steps[:3]]
     assert len(resolved) == 3 + 2**3
+    assert projected == [1, 2, 4] + [1] * 2**3
     resolved.clear()
-    # Seven: two fixed steps, then adaptive steps at depths 2 and 3.
-    variant = toffoli.ResourceVariant("seven")
-    toffoli.branch_outputs(variant, toffoli.NO_LINKING, np.eye(8))
-    assert len(resolved) == 2 + 2**2 + 2**3
+    projected.clear()
+    # Six: three fixed steps, one call per depth.
+    six = toffoli.ResourceVariant("six")
+    toffoli.branch_outputs(six, toffoli.NO_LINKING, np.eye(8))
+    assert len(resolved) == 3
+    assert projected == [1, 2, 4]
+    resolved.clear()
+    projected.clear()
+    # Seven: two fixed steps, then adaptive steps at depths 2 and 3 whose
+    # callables return one of two shared bases, split by the outcome of
+    # the first step.
+    seven = toffoli.ResourceVariant("seven")
+    toffoli.branch_outputs(seven, toffoli.NO_LINKING, np.eye(8))
+    assert len(resolved) == 2 + 2 + 2
+    assert projected == [1, 2, 2, 2, 4, 4]
 
 
 def test_enumerate_without_measurements_returns_the_state():
@@ -311,6 +342,130 @@ def test_enumerate_rejects_before_any_projection(monkeypatch, state, vertices, m
     with pytest.raises(ValueError, match=message):
         mbqc.enumerate_branches(state, pattern)
     assert calls == []
+
+
+# --- large weighted graphs with feed-forward ---
+
+# The graph generator of the large-graphs benchmark workload, copied so
+# that the tests do not import the benchmark.
+GRAPH_SHAPES = [(8, 4), (9, 5), (10, 6), (11, 6), (12, 8)]
+RATIONAL_ANGLES = [
+    Fraction(n, d)
+    for n, d in ((1, 4), (1, 2), (3, 4), (1, 1), (1, 3), (2, 3), (-1, 2), (5, 4), (-1, 8))
+]
+
+
+def random_angle(rng: random.Random):
+    """A rational multiple of pi or a float in radians, never 0 mod 2*pi."""
+    if rng.random() < 0.5:
+        return rng.choice(RATIONAL_ANGLES)
+    return rng.uniform(0.2, 2 * math.pi - 0.2)
+
+
+def angle_json(angle):
+    if isinstance(angle, Fraction):
+        return {"pi_num": angle.numerator, "pi_den": angle.denominator}
+    return angle
+
+
+def random_graph_state(rng: random.Random, n: int) -> qs.StateVector:
+    """A random connected weighted graph state, read from its JSON document."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {}
+    for k in range(1, n):  # spanning tree, then extra edges up to 3n/2
+        a, b = order[k], order[rng.randrange(k)]
+        edges[(min(a, b), max(a, b))] = random_angle(rng)
+    while len(edges) < n + n // 2:
+        a, b = rng.sample(range(n), 2)
+        edges.setdefault((min(a, b), max(a, b)), random_angle(rng))
+    hadamard = sorted(rng.sample(range(n), n // 4))
+    doc = {
+        "vertices": n,
+        "edges": [[i, j, angle_json(w)] for (i, j), w in sorted(edges.items())],
+        "inputs": {str(v): {"role": "none", "basis": "hadamard"} for v in hadamard},
+    }
+    return graphstate.build_state(graphstate.from_json(json.dumps(doc)))
+
+
+def chosen_basis(vertices, one, zero):
+    """Adaptive basis: ``one`` where every vertex in ``vertices`` gave 1, else ``zero``."""
+    return lambda seen: one if all(seen[v] for v in vertices) else zero
+
+
+def fresh_basis(vertex, alpha, hadamard):
+    """Adaptive basis built anew at each call; outcome 1 on ``vertex`` negates the angle."""
+    return lambda seen: mbqc.MeasurementBasis(-alpha if seen[vertex] else alpha, hadamard)
+
+
+def feed_forward_pattern(rng: random.Random, n: int, m: int):
+    """Steps cycling through fixed, shared-object, fresh-object and twin bases.
+
+    A shared step returns one of two prebuilt bases by an earlier outcome,
+    a fresh step builds a new basis at every call, and a twin step returns
+    one of two distinct bases with equal values: the first where two
+    earlier outcomes are both 1, the second elsewhere. Returns the pattern,
+    the node count of each ``project_axis`` call the level walk should
+    make, and the twin bases with the node counts each should project.
+    """
+    steps, calls, twins = [], [], []
+    for k, v in enumerate(rng.sample(range(n), m)):
+        alpha, hadamard = random_angle(rng), rng.random() < 0.3
+        plain = mbqc.MeasurementBasis(alpha, hadamard)
+        earlier = rng.sample([step.vertex for step in steps], min(k, 2))
+        nodes = 1 << k
+        if k % 4 == 0:
+            basis = plain
+            calls.append(nodes)
+        elif k % 4 == 1:
+            basis = chosen_basis(earlier[:1], mbqc.MeasurementBasis(-alpha, hadamard), plain)
+            calls += [nodes // 2] * 2
+        elif k % 4 == 2:
+            basis = fresh_basis(earlier[0], alpha, hadamard)
+            calls += [1] * nodes
+        else:
+            twin = mbqc.MeasurementBasis(alpha, hadamard)
+            basis = chosen_basis(earlier, twin, plain)
+            calls += [3 * nodes // 4, nodes // 4]
+            twins += [(plain, 3 * nodes // 4), (twin, nodes // 4)]
+        steps.append(mbqc.PatternStep(v, basis))
+    return mbqc.Pattern(steps), calls, twins
+
+
+def test_large_graph_walk_equals_run_branch_bitwise(monkeypatch):
+    rng = random.Random(20261018)
+    original_states, original_project = mbqc.basis_states, mbqc.project_axis
+    for n, m in GRAPH_SHAPES:
+        state = random_graph_state(rng, n)
+        pattern, calls, twins = feed_forward_pattern(rng, n, m)
+        resolved, projected = {}, []
+
+        def states_spy(basis):
+            kets = original_states(basis)
+            resolved[id(kets)] = basis
+            return kets
+
+        def project_spy(level, axis, kets):
+            projected.append((resolved[id(kets)], len(level)))
+            return original_project(level, axis, kets)
+
+        monkeypatch.setattr(mbqc, "basis_states", states_spy)
+        monkeypatch.setattr(mbqc, "project_axis", project_spy)
+        branches = mbqc.enumerate_branches(state, pattern)
+        monkeypatch.undo()
+        assert [nodes for _, nodes in projected] == calls
+        # Equal twins are told apart by identity: each is resolved once and
+        # projects its own nodes.
+        for twin, nodes in twins:
+            assert [count for basis, count in projected if basis is twin] == [nodes]
+        assert len(branches) == 1 << m
+        for (outcomes, probability, final), bits in zip(
+            branches, itertools.product((0, 1), repeat=m)
+        ):
+            assert outcomes == dict(zip(pattern.vertices, bits))
+            ref_probability, ref_final = mbqc.run_branch(state, pattern, outcomes)
+            assert probability.hex() == ref_probability.hex()
+            assert final.amplitudes.tobytes() == ref_final.amplitudes.tobytes()
 
 
 # --- frames ---

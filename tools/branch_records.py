@@ -45,6 +45,17 @@ Run it from a checkout and compare the outputs of two checkouts::
 
     PYTHONPATH=src python tools/branch_records.py --seeds 1 2 3 > a.txt
     cmp a.txt b.txt
+
+The record groups are the seven families above, in that order, named
+``uniformity``, ``graphs``, ``engine``, ``frame``, ``basis``,
+``resource`` and ``run``. With
+``--digests`` the script prints, in place of the records, the numpy and
+BLAS build and one line per group: its name, the SHA-256 of its lines
+and its line count. ``tests/golden/branch.txt`` holds that output for
+seeds 1, 2 and 3, and ``--check tests/golden/branch.txt`` recomputes the
+digests at the seeds the file names, prints each group that differs and
+exits 1 if any does, or if the file comes from another numpy or BLAS
+build. One run takes tens of seconds, so the check is not a test.
 """
 
 from __future__ import annotations
@@ -211,20 +222,104 @@ def run_records():
                     yield f"run {case} {''.join(map(str, bits))} in{index} {text}"
 
 
+def record_groups(seeds):
+    """The record generators by group name, in output order."""
+    return {
+        "uniformity": uniformity_records(),
+        "graphs": large_graph_records(seeds),
+        "engine": engine_records(),
+        "frame": frame_records(),
+        "basis": basis_records(),
+        "resource": resource_records(),
+        "run": run_records(),
+    }
+
+
+def numpy_build() -> dict:
+    """The numpy version and BLAS build, which float bits depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        name = "unknown"
+    return {"numpy": np.__version__, "blas": name}
+
+
+DIGEST_HEADER = """\
+# SHA-256 of the lines of each record group of `tools/branch_records.py`,
+# then the group's line count.
+# Float bits depend on the numpy and BLAS build named below. On another
+# build `--check` fails and says so; it does not compare.
+# Regenerate (every changed digest needs a reason in CHANGES.md):
+#   PYTHONPATH=src python tools/branch_records.py --seeds 1 2 3 --digests \\
+#       > tests/golden/branch.txt
+"""
+
+
+def group_digests(seeds) -> dict:
+    """``{group: "sha256 lines"}`` over every record group."""
+    out = {}
+    for name, records in record_groups(seeds).items():
+        sha, count = hashlib.sha256(), 0
+        for line in records:
+            sha.update(line.encode() + b"\n")
+            count += 1
+        out[name] = f"{sha.hexdigest()} {count}"
+    return out
+
+
+def check(golden: Path) -> int:
+    """Compare every group digest with ``golden``; 1 names each group that differs."""
+    lines = golden.read_text().splitlines()
+    fields = dict(line.split(" ", 1) for line in lines if line and not line.startswith("#"))
+    build = numpy_build()
+    if {key: fields.get(key) for key in build} != build:
+        print(
+            f"{golden} holds digests from numpy {fields.get('numpy')} with BLAS "
+            f"{fields.get('blas')}, but this is numpy {build['numpy']} with BLAS "
+            f"{build['blas']}: float bits may differ between builds, so the digests "
+            "cannot be compared"
+        )
+        return 1
+    seeds = [int(seed) for seed in fields["seeds"].split()]
+    digests = group_digests(seeds)
+    differ = [name for name, value in digests.items() if fields.get(name) != value]
+    for name in differ:
+        print(f"differs: {name} (golden {fields.get(name)}, here {digests[name]})")
+    if differ:
+        return 1
+    print(f"branch records match {golden}: {len(digests)} groups")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--digests",
+        action="store_true",
+        help="print the numpy/BLAS build and one digest per record group, not the records",
+    )
+    mode.add_argument(
+        "--check",
+        type=Path,
+        metavar="GOLDEN",
+        help="compare the group digests, at GOLDEN's seeds, with GOLDEN; exit 1 if any differs",
+    )
     args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    if args.digests:
+        print(DIGEST_HEADER, end="")
+        for key, value in numpy_build().items():
+            print(f"{key} {value}")
+        print("seeds", *args.seeds)
+        for name, value in group_digests(args.seeds).items():
+            print(f"{name} {value}")
+        return 0
     count = 0
-    for line in itertools.chain(
-        uniformity_records(),
-        large_graph_records(args.seeds),
-        engine_records(),
-        frame_records(),
-        basis_records(),
-        resource_records(),
-        run_records(),
-    ):
+    for line in itertools.chain(*record_groups(args.seeds).values()):
         print(line)
         count += 1
     print(f"records {count}")

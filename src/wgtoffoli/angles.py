@@ -48,12 +48,23 @@ def eighths(angle: Angle) -> int | None:
     return None
 
 
-def parse_fraction(text: str) -> Fraction:
+def _finite(angle: Angle, where: str) -> Angle:
+    """``angle``, if its radians are a finite float; a plain number comes back as a float."""
+    try:
+        if math.isfinite(radians(angle)):
+            return angle if isinstance(angle, Fraction) else float(angle)
+    except OverflowError:  # float() of a huge integer or Fraction
+        pass
+    raise ValueError(f"{where}: expected a finite number")
+
+
+def parse_fraction(text: str, where: str = "angle") -> Fraction:
     """Parse a command-line angle such as ``1/2`` (meaning pi/2)."""
     try:
-        return Fraction(text)
+        angle = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational multiple of pi: {text!r}") from exc
+    return _finite(angle, where)
 
 
 def to_json(angle: Angle):
@@ -77,15 +88,9 @@ def from_json(obj, where: str = "angle") -> Angle:
             raise ValueError(f"{where}: pi_num/pi_den must be integers")
         if den == 0:
             raise ValueError(f"{where}: zero denominator")
-        return Fraction(num, den)
+        return _finite(Fraction(num, den), where)
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        try:
-            value = float(obj)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"{where}: expected a finite number")
-        return value
+        return _finite(obj, where)
     raise ValueError(f"{where}: expected {{pi_num, pi_den}} or a number")
 
 

@@ -92,7 +92,7 @@ def _bits(text: str, length: int, what: str) -> tuple[int, ...]:
 
 def _parse_theta(text: str) -> Fraction:
     try:
-        return angles.parse_fraction(text)
+        return angles.parse_fraction(text, "--theta")
     except ValueError as exc:
         raise _usage_error(str(exc))
 

@@ -304,14 +304,6 @@ def _resource_graph(variant: ResourceVariant) -> WeightedGraph:
     return build_resource(variant)
 
 
-@lru_cache(maxsize=None)
-def _basis_embedding(variant: ResourceVariant) -> np.ndarray:
-    """Read-only ``(8, 2**n)`` rows: ``encoded_state`` of each basis input, uncorrupted."""
-    table = _encode_rows(variant, [NO_LINKING], np.eye(8, dtype=complex))
-    table.flags.writeable = False
-    return table
-
-
 # --- reference matrices (wire order c1, c2, t; c1 most significant) ---
 
 
@@ -625,7 +617,8 @@ def encoded_state(
     encoding); the inherited corruption acts on the physical input
     vertices (z before x on each wire), exactly as byproducts arriving
     from an earlier part of a larger computation would. This is
-    ``_encode_rows`` on a batch of one.
+    ``_encode_rows`` on a batch of one, the build every branch walk makes
+    for all of its rows, so it equals each walk's row byte for byte.
     """
     if input_state.num_qubits != 3:
         raise ValueError("logical input must be a 3-qubit state")
@@ -669,54 +662,6 @@ def _encode_rows(
     return embed_input_rows(graph, encoded, (C1_VERTEX, C2_VERTEX, T_IN_VERTEX))
 
 
-# Bytes of each row of the complex 8x8 identity -> its basis index.
-_BASIS_ROWS = {row.tobytes(): j for j, row in enumerate(np.eye(8, dtype=complex))}
-
-
-def _linked_basis(linking: LinkingByproducts, j: int) -> tuple[int, int]:
-    """``(source, sign)`` with ``X^sx Z^sz H_t e_j = sign * H_t e_source``.
-
-    Corruption acts on the H-encoded input, Z then X on each wire. On a
-    control it flips the bit (X) or gives the sign ``(-1)^bit`` (Z); on
-    the target X.H = H.Z and Z.H = H.X, so sz_t flips the target bit and
-    sx_t gives the sign of the flipped bit.
-    """
-    c1, c2, t = (j >> 2) & 1, (j >> 1) & 1, j & 1
-    sx, sz = linking.sx, linking.sz
-    t ^= sz[2]
-    negative = (sz[0] & c1) ^ (sz[1] & c2) ^ (sx[2] & t)
-    return ((c1 ^ sx[0]) << 2) | ((c2 ^ sx[1]) << 1) | t, -1 if negative else 1
-
-
-def _embedded_rows(
-    variant: ResourceVariant, cases: Sequence[LinkingByproducts], inputs: np.ndarray
-) -> np.ndarray:
-    """``encoded_state`` of every input row under every case, ``(len(cases) * B, 2**n)``.
-
-    Rows come case by case. A row that is exactly a row of the identity
-    comes from the shared ``_basis_embedding`` through ``_linked_basis``;
-    every other row, for every case, is built in one ``_encode_rows``
-    batch. A negated table row keeps its zero amplitudes as they are and
-    adds 0.0 to the rest, so a real or imaginary part that is exactly
-    zero reads +0.0. That is what the per-row build gives, so the rows
-    match it in the signs of zeros too, not only as values.
-    """
-    table = _basis_embedding(variant)
-    basis = [_BASIS_ROWS.get(row.tobytes()) for row in inputs]
-    built = [b for b, j in enumerate(basis) if j is None]
-    out = np.empty((len(cases), len(inputs), table.shape[1]), dtype=complex)
-    if built:
-        encoded = _encode_rows(variant, cases, inputs[built])
-        out[:, built] = encoded.reshape(len(cases), len(built), -1)
-    for block, linking in zip(out, cases):
-        for b, j in enumerate(basis):
-            if j is not None:
-                source, sign = _linked_basis(linking, j)
-                amps = table[source]
-                block[b] = amps if sign > 0 else np.where(amps == 0, amps, -amps + 0.0)
-    return out.reshape(len(cases) * len(inputs), -1)
-
-
 def _case_list(linking) -> list[LinkingByproducts]:
     """One linking case, or a sequence of cases, as a list of cases."""
     return [linking] if isinstance(linking, LinkingByproducts) else list(linking)
@@ -735,10 +680,11 @@ def _outcome_leaves(
     of a ``(rows, 2, 2, 2)`` leaf is the branch output for embedded row
     ``r`` in ``run_branch``'s qubit layout; each row is projected on its
     own, so a batch gives every row the bits a walk of that row alone
-    would. Basis rows come from the shared embedding and every other row
-    from one batched build (``_embedded_rows``); both equal
-    ``encoded_state`` of the row byte for byte, signs of zeros included.
+    would. Every row of every case comes from one ``_encode_rows`` build,
+    equal to ``encoded_state`` of the row byte for byte.
     """
+    if not cases:
+        raise ValueError("no linking cases given: at least one linking case is needed")
     if len({linking.sx for linking in cases}) != 1:
         raise ValueError("linking cases walked together must share one sx")
     pattern = measurement_program(variant, cases[0])
@@ -748,7 +694,7 @@ def _outcome_leaves(
     if len(inputs) == 0:
         raise ValueError("inputs is an empty batch: need at least one (8,) row")
     n = variant.vertex_count
-    embedded = _embedded_rows(variant, cases, inputs)
+    embedded = _encode_rows(variant, cases, inputs)
     _, survivors = measured_qubits(n, pattern)
     tensor = embedded.reshape((len(embedded),) + (2,) * n)
     return embedded, survivors, outcome_tree_leaves(pattern, tensor)
@@ -774,10 +720,8 @@ def branch_outputs(
     Every row of every case shares one walk of the outcome tree
     (``_outcome_leaves``), the walk ``mbqc.enumerate_branches`` makes for
     a single state, so column ``b`` is ``run_branch`` on the embedded row
-    ``b`` with the survivors put in wire order. Basis rows are embedded
-    once per resource and shared by every linking case; every other row
-    is built in one batch per call. Both equal ``encoded_state`` byte for
-    byte.
+    ``b`` with the survivors put in wire order. All rows of all cases are
+    embedded in one batched build per call.
     """
     cases = _case_list(linking)
     embedded, survivors, leaves = _outcome_leaves(variant, cases, inputs)
@@ -894,11 +838,9 @@ def verify_branch_uniformity(
     sx, whose rows then go through one walk: the measurement pattern
     reads sx alone. Each case embeds ``|000>`` and
     ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, and every row is
-    walked in one batch by ``_outcome_leaves``, the walk
-    ``mbqc.enumerate_branches`` makes for one state. ``|000>`` comes from
-    the shared basis embedding and the random rows of every case from one
-    batched build; both equal ``encoded_state`` byte for byte. Each
-    probability is the leaf row's squared norm, taken before any
+    embedded in one batched build and walked in one batch by
+    ``_outcome_leaves``, the walk ``mbqc.enumerate_branches`` makes for one
+    state. Each probability is the leaf row's squared norm, taken before any
     reordering, over the embedded input's, so it equals the one
     ``enumerate_branches`` reports for that input and case, and the result
     is the maximum of one call per case.

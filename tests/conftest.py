@@ -1,11 +1,25 @@
 """Make the package importable in the interpreters some tests start.
 
 pytest puts ``src`` on ``sys.path`` (``pythonpath`` in pyproject.toml),
-but a child ``python -m wgtoffoli.cli`` only sees ``PYTHONPATH``.
+but a child ``python -m wgtoffoli.cli`` only sees ``PYTHONPATH``. The
+golden-file tests share the ``cli_records`` fixture.
 """
 
+import importlib.util
 import os
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture(scope="session")
+def cli_records():
+    """``tools/cli_records.py``, loaded by path: the CLI cases and the golden-file reader."""
+    spec = importlib.util.spec_from_file_location("cli_records", ROOT / "tools" / "cli_records.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

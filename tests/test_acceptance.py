@@ -148,26 +148,13 @@ def test_criterion_10_reports_byte_identical(verify_runs):
     print("\nPASS  criterion 10: repeated runs produce byte-identical reports")
 
 
-def numpy_build() -> dict:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        name = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):
-        name = "unknown"
-    return {"numpy": np.__version__, "blas": name}
-
-
-def test_verify_all_matches_golden_digests(verify_runs):
+def test_verify_all_matches_golden_digests(verify_runs, cli_records):
     # Byte identity with the checked-in digests, not only between two runs.
-    lines = GOLDEN.read_text().splitlines()
-    fields = dict(line.split(" ", 1) for line in lines if line and not line.startswith("#"))
-    build = numpy_build()
-    if {key: fields[key] for key in build} != build:
-        pytest.fail(
-            f"{GOLDEN.name} holds digests from numpy {fields['numpy']} with BLAS "
-            f"{fields['blas']}, but this is numpy {build['numpy']} with BLAS {build['blas']}: "
-            "float bits may differ between builds, so the digests cannot be compared"
-        )
+    build, body = cli_records.read_golden(GOLDEN)
+    problem = cli_records.build_mismatch(GOLDEN, build)
+    if problem:
+        pytest.fail(problem)
+    fields = dict(line.split(" ", 1) for line in body)
     report, stdout = verify_runs[0]
     digests = {"report": report, "stdout": stdout.encode()}
     differ = [

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +235,52 @@ def test_zero_theta_names_the_angle_modulo_2pi(capsys, theta, given):
     assert err == f"error: theta must be nonzero modulo 2pi, got {given}\n"
 
 
+HUGE = {"pi_num": 10**400, "pi_den": 1}  # float(Fraction) overflows
+
+
+@pytest.mark.parametrize(
+    "doc,argv,field",
+    [
+        (
+            {"steps": [{"op": "source", "modes": [1, 2], "gamma": HUGE}]},
+            "optics run --recipe file.json",
+            "steps[0].gamma",
+        ),
+        (
+            {"steps": [{"op": "reset", "mode": 1}, {"op": "rotate", "mode": 1, "angle": HUGE}]},
+            "optics run --recipe file.json",
+            "steps[1].angle",
+        ),
+        (
+            {
+                "steps": [
+                    {"op": "reset", "mode": 1},
+                    {"op": "measure", "mode": 1, "basis": {"alpha": HUGE, "hadamard": False}},
+                ]
+            },
+            "optics run --recipe file.json",
+            "steps[1].basis.alpha",
+        ),
+        ({"vertices": 2, "edges": [[0, 1, HUGE]]}, "graph build file.json", "edges[0].angle"),
+        (None, f"toffoli success --variant six --theta {10**400}/3", "--theta"),
+        (None, "toffoli run --variant six --theta 1e308", "--theta"),  # pi * 1e308 overflows
+    ],
+    ids=["gamma", "rotate-angle", "basis-alpha", "edge-angle", "theta", "theta-radians"],
+)
+def test_overflowing_rational_angle_is_a_usage_error(tmp_path, monkeypatch, capsys, doc, argv, field):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "file.json").write_text(json.dumps(doc))
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert f"{field}: expected a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -261,3 +309,20 @@ def test_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert "= 1 =" in result.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+
+
+def test_cli_records_match_golden(cli_records, tmp_path, monkeypatch):
+    # Byte identity of every tools/cli_records.py case with the checked-in lines.
+    build, golden = cli_records.read_golden(GOLDEN)
+    problem = cli_records.build_mismatch(GOLDEN, build)
+    if problem:
+        pytest.fail(problem)
+    monkeypatch.chdir(tmp_path)
+    lines = cli_records.run_all()
+    argvs = [shlex.join(argv) for argv in cli_records.CASES] + ["(record count)"]
+    differ = [argv for argv, here, there in zip(argvs, lines, golden) if here != there]
+    assert not differ, f"{GOLDEN.name} differs for: " + "; ".join(differ)
+    assert len(lines) == len(golden), f"{len(lines)} lines here, {len(golden)} in {GOLDEN.name}"

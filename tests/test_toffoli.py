@@ -355,19 +355,14 @@ def test_multi_case_branch_outputs_equal_separate_calls(kind):
         tf.branch_outputs(variant, [tf.NO_LINKING, tf.LinkingByproducts((0, 1, 0))], inputs)
 
 
-@pytest.mark.parametrize("j", range(8))
-def test_linked_basis_is_the_corrupted_encoding(j):
-    # X^sx Z^sz (Z then X on each wire) after H_t, as 8x8 matrices.
-    h_t = tf.hadamard_on_target()
-    for sx, sz in itertools.product(itertools.product((0, 1), repeat=3), repeat=2):
-        corrupt = qs.kron_all(
-            *(
-                np.linalg.matrix_power(qs.PAULI_X, x) @ np.linalg.matrix_power(qs.PAULI_Z, z)
-                for x, z in zip(sx, sz)
-            )
-        )
-        source, sign = tf._linked_basis(tf.LinkingByproducts(sx, sz), j)
-        np.testing.assert_allclose(corrupt @ h_t[:, j], sign * h_t[:, source], atol=1e-15)
+def signed_zero_inputs():
+    """Five seeded non-basis rows, with exact and negative zeros in both parts."""
+    rows = np.vstack([psi.amplitudes for psi in random_states(68, 5)])
+    rows[0, 2] = complex(-0.0, 0.0)
+    rows[1, 5] = complex(0.0, -0.0)
+    rows[2] = 0.0
+    rows[2, 3], rows[2, 6] = complex(-0.0, -1.0), complex(0.6, -0.0)
+    return rows
 
 
 @pytest.mark.parametrize(
@@ -380,9 +375,9 @@ def test_linked_basis_is_the_corrupted_encoding(j):
     ],
 )
 def test_shared_embedding_equals_encoded_state(kind, theta):
+    # The eight basis columns of all 64 linking cases, embedded in one build.
     variant = tf.ResourceVariant(kind, theta)
-    assert not tf._basis_embedding(variant).flags.writeable
-    rows = tf._embedded_rows(variant, ALL_LINKING, np.eye(8, dtype=complex))
+    rows = tf._encode_rows(variant, ALL_LINKING, np.eye(8, dtype=complex))
     for index, linking in enumerate(ALL_LINKING):
         for j in range(8):
             row = rows[8 * index + j]
@@ -392,23 +387,15 @@ def test_shared_embedding_equals_encoded_state(kind, theta):
             assert row.tobytes() == direct.tobytes(), (linking, j)
 
 
-def signed_zero_inputs():
-    """Five seeded non-basis rows, with exact and negative zeros in both parts."""
-    rows = np.vstack([psi.amplitudes for psi in random_states(68, 5)])
-    rows[0, 2] = complex(-0.0, 0.0)
-    rows[1, 5] = complex(0.0, -0.0)
-    rows[2] = 0.0
-    rows[2, 3], rows[2, 6] = complex(-0.0, -1.0), complex(0.6, -0.0)
-    return rows
-
-
 @pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
 def test_batched_embedding_equals_encoded_state_per_row(kind, theta):
-    # One build for every row of all 64 linking cases, against one build per row.
+    # One build for every row of all 64 linking cases, against one build per
+    # row: the eight basis rows and five rows with signed zeros, compared
+    # byte for byte, so the signs of zeros must match too.
     variant = tf.ResourceVariant(kind, theta)
-    inputs = signed_zero_inputs()
-    rows = tf._embedded_rows(variant, ALL_LINKING, inputs)
+    inputs = np.vstack([np.eye(8, dtype=complex), signed_zero_inputs()])
+    rows = tf._encode_rows(variant, ALL_LINKING, inputs)
     assert rows.shape == (len(ALL_LINKING) * len(inputs), 1 << variant.vertex_count)
     for index, linking in enumerate(ALL_LINKING):
         for b, amps in enumerate(inputs):
@@ -435,17 +422,40 @@ def count_calls(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
-def test_basis_columns_embedded_once_per_resource(monkeypatch, kind):
+def test_each_walk_embeds_all_its_rows_in_one_build(monkeypatch, kind):
     variant = tf.ResourceVariant(kind)
     builds = count_calls(monkeypatch, tf, "_encode_rows")
-    tf._basis_embedding.cache_clear()
-    for sx in accepted_sx(variant):
-        tf.branch_outputs(variant, tf.LinkingByproducts(sx, (1, 0, 1)), np.eye(8))
-    # One build of the eight basis rows.
-    assert [(len(cases), len(rows)) for _, cases, rows in builds] == [(1, 8)]
-    # Any other row is still built, once per call and case.
-    tf.branch_outputs(variant, tf.NO_LINKING, random_states(65, 1)[0].amplitudes[None, :])
-    assert [(len(cases), len(rows)) for _, cases, rows in builds] == [(1, 8), (1, 1)]
+    walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
+    inputs = np.vstack([np.eye(8), signed_zero_inputs()[:1]])
+    cases = [
+        tf.LinkingByproducts(accepted_sx(variant)[-1], sz)
+        for sz in itertools.product((0, 1), repeat=3)
+    ]
+    uniformity_rows = 1 + tf.UNIFORMITY_RANDOM_INPUTS
+    calls = [
+        (lambda: tf.branch_outputs(variant, cases[5], inputs), [cases[5]], len(inputs)),
+        (lambda: tf.branch_outputs(variant, cases, inputs), cases, len(inputs)),
+        (lambda: tf.verify_branch_uniformity(variant, cases[3]), [cases[3]], uniformity_rows),
+        (lambda: tf.verify_branch_uniformity(variant, cases), cases, uniformity_rows),
+    ]
+    for call, expected_cases, row_count in calls:
+        builds.clear()
+        walks.clear()
+        call()
+        # One build, of every row of every case, and one walk of all of them.
+        [(_, built_cases, rows)] = builds
+        assert list(built_cases) == expected_cases
+        assert rows.shape == (row_count, 8)
+        assert [tensor.shape[0] for _, tensor in walks] == [len(expected_cases) * row_count]
+    assert np.array_equal(rows[0], np.eye(8)[0])  # |000> leads the uniformity rows
+
+
+def test_walks_reject_an_empty_case_list():
+    variant = tf.ResourceVariant("six")
+    with pytest.raises(ValueError, match="at least one linking case is needed"):
+        tf.branch_outputs(variant, [], np.eye(8))
+    with pytest.raises(ValueError, match="at least one linking case is needed"):
+        tf.verify_branch_uniformity(variant, [])
 
 
 @pytest.mark.parametrize(

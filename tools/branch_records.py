@@ -55,7 +55,9 @@ and its line count. ``tests/golden/branch.txt`` holds that output for
 seeds 1, 2 and 3, and ``--check tests/golden/branch.txt`` recomputes the
 digests at the seeds the file names, prints each group that differs and
 exits 1 if any does, or if the file comes from another numpy or BLAS
-build. One run takes tens of seconds, so the check is not a test.
+build. One run takes tens of seconds, so the check is not a test. The
+golden-file reader and ``numpy_build`` come from ``cli_records.py`` next
+to this script.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from cli_records import build_mismatch, numpy_build, read_golden
 
 from wgtoffoli import graphstate, mbqc, toffoli
 from wgtoffoli.qstate import StateVector, basis_state
@@ -235,16 +238,6 @@ def record_groups(seeds):
     }
 
 
-def numpy_build() -> dict:
-    """The numpy version and BLAS build, which float bits depend on."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        name = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):
-        name = "unknown"
-    return {"numpy": np.__version__, "blas": name}
-
-
 DIGEST_HEADER = """\
 # SHA-256 of the lines of each record group of `tools/branch_records.py`,
 # then the group's line count.
@@ -270,17 +263,12 @@ def group_digests(seeds) -> dict:
 
 def check(golden: Path) -> int:
     """Compare every group digest with ``golden``; 1 names each group that differs."""
-    lines = golden.read_text().splitlines()
-    fields = dict(line.split(" ", 1) for line in lines if line and not line.startswith("#"))
-    build = numpy_build()
-    if {key: fields.get(key) for key in build} != build:
-        print(
-            f"{golden} holds digests from numpy {fields.get('numpy')} with BLAS "
-            f"{fields.get('blas')}, but this is numpy {build['numpy']} with BLAS "
-            f"{build['blas']}: float bits may differ between builds, so the digests "
-            "cannot be compared"
-        )
+    build, body = read_golden(golden)
+    problem = build_mismatch(golden, build)
+    if problem:
+        print(problem)
         return 1
+    fields = dict(line.split(" ", 1) for line in body)
     seeds = [int(seed) for seed in fields["seeds"].split()]
     digests = group_digests(seeds)
     differ = [name for name, value in digests.items() if fields.get(name) != value]

@@ -38,10 +38,16 @@ of a comparison::
     PYTHONPATH=src python tools/cli_records.py > a.txt
     PYTHONPATH=../other/src python tools/cli_records.py > b.txt
     cmp a.txt b.txt
+
+``--golden`` prints the lines under the header of ``tests/golden/cli.txt``,
+which a tier-1 test compares line by line. The golden-file reader and
+``numpy_build`` below are shared with that test, the ``verify all`` digest
+test and ``tools/branch_records.py``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -50,6 +56,9 @@ import os
 import shlex
 import sys
 import tempfile
+from pathlib import Path
+
+import numpy as np
 
 from wgtoffoli import cli, optics
 
@@ -248,15 +257,81 @@ def run_case(argv) -> str:
     )
 
 
-def main() -> int:
+def run_all() -> list[str]:
+    """Write the fixtures to the working directory; every case's line, then the count."""
+    write_fixtures()
+    return [run_case(argv) for argv in CASES] + [f"records {len(CASES)}"]
+
+
+def numpy_build() -> dict:
+    """The numpy version and BLAS build, which float bits depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        name = "unknown"
+    return {"numpy": np.__version__, "blas": name}
+
+
+def read_golden(path) -> tuple[dict, list[str]]:
+    """``(build, body)`` of a golden file.
+
+    ``#`` lines and empty lines are skipped. ``build`` holds the header's ``numpy`` and
+    ``blas`` lines as ``numpy_build`` gives them; ``body`` is every other
+    line, in order.
+    """
+    build, body = {}, []
+    for line in Path(path).read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(" ")
+        if key in ("numpy", "blas") and key not in build:
+            build[key] = value
+        else:
+            body.append(line)
+    return build, body
+
+
+def build_mismatch(path, build: dict) -> str | None:
+    """Why digests made on ``build`` cannot be compared here, or None if they can."""
+    here = numpy_build()
+    if build == here:
+        return None
+    return (
+        f"{Path(path).name} holds digests from numpy {build.get('numpy')} with BLAS "
+        f"{build.get('blas')}, but this is numpy {here['numpy']} with BLAS {here['blas']}: "
+        "float bits may differ between builds, so the digests cannot be compared"
+    )
+
+
+GOLDEN_HEADER = """\
+# One line per `tools/cli_records.py` case: the argv, the exit code, how
+# it ended and the SHA-256 of the --json report, stdout and stderr.
+# Float bits depend on the numpy and BLAS build named below. On another
+# build tests/test_cli.py fails and says so; it does not compare.
+# Regenerate (every changed line needs a reason in CHANGES.md):
+#   PYTHONPATH=src python tools/cli_records.py --golden > tests/golden/cli.txt
+"""
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--golden", action="store_true", help="print the numpy/BLAS header of tests/golden/cli.txt first"
+    )
+    args = parser.parse_args(argv)
+    if args.golden:
+        print(GOLDEN_HEADER, end="")
+        for key, value in numpy_build().items():
+            print(f"{key} {value}")
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        write_fixtures()
-        for argv in CASES:
-            print(run_case(argv))
-        os.chdir(home)
-    print(f"records {len(CASES)}")
+        try:
+            lines = run_all()
+        finally:
+            os.chdir(home)
+    print("\n".join(lines))
     return 0
 
 

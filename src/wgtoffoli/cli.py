@@ -38,6 +38,7 @@ from .toffoli import (
     ZeroProbabilityBranchError,
     branch_outputs,
     linking_frames,
+    logical_target,
     run_gate,
     success_probability,
     toffoli_matrix,
@@ -202,15 +203,17 @@ def cmd_toffoli_enumerate(args) -> int:
 
 
 def _branch_table(variant, linking):
-    tof = toffoli_matrix()
+    # The gate the resource performs; at theta = pi the exact Toffoli, which
+    # logical_target matches only to 5e-16.
+    target = toffoli_matrix() if variant.theta % 2 == 1 else logical_target(variant)
     operators = branch_outputs(variant, linking, np.eye(8))
     frames = linking_frames(variant, linking)
     sigmas = [frames(dict(zip(variant.measured_vertices, bits))) for bits in operators]
     branch_ops = np.stack(list(operators.values()))
     sigma_ops = np.stack([frame_to_operator(sigma) for sigma in sigmas])
     corrected = unit_scale(np.linalg.inv(sigma_ops) @ branch_ops)
-    matches = equal_up_to_phase(corrected, tof, 1e-10)
-    fidelities = process_fidelity(corrected, tof)
+    matches = equal_up_to_phase(corrected, target, 1e-10)
+    fidelities = process_fidelity(corrected, target)
     return [
         {
             "outcomes": "".join(map(str, bits)),

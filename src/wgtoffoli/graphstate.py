@@ -22,7 +22,6 @@ from .qstate import (
     MAX_QUBITS,
     StateVector,
     _phase_both_set,
-    apply_cz_theta,
     kron_all,
 )
 
@@ -101,13 +100,18 @@ class WeightedGraph:
 
 
 def build_state(graph: WeightedGraph) -> StateVector:
-    """Graph state: vertex kets entangled by one CZ(theta) per edge."""
+    """Graph state: vertex kets entangled by one CZ(theta) per edge.
+
+    This is ``embed_input_rows`` with every vertex an input, in ``|+>`` or,
+    on a ``hadamard`` input, ``H|+>``.
+    """
+    vertices = range(graph.vertex_count - 1, -1, -1)
     kets = []
-    for v in range(graph.vertex_count - 1, -1, -1):
+    for v in vertices:
         assignment = graph.inputs.get(v)
         kets.append(HADAMARD @ KET_PLUS if assignment and assignment.hadamard else KET_PLUS)
-    state = StateVector(graph.vertex_count, kron_all(*kets))
-    return _apply_edges(graph, state)
+    rows = embed_input_rows(graph, kron_all(*kets)[None, :], vertices)
+    return StateVector(graph.vertex_count, rows[0])
 
 
 def build_state_with_input(
@@ -145,12 +149,6 @@ def embed_input_rows(graph: WeightedGraph, rows: np.ndarray, vertices) -> np.nda
     for i, j, theta in graph.edge_list():
         _phase_both_set(tensor, i, j, np.exp(1j * angles.radians(theta)))
     return tensor.reshape(len(rows), -1)
-
-
-def _apply_edges(graph: WeightedGraph, state: StateVector) -> StateVector:
-    for i, j, theta in graph.edge_list():
-        state = apply_cz_theta(state, i, j, angles.radians(theta))
-    return state
 
 
 def to_json(graph: WeightedGraph) -> bytes:

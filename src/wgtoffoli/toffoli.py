@@ -268,6 +268,7 @@ class ResourceVariant:
             raise ValueError(f"unknown variant {self.kind!r}")
         if not isinstance(self.theta, Fraction):
             raise ValueError("theta must be a Fraction (rational multiple of pi)")
+        angles._finite(self.theta, "theta")
         if angles.is_zero(self.theta):
             raise ValueError(f"theta must be nonzero modulo 2pi, got {angles.describe(self.theta)}")
 

@@ -2,7 +2,7 @@
 
 pytest puts ``src`` on ``sys.path`` (``pythonpath`` in pyproject.toml),
 but a child ``python -m wgtoffoli.cli`` only sees ``PYTHONPATH``. The
-golden-file tests share the ``cli_records`` fixture.
+golden-file tests share the ``records`` fixture.
 """
 
 import importlib.util
@@ -17,9 +17,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 
 
 @pytest.fixture(scope="session")
-def cli_records():
-    """``tools/cli_records.py``, loaded by path: the CLI cases and the golden-file reader."""
-    spec = importlib.util.spec_from_file_location("cli_records", ROOT / "tools" / "cli_records.py")
+def records():
+    """``tools/records.py``, loaded by path: the CLI cases and the golden-file reader."""
+    spec = importlib.util.spec_from_file_location("records", ROOT / "tools" / "records.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -16,7 +16,7 @@ import reference
 from wgtoffoli import acceptance
 from wgtoffoli.qstate import kron_all
 
-GOLDEN = Path(__file__).parent / "golden" / "verify_all.txt"
+GOLDEN = Path(__file__).parent / "golden" / "records.txt"
 
 
 @pytest.fixture(scope="module")
@@ -148,16 +148,16 @@ def test_criterion_10_reports_byte_identical(verify_runs):
     print("\nPASS  criterion 10: repeated runs produce byte-identical reports")
 
 
-def test_verify_all_matches_golden_digests(verify_runs, cli_records):
-    # Byte identity with the checked-in digests, not only between two runs.
-    build, body = cli_records.read_golden(GOLDEN)
-    problem = cli_records.build_mismatch(GOLDEN, build)
+def test_verify_all_matches_golden_digests(verify_runs, records):
+    # Byte identity with the digests of the verify all record, not only between two runs.
+    fields, lines = records.read_golden(GOLDEN)
+    problem = records.build_mismatch(GOLDEN, fields)
     if problem:
         pytest.fail(problem)
-    fields = dict(line.split(" ", 1) for line in body)
+    record = next(line for line in lines if line.startswith("verify all --json")).split("\t")
     report, stdout = verify_runs[0]
-    digests = {"report": report, "stdout": stdout.encode()}
+    digests = {"report": (report, record[3]), "stdout": (stdout.encode(), record[4])}
     differ = [
-        name for name, data in digests.items() if hashlib.sha256(data).hexdigest() != fields[name]
+        name for name, (data, golden) in digests.items() if hashlib.sha256(data).hexdigest() != golden
     ]
     assert not differ, f"verify all differs from {GOLDEN.name} in: {', '.join(differ)}"

@@ -1,5 +1,4 @@
 import json
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +55,18 @@ def test_enumerate_reports_locality(capsys):
     rows = [l for l in out.splitlines() if l.strip() and l.strip()[0] in "01"]
     assert len(rows) == 8
     assert sum("False" in row for row in rows) == 4  # s3=1 branches
+
+
+def test_enumerate_off_pi_compares_branches_with_the_theta_gate(tmp_path, capsys):
+    # At theta = pi/2 and sx = 000 every corrected branch is logical_target, not the Toffoli.
+    path = tmp_path / "report.json"
+    args = ["toffoli", "enumerate", "--variant", "six", "--theta", "1/2", "--json", str(path)]
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+    branches = json.loads(path.read_text())["results"]["branches"]
+    assert len(branches) == 8
+    assert all(branch["matches_prediction"] for branch in branches)
+    assert min(branch["fidelity"] for branch in branches) >= 1 - 1e-15
 
 
 def test_bad_usage_exit_code(capsys):
@@ -311,18 +322,46 @@ def test_entry_point_subprocess():
     assert "= 1 =" in result.stdout
 
 
-GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+GOLDEN = Path(__file__).parent / "golden" / "records.txt"
 
 
-def test_cli_records_match_golden(cli_records, tmp_path, monkeypatch):
-    # Byte identity of every tools/cli_records.py case with the checked-in lines.
-    build, golden = cli_records.read_golden(GOLDEN)
-    problem = cli_records.build_mismatch(GOLDEN, build)
+def test_cli_records_match_golden(records):
+    # Byte identity of every tools/records.py cli record with the checked-in lines.
+    fields, golden = records.read_golden(GOLDEN)
+    problem = records.build_mismatch(GOLDEN, fields)
     if problem:
         pytest.fail(problem)
-    monkeypatch.chdir(tmp_path)
-    lines = cli_records.run_all()
-    argvs = [shlex.join(argv) for argv in cli_records.CASES] + ["(record count)"]
-    differ = [argv for argv, here, there in zip(argvs, lines, golden) if here != there]
+    differ = records.cli_differences(golden, records.run_all())
     assert not differ, f"{GOLDEN.name} differs for: " + "; ".join(differ)
-    assert len(lines) == len(golden), f"{len(lines)} lines here, {len(golden)} in {GOLDEN.name}"
+
+
+def test_records_compare_names_each_difference(records, tmp_path, capsys):
+    # The gate of tools/records.py --check, on golden lines alone: no record is recomputed.
+    lines = GOLDEN.read_text().splitlines()
+    here = tmp_path / "here.txt"
+    here.write_text("\n".join(lines) + "\n")
+    argv = "toffoli success --variant six --linking none --json report.json"
+    changed = []
+    for line in lines:
+        key = line.split(" ")[0]
+        if key == "numpy":
+            line = "numpy 0.0"
+        elif key == "frame":
+            line = f"frame {'0' * 64} 1"
+        elif line.startswith(argv + "\t"):
+            line = line.replace("\treturned\t", "\traised\t")
+        changed.append(line)
+    golden = tmp_path / "golden.txt"
+    golden.write_text("\n".join(changed) + "\n")
+    assert records.compare(here, records.read_golden(here), records.read_golden(here)) == 0
+    capsys.readouterr()
+    code = records.compare(golden, records.read_golden(golden), records.read_golden(here))
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "golden.txt holds digests from numpy 0.0" in out
+    assert "differs: frame" in out
+    assert f"differs: {argv}\n" in out
+    assert out.count("differs:") == 2
+    # --check stops at the build line before it recomputes anything.
+    assert records.check(golden) == 1
+    assert "cannot be compared" in capsys.readouterr().out

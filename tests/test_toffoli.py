@@ -858,3 +858,5 @@ def test_variant_validation():
         tf.ResourceVariant("six", theta=0.5)  # floats lose exactness
     with pytest.raises(ValueError):
         tf.ResourceVariant("six", theta=Fraction(0))
+    with pytest.raises(ValueError, match="theta: expected a finite number"):
+        tf.ResourceVariant("six", theta=Fraction(10**400, 3))  # radians overflow a float

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import angles, graphstate, optics
 from .acceptance import build_report, canonical_json, recipe_fidelity
-from .mbqc import frame_to_operator
+from .mbqc import frame_to_operator, outcome_prefixes
 from .qstate import StateVector, from_amplitudes
 from .toffoli import (
     VARIANT_KINDS,
@@ -128,7 +128,9 @@ def _parse_input(text: str) -> StateVector:
         return state.normalized()
     except OSError as exc:
         raise _usage_error(f"cannot read input state: {exc}")
-    except (ValueError, TypeError):
+    except OverflowError:
+        raise _usage_error("input amplitude overflows a float; scale the amplitudes down")
+    except (ValueError, TypeError, RecursionError):
         raise _usage_error(
             "input must be three bits (c1 c2 t) or a JSON file of [re, im] pairs"
         )
@@ -170,7 +172,8 @@ def _gate_args(args):
 def cmd_toffoli_run(args) -> int:
     variant, linking, m, inputs = _gate_args(args)
     outcome_text = "0" * m if args.outcomes is None else args.outcomes
-    outcomes = dict(zip(variant.measured_vertices, _bits(outcome_text, m, "--outcomes")))
+    _bits(outcome_text, m, "--outcomes")
+    outcomes = outcome_prefixes(variant.measured_vertices)[int(outcome_text, 2)]
     run = run_gate(variant, _parse_input(args.input), linking, outcomes)
     sigma_text = run.sigma.describe() if run.sigma else "(off-grid theta)"
     print(f"variant: {variant.kind}, theta = {angles.describe(variant.theta)}")
@@ -206,25 +209,25 @@ def _branch_table(variant, linking):
     # The gate the resource performs; at theta = pi the exact Toffoli, which
     # logical_target matches only to 5e-16.
     target = toffoli_matrix() if variant.theta % 2 == 1 else logical_target(variant)
-    operators = branch_outputs(variant, linking, np.eye(8))
+    branch_ops = branch_outputs(variant, linking, np.eye(8))
     frames = linking_frames(variant, linking)
-    sigmas = [frames(dict(zip(variant.measured_vertices, bits))) for bits in operators]
-    branch_ops = np.stack(list(operators.values()))
+    branches = outcome_prefixes(variant.measured_vertices)
+    sigmas = [frames(outcomes) for outcomes in branches]
     sigma_ops = np.stack([frame_to_operator(sigma) for sigma in sigmas])
     corrected = unit_scale(np.linalg.inv(sigma_ops) @ branch_ops)
     matches = equal_up_to_phase(corrected, target, 1e-10)
     fidelities = process_fidelity(corrected, target)
     return [
         {
-            "outcomes": "".join(map(str, bits)),
+            "outcomes": "".join(map(str, outcomes.values())),
             "probability": float(np.vdot(branch_op[:, 0], branch_op[:, 0]).real),
             "local": sigma.is_local,
             "sigma": sigma.describe(),
             "matches_prediction": bool(match),
             "fidelity": float(fidelity),
         }
-        for bits, branch_op, sigma, match, fidelity in zip(
-            operators, branch_ops, sigmas, matches, fidelities
+        for outcomes, branch_op, sigma, match, fidelity in zip(
+            branches, branch_ops, sigmas, matches, fidelities
         )
     ]
 

@@ -176,6 +176,8 @@ def from_json(text) -> WeightedGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise GraphFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be an object")
     vertices = doc.get("vertices")
@@ -199,12 +201,15 @@ def from_json(text) -> WeightedGraph:
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
         edges.append((i, j, theta))
-    inputs = {}
+    inputs, keys = {}, {}
     for key, entry in raw_inputs.items():
         try:
             v = int(key)
         except ValueError:
             raise GraphFormatError(f"inputs key {key!r} is not a vertex") from None
+        if v in keys:
+            raise GraphFormatError(f"inputs keys {keys[v]!r} and {key!r} both name vertex {v}")
+        keys[v] = key
         if not isinstance(entry, dict):
             raise GraphFormatError(f"inputs[{key}]: expected an object")
         role = entry.get("role", "none")

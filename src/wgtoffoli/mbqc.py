@@ -13,7 +13,8 @@ Byproduct frames
 ----------------
 A ``ByproductOperator`` stores, per logical wire, a word in canonical
 order ``X^x Z^z Rz(k*pi/4)`` with ``k`` in 0..3, an optional non-local
-matrix factor applied before the words, and an exact global phase.
+matrix factor applied before the words, and a global phase. The phase
+is a float product of ``np.exp`` values, so it carries their rounding.
 
 A word is a value: ``make_word``, the word product ``_word_mul``, the
 2x2 ``WireWord.matrix`` and the Kronecker product of a frame's words are
@@ -155,9 +156,7 @@ def measured_qubits(num_qubits: int, pattern: Pattern) -> tuple[list[int], list[
     return qubits, position
 
 
-def outcome_tree_leaves(
-    pattern: Pattern, tensor: np.ndarray
-) -> list[tuple[OutcomeBits, np.ndarray]]:
+def outcome_tree_leaves(pattern: Pattern, tensor: np.ndarray) -> np.ndarray:
     """Walk the outcome tree of ``pattern`` one level at a time.
 
     ``tensor`` is a batch of n-qubit registers, shaped ``(B,) + (2,)*n``;
@@ -172,21 +171,19 @@ def outcome_tree_leaves(
     pattern of m fixed steps makes m kernel calls, and an adaptive step
     one per distinct basis at its depth. The projection is elementwise,
     so every row of a leaf is bitwise equal to ``run_branch`` on that
-    register. Leaves come back as ``(outcomes, leaf)`` in
-    ``itertools.product`` order, with outcome keys in step order and the
-    survivors in ``measured_qubits`` order; each leaf is a view into one
-    array of the last level.
+    register. The result is the last level, ``(2**m, B) + (2,)*(n-m)``:
+    leaf i holds the outcomes ``outcome_prefixes(pattern.vertices)[i]``,
+    and the survivors sit in ``measured_qubits`` order.
     """
     n = tensor.ndim - 1
     qubits, _ = measured_qubits(n, pattern)
-    vertices = pattern.vertices
     level = tensor[np.newaxis]
     for depth, step in enumerate(pattern.steps):
         axis = 1 + n - depth - qubits[depth]
         if callable(step.basis):
             # Each entry holds its basis, so no id is reused while grouping.
             groups = {}
-            for node, seen in enumerate(_outcome_prefixes(vertices[:depth])):
+            for node, seen in enumerate(outcome_prefixes(pattern.vertices[:depth])):
                 basis = step.basis(seen)
                 groups.setdefault(id(basis), (basis, []))[1].append(node)
             groups = list(groups.values())
@@ -200,11 +197,15 @@ def outcome_tree_leaves(
                 level[rows], axis, basis_states(basis)
             )
         level = children.reshape((-1,) + child_shape)
-    return list(zip(_outcome_prefixes(vertices), level))
+    return level
 
 
-def _outcome_prefixes(vertices: list[int]) -> list[OutcomeBits]:
-    """Outcome dicts over ``vertices`` in ``itertools.product`` order."""
+def outcome_prefixes(vertices) -> list[OutcomeBits]:
+    """Outcome dicts over ``vertices`` in ``itertools.product`` order.
+
+    This is the one outcome order: dict i spells i in binary, its first
+    vertex on the most significant bit.
+    """
     return [dict(zip(vertices, bits)) for bits in itertools.product((0, 1), repeat=len(vertices))]
 
 
@@ -229,8 +230,9 @@ def enumerate_branches(
     if m == 0:
         return [({}, 1.0, state)]
     n = state.num_qubits
+    leaves = outcome_tree_leaves(pattern, state.amplitudes.reshape((1,) + (2,) * n))
     branches = []
-    for outcomes, leaf in outcome_tree_leaves(pattern, state.amplitudes.reshape((1,) + (2,) * n)):
+    for outcomes, leaf in zip(outcome_prefixes(pattern.vertices), leaves):
         final = StateVector(n - m, leaf.reshape(-1))
         branches.append((outcomes, final.norm_sq / initial, final))
     return branches
@@ -297,7 +299,7 @@ def _canonical_word(x: int, z: int, k: int) -> WireWord:
 
 @lru_cache(maxsize=4096)
 def _word_mul(a: WireWord, b: WireWord) -> tuple[WireWord, complex]:
-    """Product a*b in canonical form plus the exact scalar it picks up."""
+    """Product a*b in canonical form plus the scalar it picks up."""
     phase = 1.0 + 0.0j
     k_left = a.k
     if b.x:
@@ -368,7 +370,7 @@ def frame_to_operator(frame: ByproductOperator) -> np.ndarray:
 
 
 def frame_compose(a: ByproductOperator, b: ByproductOperator) -> ByproductOperator:
-    """Operator product ``a @ b`` as a frame; phases are tracked exactly.
+    """Operator product ``a @ b`` as a frame; phases multiply as floats.
 
     Both frames are valid already, so the product's words come out in
     wire order and its construction takes the fast path.

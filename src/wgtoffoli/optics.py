@@ -301,6 +301,8 @@ def steps_from_json(text) -> list[RecipeStep]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RecipeError(f"line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise RecipeError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise RecipeError("top level must be an object")
     raw_steps = doc.get("steps", [])

@@ -59,6 +59,7 @@ from .mbqc import (
     frame_compose,
     make_word,
     measured_qubits,
+    outcome_prefixes,
     outcome_tree_leaves,
 )
 from .qstate import (
@@ -385,7 +386,8 @@ def logical_target(variant: ResourceVariant) -> np.ndarray:
     """Gate the resource performs on the logical input.
 
     This is ``target_unitary`` after the H-basis target encoding of
-    ``encoded_state``; at theta = pi it is exactly the Toffoli.
+    ``encoded_state``. At theta = pi it is the Toffoli up to float
+    rounding: its entries differ from ``toffoli_matrix()`` by about 5e-16.
     """
     return target_unitary(variant.theta) @ hadamard_on_target()
 
@@ -676,13 +678,14 @@ def _outcome_leaves(
     ``cases`` is a sequence of linking cases that share one sx: the
     measurement pattern reads sx alone, so their rows share one walk.
     Returns the ``(len(cases) * B, 2**n)`` embedded rows, case by case,
-    the surviving vertices in ascending label order and the
-    ``(outcomes, leaf)`` pairs of ``mbqc.outcome_tree_leaves``. Row ``r``
-    of a ``(rows, 2, 2, 2)`` leaf is the branch output for embedded row
-    ``r`` in ``run_branch``'s qubit layout; each row is projected on its
-    own, so a batch gives every row the bits a walk of that row alone
-    would. Every row of every case comes from one ``_encode_rows`` build,
-    equal to ``encoded_state`` of the row byte for byte.
+    the surviving vertices in ascending label order and the last level of
+    ``mbqc.outcome_tree_leaves``, ``(2**m, rows, 2, 2, 2)`` with the
+    outcomes in schedule order. Row ``r`` of a leaf is the branch output
+    for embedded row ``r`` in ``run_branch``'s qubit layout; each row is
+    projected on its own, so a batch gives every row the bits a walk of
+    that row alone would. Every row of every case comes from one
+    ``_encode_rows`` build, equal to ``encoded_state`` of the row byte
+    for byte.
     """
     if not cases:
         raise ValueError("no linking cases given: at least one linking case is needed")
@@ -705,40 +708,39 @@ def branch_outputs(
     variant: ResourceVariant,
     linking: LinkingByproducts | Sequence[LinkingByproducts],
     inputs: np.ndarray,
-) -> dict[tuple[int, ...], np.ndarray] | list[dict[tuple[int, ...], np.ndarray]]:
+) -> np.ndarray | list[np.ndarray]:
     """Unnormalised outputs of every measurement branch for a batch of inputs.
 
     ``inputs`` is a ``(B, 8)`` array whose rows are logical input states
-    (wire order c1 c2 t). For one linking case the result maps each
-    outcome tuple, in ``variant.measured_vertices`` order, to an
-    ``(8, B)`` array whose column ``b`` is the branch output for input
-    row ``b``; with the identity as input that array is the branch
-    operator. ``linking`` may instead be a sequence of cases that share
-    one sx; the result is then a list with one such dict per case, each
-    byte-identical to the case's own call, and the one-case call is the
-    sequence of one.
+    (wire order c1 c2 t). For one linking case the result is one
+    C-contiguous ``(2**m, 8, B)`` array. Row i is the branch of the
+    outcomes ``outcome_prefixes(variant.measured_vertices)[i]``, whose
+    bits in ascending vertex order spell i in binary; its column ``b`` is
+    the branch output for input row ``b``, and with the identity as input
+    the row is the branch operator. ``linking`` may instead be a sequence
+    of cases that share one sx; the result is then a list with one such
+    array per case, each byte-identical to the case's own call, and the
+    one-case call is the sequence of one.
 
     Every row of every case shares one walk of the outcome tree
     (``_outcome_leaves``), the walk ``mbqc.enumerate_branches`` makes for
     a single state, so column ``b`` is ``run_branch`` on the embedded row
-    ``b`` with the survivors put in wire order. All rows of all cases are
-    embedded in one batched build per call.
+    ``b``. One transpose puts the outcome axes, which the walk leaves in
+    schedule order, into ascending vertex order and the survivors into
+    wire order. All rows of all cases are embedded in one batched build
+    per call.
     """
     cases = _case_list(linking)
-    embedded, survivors, leaves = _outcome_leaves(variant, cases, inputs)
-    batch = len(embedded) // len(cases)
-    # Put the survivors in wire order c1 c2 t.
-    wire_axes = [len(survivors) - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
-    leaf_order = [0] + wire_axes
-
-    outputs = [{} for _ in cases]
-    for seen, leaf in leaves:
-        key = tuple(seen[v] for v in variant.measured_vertices)
-        leaf = np.transpose(leaf, leaf_order).reshape(len(embedded), 8)
-        for c, case_outputs in enumerate(outputs):
-            case_outputs[key] = np.ascontiguousarray(leaf[c * batch : (c + 1) * batch].T)
-    outputs = [dict(sorted(case_outputs.items())) for case_outputs in outputs]
-    return outputs[0] if isinstance(linking, LinkingByproducts) else outputs
+    _, survivors, leaves = _outcome_leaves(variant, cases, inputs)
+    m, r = len(variant.measured_vertices), len(survivors)
+    schedule = [step.vertex for step in variant.spec.schedule]
+    # Axes: m outcome bits in schedule order, case, batch row, survivor qubits r-1 .. 0.
+    tensor = leaves.reshape((2,) * m + (len(cases), -1) + (2,) * r)
+    order = [m] + [schedule.index(v) for v in variant.measured_vertices]
+    order += [m + 1 + r - survivors.index(v) for v in (C1_VERTEX, C2_VERTEX, T_OUT_VERTEX)]
+    order.append(m + 1)
+    outputs = np.ascontiguousarray(tensor.transpose(order)).reshape(len(cases), 2**m, 8, -1)
+    return outputs[0] if isinstance(linking, LinkingByproducts) else list(outputs)
 
 
 @dataclass
@@ -777,8 +779,8 @@ def run_gate(
     initial = input_state.norm_sq
     if initial == 0:
         raise ValueError("cannot measure the zero state")
-    key = tuple(outcomes[v] for v in variant.measured_vertices)
-    column = branch_outputs(variant, linking, input_state.amplitudes[None, :])[key]
+    row = outcome_prefixes(variant.measured_vertices).index(outcomes)
+    column = branch_outputs(variant, linking, input_state.amplitudes[None, :])[row]
     out = StateVector(3, column[:, 0])
     probability = out.norm_sq / initial
     if probability < 1e-12:
@@ -789,7 +791,7 @@ def run_gate(
         # No tabulated frame for this angle: classify the residual
         # extracted from the simulated branch operator instead.
         sigma = None
-        operator = branch_outputs(variant, linking, np.eye(8))[key]
+        operator = branch_outputs(variant, linking, np.eye(8))[row]
         target_inv = np.linalg.inv(logical_target(variant))
         success = is_local(unit_scale(operator @ target_inv)).is_local
     else:
@@ -800,10 +802,6 @@ def run_gate(
 
 
 # --- success probability ---
-
-
-def _all_bits(n):
-    return list(itertools.product((0, 1), repeat=n))
 
 
 @dataclass
@@ -857,7 +855,7 @@ def verify_branch_uniformity(
     embedded, _, leaves = _outcome_leaves(variant, cases, np.stack(inputs))
     initial = [float(np.vdot(row, row).real) for row in embedded]
     worst = 0.0
-    for _, leaf in leaves:
+    for leaf in leaves:
         for row, norm_sq in zip(leaf.reshape(len(embedded), -1), initial):
             probability = float(np.vdot(row, row).real) / norm_sq
             worst = max(worst, abs(probability - expected))
@@ -882,10 +880,9 @@ def success_probability(
     if linking_model not in ("none", "uniform"):
         raise ValueError(f"unknown linking model {linking_model!r}")
     uniform = linking_model == "uniform"
-    sx_cases = _all_bits(3) if uniform else [(0, 0, 0)]
-    sz_cases = _all_bits(3) if uniform else [(0, 0, 0)]
-    vertices = variant.measured_vertices
-    m = len(vertices)
+    sx_cases = sz_cases = list(itertools.product((0, 1), repeat=3)) if uniform else [(0, 0, 0)]
+    branches = outcome_prefixes(variant.measured_vertices)
+    m = len(variant.measured_vertices)
     branch_fraction = Fraction(1, 2**m)
     case_weight = Fraction(1, len(sx_cases))
 
@@ -911,9 +908,7 @@ def success_probability(
         local = 0
         for sz in sz_cases:
             frames = linking_frames(variant, LinkingByproducts(sx, sz))
-            for bits in _all_bits(m):
-                if frames.is_local(dict(zip(vertices, bits))):
-                    local += 1
+            local += sum(map(frames.is_local, branches))
         cases.append(LinkingCase(sx, True, local, 2**m * len(sz_cases)))
         total += case_weight * Fraction(local, len(sz_cases)) * branch_fraction
     return SuccessReport(

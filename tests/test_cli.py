@@ -292,6 +292,40 @@ def test_overflowing_rational_angle_is_a_usage_error(tmp_path, monkeypatch, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "graph build deep.json",
+        "optics run --recipe deep.json",
+        "toffoli run --variant six --input deep.json",
+    ],
+    ids=["graph", "recipe", "input"],
+)
+def test_deeply_nested_json_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # json gives up on this nesting with a RecursionError, which no reader may let escape.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_run_rejects_oversized_integer_amplitude(tmp_path, capsys):
+    # complex() cannot take an integer beyond the float range.
+    path = tmp_path / "input.json"
+    path.write_text("[[1" + "0" * 400 + ", 0]" + ", [0, 0]" * 7 + "]")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["toffoli", "run", "--variant", "six", "--input", str(path)])
+    assert err.value.code == 1
+    out, err_text = capsys.readouterr()
+    assert out == "" and "input amplitude overflows a float" in err_text
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -332,6 +366,27 @@ def test_cli_records_match_golden(records):
     if problem:
         pytest.fail(problem)
     differ = records.cli_differences(golden, records.run_all())
+    assert not differ, f"{GOLDEN.name} differs for: " + "; ".join(differ)
+
+
+def test_cheap_branch_groups_match_golden(records):
+    # The branch groups that take under a second, recomputed and compared with
+    # their digest lines: engine holds branch_outputs, graphs enumerate_branches.
+    fields, _ = records.read_golden(GOLDEN)
+    problem = records.build_mismatch(GOLDEN, fields)
+    if problem:
+        pytest.fail(problem)
+    seeds = [int(seed) for seed in fields["seeds"].split()]
+    groups = {
+        "engine": records.engine_records(),
+        "graphs": records.large_graph_records(seeds),
+        "basis": records.basis_records(),
+        "resource": records.resource_records(),
+    }
+    here = {name: records.group_digest(lines) for name, lines in groups.items()}
+    differ = [
+        f"{name} (golden {fields[name]}, here {here[name]})" for name in groups if here[name] != fields[name]
+    ]
     assert not differ, f"{GOLDEN.name} differs for: " + "; ".join(differ)
 
 

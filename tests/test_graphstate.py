@@ -180,6 +180,15 @@ def test_json_field_errors(doc, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("first,second", [("0", "00"), ("1", " 1")])
+def test_inputs_keys_naming_one_vertex_are_rejected(first, second):
+    # Both keys int() to one vertex; neither assignment may silently win.
+    doc = {"vertices": 2, "inputs": {first: {"basis": "hadamard"}, second: {}}}
+    with pytest.raises(gs.GraphFormatError) as err:
+        gs.from_json(json.dumps(doc))
+    assert f"inputs keys {first!r} and {second!r} both name vertex {int(first)}" in str(err.value)
+
+
 def test_json_rejects_non_finite_and_undecodable_input():
     with pytest.raises(gs.GraphFormatError, match="finite"):
         gs.from_json('{"vertices": 2, "edges": [[0, 1, NaN]]}')

@@ -307,15 +307,14 @@ def test_branch_equivalence_random_sample(kind):
 
 
 def assert_engine_matches_reference(variant, linking):
-    """Engine outputs equal the per-column path bit for bit."""
+    """Engine outputs equal the per-column path bit for bit, row i the outcomes spelling i."""
     psis = random_states(62, 2)
     inputs = np.vstack([np.eye(8)] + [psi.amplitudes for psi in psis])
     outputs = tf.branch_outputs(variant, linking, inputs)
     m = len(variant.measured_vertices)
-    assert list(outputs) == list(itertools.product((0, 1), repeat=m))
-    for bits, out in outputs.items():
-        mapping = branch_map(variant, linking, dict(zip(variant.measured_vertices, bits)))
-        assert out.shape == (8, 10)
+    assert outputs.shape == (2**m, 8, 10) and outputs.flags.c_contiguous
+    for outcomes, out in zip(all_outcomes(variant), outputs, strict=True):
+        mapping = branch_map(variant, linking, outcomes)
         assert np.array_equal(out[:, :8], reconstruct_operator(mapping, 3))
         for column, psi in enumerate(psis, start=8):
             assert np.array_equal(out[:, column], mapping(psi).amplitudes)
@@ -337,7 +336,7 @@ def test_branch_outputs_equal_reference_path_off_grid():
 
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
 def test_multi_case_branch_outputs_equal_separate_calls(kind):
-    # Every sz case of one sx in one call: one dict per case, byte-identical
+    # Every sz case of one sx in one call: one array per case, byte-identical
     # to the case's own call.
     variant = tf.ResourceVariant(kind)
     inputs = np.vstack([np.eye(8), signed_zero_inputs()[:2]])
@@ -347,10 +346,8 @@ def test_multi_case_branch_outputs_equal_separate_calls(kind):
         assert isinstance(joint, list) and len(joint) == len(cases)
         for linking, outputs in zip(cases, joint):
             alone = tf.branch_outputs(variant, linking, inputs)
-            assert list(outputs) == list(alone)
-            for bits, out in outputs.items():
-                assert out.flags.c_contiguous
-                assert out.tobytes() == alone[bits].tobytes(), (linking, bits)
+            assert outputs.shape == alone.shape and outputs.flags.c_contiguous
+            assert outputs.tobytes() == alone.tobytes(), linking
     with pytest.raises(ValueError, match="share one sx"):
         tf.branch_outputs(variant, [tf.NO_LINKING, tf.LinkingByproducts((0, 1, 0))], inputs)
 
@@ -617,9 +614,7 @@ def test_branch_uniformity_bitwise_equals_enumeration(kind, theta):
         for index, linking in enumerate(cases):
             rows = slice(index * len(inputs), (index + 1) * len(inputs))
             _, _, alone = tf._outcome_leaves(variant, [linking], inputs)
-            for (seen, leaf), (seen_alone, leaf_alone) in zip(shared, alone, strict=True):
-                assert seen == seen_alone
-                assert leaf[rows].tobytes() == leaf_alone.tobytes(), (linking, seen)
+            assert shared[:, rows].tobytes() == alone.tobytes(), linking
     report = tf.success_probability(variant, "uniform")
     assert report.max_uniformity_error.hex() == max(worst).hex()
 
@@ -804,8 +799,7 @@ def test_six_frame_table_matches_simulation_off_pi(theta, sx):
     for sz in itertools.product((0, 1), repeat=3):
         linking = tf.LinkingByproducts(sx=sx, sz=sz)
         operators = tf.branch_outputs(variant, linking, np.eye(8))
-        for outcomes in all_outcomes(variant):
-            branch_op = operators[tuple(outcomes[v] for v in variant.measured_vertices)]
+        for outcomes, branch_op in zip(all_outcomes(variant), operators, strict=True):
             predicted = frame_to_operator(tf.predicted_sigma(variant, outcomes, linking)) @ target
             assert verify.equal_up_to_phase(
                 verify.unit_scale(branch_op), verify.unit_scale(predicted), 1e-10

@@ -73,9 +73,10 @@ engine and run lines) comes as such a pair. The branch groups:
   ``sigma.describe()`` (or ``None``), or the exception's type and
   message.
 
-The script uses only names that every checkout since the spec table
-(``ResourceVariant.spec``) has, so one copy of it runs on both sides of
-a comparison. With no flag it prints every record::
+The script uses only names and return types that every checkout since
+the array branch table (``toffoli.branch_outputs`` returning one
+``(2**m, 8, B)`` array per linking case) has, so one copy of it runs on
+both sides of a comparison. With no flag it prints every record::
 
     PYTHONPATH=src python tools/records.py > a.txt
     PYTHONPATH=../other/src python tools/records.py > b.txt
@@ -85,14 +86,16 @@ a comparison. With no flag it prints every record::
 by default). ``--golden`` prints the golden file
 ``tests/golden/records.txt``: a header, the numpy and BLAS build, the
 seeds, one line per branch group (its name, the SHA-256 of its lines and
-its line count) and the ``cli`` records. Two tier-1 tests read it: one
+its line count) and the ``cli`` records. Three tier-1 tests read it: one
 recomputes the ``cli`` records in process and names each argv that
-differs, the other compares the ``verify all`` record with two
-fresh-interpreter runs. ``--check GOLDEN`` recomputes the golden file at
-the seeds GOLDEN names, prints each branch group and each ``cli`` argv
-that differs and exits 1 if any does, or if GOLDEN comes from another
-numpy or BLAS build. One run takes tens of seconds, so the check is not
-a test.
+differs, one compares the ``verify all`` record with two
+fresh-interpreter runs, and one recomputes the cheap branch groups
+``engine``, ``graphs``, ``basis`` and ``resource`` (under a second in
+all) and names each that differs. ``--check GOLDEN`` recomputes the
+golden file at the seeds GOLDEN names, prints each branch group and each
+``cli`` argv that differs and exits 1 if any does, or if GOLDEN comes
+from another numpy or BLAS build. One run takes tens of seconds, most of
+it the ``run`` group, so the whole check is not a test.
 """
 
 from __future__ import annotations
@@ -389,11 +392,11 @@ def large_graph_records(seeds):
 def engine_records():
     batch = np.vstack([np.eye(8)] + [psi.amplitudes for psi in logical_inputs()[1:]])
     for variant in VARIANTS:
+        m = len(variant.measured_vertices)
         for linking in linking_cases(variant):
-            for bits, out in toffoli.branch_outputs(variant, linking, batch).items():
-                bits = "".join(map(str, bits))
-                case = f"{variant.kind}@{variant.theta}:{linking.sx}{linking.sz}"
-                yield f"engine {case.replace(' ', '')} {bits} {amplitude_digests(out)}"
+            case = f"{variant.kind}@{variant.theta}:{linking.sx}{linking.sz}".replace(" ", "")
+            for row, out in enumerate(toffoli.branch_outputs(variant, linking, batch)):
+                yield f"engine {case} {row:0{m}b} {amplitude_digests(out)}"
 
 
 FRAME_THETAS = [Fraction(n, d) for n, d in ((1, 1), (1, 2), (-1, 2), (3, 2), (1, 3), (1, 4))]
@@ -513,15 +516,19 @@ GOLDEN_HEADER = """\
 """
 
 
+def group_digest(records) -> str:
+    """A branch group's value in the golden file: the SHA-256 of its lines, then their count."""
+    records = [f"{line}\n" for line in records]
+    return f"{digest(''.join(records).encode())} {len(records)}"
+
+
 def golden_lines(seeds) -> list[str]:
     """The golden file's lines after its header, at ``seeds``."""
     groups = record_groups(seeds)
     lines = [f"{key} {value}" for key, value in numpy_build().items()]
     lines.append(" ".join(["seeds", *map(str, seeds)]))
     cli_lines = groups.pop("cli")
-    for name, records in groups.items():
-        records = [f"{line}\n" for line in records]
-        lines.append(f"{name} {digest(''.join(records).encode())} {len(records)}")
+    lines += [f"{name} {group_digest(records)}" for name, records in groups.items()]
     return lines + cli_lines
 
 

@@ -5,6 +5,9 @@ wherever possible, with plain float radians as an escape hatch. A
 ``Fraction(1, 2)`` therefore means pi/2 radians. All frame arithmetic in
 this package stays on the rational side; floats only appear when a state
 vector is actually built.
+
+The JSON readers of the package share the value checks here:
+``is_json_int``, ``is_json_number`` and the ``unique_keys`` object hook.
 """
 
 from __future__ import annotations
@@ -78,6 +81,27 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_json_number(value) -> bool:
+    """A JSON integer or float; ``true`` and ``false`` do not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` object hook: the object, or ``ValueError`` naming a repeated key.
+
+    ``json.loads`` alone keeps the last of two equal keys, so a repeated
+    key would silently drop the first value.
+    """
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} appears more than once in one object")
+            seen.add(key)
+    return doc
+
+
 def from_json(obj, where: str = "angle") -> Angle:
     if isinstance(obj, dict):
         try:
@@ -89,7 +113,7 @@ def from_json(obj, where: str = "angle") -> Angle:
         if den == 0:
             raise ValueError(f"{where}: zero denominator")
         return _finite(Fraction(num, den), where)
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if is_json_number(obj):
         return _finite(obj, where)
     raise ValueError(f"{where}: expected {{pi_num, pi_den}} or a number")
 

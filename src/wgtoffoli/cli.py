@@ -29,7 +29,7 @@ import numpy as np
 from . import angles, graphstate, optics
 from .acceptance import build_report, canonical_json, recipe_fidelity
 from .mbqc import frame_to_operator, outcome_prefixes
-from .qstate import StateVector, from_amplitudes
+from .qstate import StateVector, from_amplitudes, norms_sq
 from .toffoli import (
     VARIANT_KINDS,
     LinkingByproducts,
@@ -118,7 +118,11 @@ def _parse_input(text: str) -> StateVector:
     try:
         with open(text) as handle:
             pairs = json.load(handle)
-        state = from_amplitudes([complex(re, im) for re, im in pairs])
+        amplitudes = [complex(re, im) for re, im in pairs]
+        # complex() takes true and false as 1 and 0, and nothing else but numbers.
+        if not all(angles.is_json_number(part) for pair in pairs for part in pair):
+            raise _usage_error("input amplitudes must be numbers, not true or false")
+        state = from_amplitudes(amplitudes)
         if not np.isfinite(state.amplitudes).all():
             raise _usage_error("input amplitudes must be finite (NaN or infinity found)")
         if not np.isfinite(state.norm_sq):
@@ -217,17 +221,19 @@ def _branch_table(variant, linking):
     corrected = unit_scale(np.linalg.inv(sigma_ops) @ branch_ops)
     matches = equal_up_to_phase(corrected, target, 1e-10)
     fidelities = process_fidelity(corrected, target)
+    # Each branch's output for the input |000>: its operator's first column.
+    probabilities = norms_sq(branch_ops[:, :, 0])
     return [
         {
             "outcomes": "".join(map(str, outcomes.values())),
-            "probability": float(np.vdot(branch_op[:, 0], branch_op[:, 0]).real),
+            "probability": float(probability),
             "local": sigma.is_local,
             "sigma": sigma.describe(),
             "matches_prediction": bool(match),
             "fidelity": float(fidelity),
         }
-        for outcomes, branch_op, sigma, match, fidelity in zip(
-            branches, branch_ops, sigmas, matches, fidelities
+        for outcomes, probability, sigma, match, fidelity in zip(
+            branches, probabilities, sigmas, matches, fidelities
         )
     ]
 

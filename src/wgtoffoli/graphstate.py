@@ -173,11 +173,13 @@ def from_json(text) -> WeightedGraph:
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"not UTF-8 text: {exc.reason}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=angles.unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise GraphFormatError("JSON nested too deeply") from None
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be an object")
     vertices = doc.get("vertices")

@@ -41,6 +41,7 @@ from .qstate import (
     PAULI_Z,
     StateVector,
     kron_all,
+    norms_sq,
     project,
     project_axis,
     rz,
@@ -217,8 +218,10 @@ def enumerate_branches(
     Branches come in ``itertools.product`` order over the steps. This is
     ``outcome_tree_leaves`` on a batch of one: m kernel calls when every
     basis is fixed, one per distinct basis at an adaptive depth, and each
-    branch's amplitudes are a view into the walk's last level. Each
-    result is bitwise equal to ``run_branch(state, pattern, outcomes)``.
+    branch's amplitudes are a view into the walk's last level. One
+    ``qstate.norms_sq`` call takes every branch's squared norm, bitwise
+    equal to its ``StateVector.norm_sq``, so each result is bitwise equal
+    to ``run_branch(state, pattern, outcomes)``.
     Without steps the one branch is ``state`` itself.
     """
     m = len(pattern.steps)
@@ -231,11 +234,10 @@ def enumerate_branches(
         return [({}, 1.0, state)]
     n = state.num_qubits
     leaves = outcome_tree_leaves(pattern, state.amplitudes.reshape((1,) + (2,) * n))
-    branches = []
-    for outcomes, leaf in zip(outcome_prefixes(pattern.vertices), leaves):
-        final = StateVector(n - m, leaf.reshape(-1))
-        branches.append((outcomes, final.norm_sq / initial, final))
-    return branches
+    rows = leaves.reshape(2**m, -1)
+    probabilities = norms_sq(rows) / initial
+    branches = zip(outcome_prefixes(pattern.vertices), probabilities, rows)
+    return [(outcomes, float(p), StateVector(n - m, row)) for outcomes, p, row in branches]
 
 
 # --- byproduct frames ---

@@ -298,11 +298,13 @@ def steps_from_json(text) -> list[RecipeStep]:
         except UnicodeDecodeError as exc:
             raise RecipeError(f"not UTF-8 text: {exc.reason}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=angles.unique_keys)
     except json.JSONDecodeError as exc:
         raise RecipeError(f"line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
         raise RecipeError("JSON nested too deeply") from None
+    except ValueError as exc:
+        raise RecipeError(str(exc)) from None
     if not isinstance(doc, dict):
         raise RecipeError("top level must be an object")
     raw_steps = doc.get("steps", [])

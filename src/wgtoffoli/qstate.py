@@ -90,6 +90,24 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes / math.sqrt(n))
 
 
+def norms_sq(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a ``(B, d)`` array, as a ``(B,)`` float array.
+
+    One stacked matmul of each conjugated row with the row, over a
+    contiguous copy. numpy hands each ``(1, d) @ (d, 1)`` product to
+    BLAS's complex dot, the kernel that ``np.vdot`` calls with its
+    conjugating flag, so entry i is bitwise equal to
+    ``np.vdot(row, row).real`` of the contiguous row i; tier-1 tests pin
+    that identity. ``np.vdot`` on a strided view takes BLAS's strided
+    loop, whose bits can differ; the copy keeps the result independent of
+    the layout.
+    """
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    if rows.ndim != 2:
+        raise ValueError(f"expected a (B, d) array of rows, got shape {rows.shape}")
+    return np.matmul(rows.conj()[:, None, :], rows[:, :, None])[:, 0, 0].real
+
+
 def plus_state(num_qubits: int) -> StateVector:
     """All qubits in (|0> + |1>)/sqrt(2)."""
     if not 1 <= num_qubits <= MAX_QUBITS:

@@ -73,6 +73,7 @@ from .qstate import (
     apply_cz_theta,
     basis_state,
     kron_all,
+    norms_sq,
     rz,
 )
 from .verify import is_local, unit_scale
@@ -500,7 +501,9 @@ class LinkingFrames:
     ``_check``, which applies the coverage check and the
     ``FrameUnavailable`` rules in that order and says whether the branch
     is the non-local one. ``is_local`` returns that verdict and composes
-    no frame; calling the table builds the branch's words and composes
+    no frame; it reads sx and the outcomes, never sz, since the sz frame
+    is a local Pauli word, so one table per sx gives the verdict of every
+    sz case. Calling the table builds the branch's words and composes
     ``(prefactor @ words) @ sz_frame``, with the six-qubit non-local factor
     built for a non-local branch alone.
     """
@@ -666,8 +669,11 @@ def _encode_rows(
 
 
 def _case_list(linking) -> list[LinkingByproducts]:
-    """One linking case, or a sequence of cases, as a list of cases."""
-    return [linking] if isinstance(linking, LinkingByproducts) else list(linking)
+    """One linking case, or a non-empty sequence of cases, as a list of cases."""
+    cases = [linking] if isinstance(linking, LinkingByproducts) else list(linking)
+    if not cases:
+        raise ValueError("no linking cases given: at least one linking case is needed")
+    return cases
 
 
 def _outcome_leaves(
@@ -675,8 +681,8 @@ def _outcome_leaves(
 ):
     """Embed each ``(B, 8)`` input row once per linking case and walk them as one batch.
 
-    ``cases`` is a sequence of linking cases that share one sx: the
-    measurement pattern reads sx alone, so their rows share one walk.
+    ``cases`` is a non-empty sequence of linking cases that share one sx:
+    the measurement pattern reads sx alone, so their rows share one walk.
     Returns the ``(len(cases) * B, 2**n)`` embedded rows, case by case,
     the surviving vertices in ascending label order and the last level of
     ``mbqc.outcome_tree_leaves``, ``(2**m, rows, 2, 2, 2)`` with the
@@ -687,8 +693,6 @@ def _outcome_leaves(
     ``_encode_rows`` build, equal to ``encoded_state`` of the row byte
     for byte.
     """
-    if not cases:
-        raise ValueError("no linking cases given: at least one linking case is needed")
     if len({linking.sx for linking in cases}) != 1:
         raise ValueError("linking cases walked together must share one sx")
     pattern = measurement_program(variant, cases[0])
@@ -827,38 +831,54 @@ class SuccessReport:
         return float(self.p_success)
 
 
+@lru_cache(maxsize=None)
+def _uniformity_inputs() -> np.ndarray:
+    """``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, as read-only rows."""
+    rng = np.random.default_rng(20250810)
+    inputs = [basis_state(3, 0).amplitudes]
+    for _ in range(UNIFORMITY_RANDOM_INPUTS):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        inputs.append(amps / np.linalg.norm(amps))
+    rows = np.stack(inputs)
+    rows.flags.writeable = False
+    return rows
+
+
 def verify_branch_uniformity(
     variant: ResourceVariant,
     linking: LinkingByproducts | Sequence[LinkingByproducts] = NO_LINKING,
 ) -> float:
     """Max deviation of any branch probability from 2**-m over test inputs.
 
-    ``linking`` is one linking case or a sequence of cases that share one
-    sx, whose rows then go through one walk: the measurement pattern
-    reads sx alone. Each case embeds ``|000>`` and
-    ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, and every row is
-    embedded in one batched build and walked in one batch by
-    ``_outcome_leaves``, the walk ``mbqc.enumerate_branches`` makes for one
-    state. Each probability is the leaf row's squared norm, taken before any
-    reordering, over the embedded input's, so it equals the one
-    ``enumerate_branches`` reports for that input and case, and the result
-    is the maximum of one call per case.
+    ``linking`` is one linking case or a non-empty sequence of cases, in
+    any mix of sx. Each case embeds ``|000>`` and
+    ``UNIFORMITY_RANDOM_INPUTS`` seeded random states. The cases are
+    grouped by sx, every row of every case is embedded in one
+    ``_encode_rows`` build, and each sx's block of rows goes through one
+    ``mbqc.outcome_tree_leaves`` walk of that sx's ``measurement_program``
+    (the pattern reads sx alone), the walk ``mbqc.enumerate_branches``
+    makes for one state. Each probability is the leaf row's squared norm,
+    taken before any reordering, over the embedded input's, both from
+    ``qstate.norms_sq``; so it equals the one ``enumerate_branches``
+    reports for that input and case, and the result is the maximum of one
+    call per case.
     """
-    cases = _case_list(linking)
-    m = len(variant.measured_vertices)
-    expected = 0.5**m
-    rng = np.random.default_rng(20250810)
-    inputs = [basis_state(3, 0).amplitudes]
-    for _ in range(UNIFORMITY_RANDOM_INPUTS):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        inputs.append(amps / np.linalg.norm(amps))
-    embedded, _, leaves = _outcome_leaves(variant, cases, np.stack(inputs))
-    initial = [float(np.vdot(row, row).real) for row in embedded]
-    worst = 0.0
-    for leaf in leaves:
-        for row, norm_sq in zip(leaf.reshape(len(embedded), -1), initial):
-            probability = float(np.vdot(row, row).real) / norm_sq
-            worst = max(worst, abs(probability - expected))
+    groups: dict[tuple[int, int, int], list[LinkingByproducts]] = {}
+    for case in _case_list(linking):
+        groups.setdefault(case.sx, []).append(case)
+    cases = [case for group in groups.values() for case in group]
+    inputs = _uniformity_inputs()
+    embedded = _encode_rows(variant, cases, inputs)
+    initial = norms_sq(embedded)
+    n, m = variant.vertex_count, len(variant.measured_vertices)
+    worst, start = 0.0, 0
+    for group in groups.values():
+        rows = slice(start, start + len(group) * len(inputs))
+        pattern = measurement_program(variant, group[0])
+        leaves = outcome_tree_leaves(pattern, embedded[rows].reshape((-1,) + (2,) * n))
+        probabilities = norms_sq(leaves.reshape(-1, 8)).reshape(2**m, -1) / initial[rows]
+        worst = max(worst, float(np.max(np.abs(probabilities - 0.5**m))))
+        start = rows.stop
     return worst
 
 
@@ -872,10 +892,13 @@ def success_probability(
     ``none`` runs the bare gate; ``uniform`` averages over all eight
     x-corruption and all eight z-corruption patterns with weight 1/8 each.
     Branch probabilities are verified uniform by simulation: one
-    ``verify_branch_uniformity`` walk per accepted sx covers its sz
-    probes. Branches are then classified by ``LinkingFrames.is_local``,
-    which applies the frame table's checks and builds no frame, and
-    counted with exact rational arithmetic.
+    ``verify_branch_uniformity`` call takes every accepted sx with its sz
+    probes, in one embedding and one walk per sx. Branches are then
+    classified by ``LinkingFrames.is_local``, which applies the frame
+    table's checks and builds no frame. Its verdict reads sx and the
+    outcomes, never sz, so each accepted sx is classified once and its
+    count stands for every sz case. The counts are combined with exact
+    rational arithmetic.
     """
     if linking_model not in ("none", "uniform"):
         raise ValueError(f"unknown linking model {linking_model!r}")
@@ -889,11 +912,15 @@ def success_probability(
     max_err = 0.0
     if check_uniformity:
         probes = [(0, 0, 0), (1, 1, 1)] if uniform else [(0, 0, 0)]
-        for sx in sx_cases:
-            if not _recoverable(variant, sx):
-                continue
-            err = verify_branch_uniformity(variant, [LinkingByproducts(sx, sz) for sz in probes])
-            max_err = max(max_err, err)
+        max_err = verify_branch_uniformity(
+            variant,
+            [
+                LinkingByproducts(sx, sz)
+                for sx in sx_cases
+                if _recoverable(variant, sx)
+                for sz in probes
+            ],
+        )
         if max_err > 1e-10:
             raise AssertionError(
                 f"branch probabilities deviate from uniform by {max_err}"
@@ -905,10 +932,8 @@ def success_probability(
         if not _recoverable(variant, sx):
             cases.append(LinkingCase(sx, False, 0, 2**m * len(sz_cases)))
             continue
-        local = 0
-        for sz in sz_cases:
-            frames = linking_frames(variant, LinkingByproducts(sx, sz))
-            local += sum(map(frames.is_local, branches))
+        frames = linking_frames(variant, LinkingByproducts(sx))
+        local = sum(map(frames.is_local, branches)) * len(sz_cases)
         cases.append(LinkingCase(sx, True, local, 2**m * len(sz_cases)))
         total += case_weight * Fraction(local, len(sz_cases)) * branch_fraction
     return SuccessReport(

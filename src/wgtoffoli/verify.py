@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qstate import norms_sq
+
 LOCALITY_TOL = 1e-8
 
 
@@ -117,10 +119,14 @@ def process_fidelity(a: np.ndarray, b: np.ndarray):
 
 
 def unit_scale(op: np.ndarray) -> np.ndarray:
-    """Rescale a matrix proportional to a unitary onto unitary scale, per stack member."""
+    """Rescale a matrix proportional to a unitary onto unitary scale, per stack member.
+
+    Each member's squared Frobenius norm is its flattened row's
+    ``qstate.norms_sq``, bitwise equal to ``np.vdot(member, member).real``
+    of a C-contiguous member; those bits set the reported fidelities.
+    """
     (stack,), single = _stacks(op)
-    # np.vdot per member: its bits set the reported fidelities.
-    frob_sq = np.array([np.vdot(member, member).real for member in stack])
+    frob_sq = norms_sq(stack.reshape(len(stack), -1))
     _require(frob_sq != 0, "cannot rescale the zero operator")
     scaled = stack * np.sqrt(stack.shape[1] / frob_sq)[:, None, None]
     return scaled[0] if single else scaled

@@ -326,6 +326,17 @@ def test_run_rejects_oversized_integer_amplitude(tmp_path, capsys):
     assert out == "" and "input amplitude overflows a float" in err_text
 
 
+def test_run_rejects_boolean_amplitudes(tmp_path, capsys):
+    # complex(True, False) is 1, so this file once ran as |000>.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps([[True, False]] + [[False, False]] * 7))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["toffoli", "run", "--variant", "six", "--input", str(path)])
+    assert err.value.code == 1
+    out, err_text = capsys.readouterr()
+    assert out == "" and err_text == "error: input amplitudes must be numbers, not true or false\n"
+
+
 def test_json_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

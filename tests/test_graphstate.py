@@ -189,6 +189,21 @@ def test_inputs_keys_naming_one_vertex_are_rejected(first, second):
     assert f"inputs keys {first!r} and {second!r} both name vertex {int(first)}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ('{"vertices": 2, "inputs": {"0": {"basis": "hadamard"}, "0": {}}}', "0"),
+        ('{"vertices": 2, "vertices": 3}', "vertices"),
+        ('{"vertices": 2, "edges": [[0, 1, {"pi_num": 1, "pi_den": 2, "pi_num": 3}]]}', "pi_num"),
+    ],
+    ids=["inputs", "vertices", "angle"],
+)
+def test_repeated_json_keys_are_rejected(doc, key):
+    # json.loads alone keeps the last value of a repeated key.
+    with pytest.raises(gs.GraphFormatError, match=f"key '{key}' appears more than once"):
+        gs.from_json(doc)
+
+
 def test_json_rejects_non_finite_and_undecodable_input():
     with pytest.raises(gs.GraphFormatError, match="finite"):
         gs.from_json('{"vertices": 2, "edges": [[0, 1, NaN]]}')

@@ -278,6 +278,20 @@ def test_recipe_json_errors():
 
 
 @pytest.mark.parametrize(
+    "doc,key",
+    [
+        (b'{"steps": [{"op": "reset", "mode": 1}], "steps": []}', "steps"),
+        (b'{"steps": [{"op": "reset", "mode": 1, "mode": 2}]}', "mode"),
+    ],
+    ids=["steps", "mode"],
+)
+def test_recipe_repeated_json_keys_are_rejected(doc, key):
+    # json.loads alone keeps the last value of a repeated key.
+    with pytest.raises(optics.RecipeError, match=f"key '{key}' appears more than once"):
+        optics.steps_from_json(doc)
+
+
+@pytest.mark.parametrize(
     "doc,fragment",
     [
         ([], "top level must be an object"),

@@ -6,6 +6,7 @@ import pytest
 from reference import apply_cz_theta_mask
 
 from wgtoffoli import qstate as qs
+from wgtoffoli import toffoli as tf
 
 
 def random_state(rng, n):
@@ -173,3 +174,69 @@ def test_x_propagation_identity():
         lhs = np.diag([1, 1, 1, np.exp(1j * theta)]) @ np.kron(qs.PAULI_X, qs.ID2)
         rhs = np.kron(qs.PAULI_X, qs.rz(theta)) @ np.diag([1, 1, 1, np.exp(-1j * theta)])
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+# --- batched squared norms ---
+
+NORM_LENGTHS = list(range(1, 65)) + [96, 127, 255, 256, 511, 1000, 1024, 2047, 4096]
+
+
+def vdot_norms(rows):
+    """``np.vdot(row, row).real`` of each contiguous row: the per-row reference."""
+    return np.array([np.vdot(row, row).real for row in np.ascontiguousarray(rows)])
+
+
+def assert_bitwise(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", NORM_LENGTHS)
+def test_norms_sq_bitwise_equals_vdot_per_row(d):
+    rng = np.random.default_rng(d)
+    rows = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
+    rows *= np.exp(4 * rng.normal(size=(6, 1)))  # spread the magnitudes
+    assert_bitwise(qs.norms_sq(rows), vdot_norms(rows))
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 64, 1000])
+def test_norms_sq_of_strided_and_broadcast_rows(d):
+    rng = np.random.default_rng(100 + d)
+    big = rng.normal(size=(10, 2 * d)) + 1j * rng.normal(size=(10, 2 * d))
+    # Every other row, and the first d columns: each row stays contiguous,
+    # so np.vdot of the view itself is the reference.
+    for view in (big[::2, :d], big[1::3, d:]):
+        assert_bitwise(qs.norms_sq(view), np.array([np.vdot(row, row).real for row in view]))
+    # Every other element, and a transpose: the norm is the contiguous row's.
+    for view in (big[:, ::2], big[:d].T):
+        assert_bitwise(qs.norms_sq(view), vdot_norms(view))
+    row = big[0, :d]
+    assert_bitwise(qs.norms_sq(np.broadcast_to(row, (4, d))), np.full(4, np.vdot(row, row).real))
+
+
+def test_norms_sq_of_zero_rows_and_signed_zeros():
+    rows = np.zeros((6, 8), dtype=complex)
+    rows[1] = complex(-0.0, -0.0)
+    rows[2, ::2] = complex(-0.0, 0.0)
+    rows[3, 1::2] = complex(0.0, -0.0)
+    rows[4] = complex(-0.0, 0.5)
+    rows[5, 3] = complex(-1.5, -0.0)
+    norms = qs.norms_sq(rows)
+    assert_bitwise(norms, vdot_norms(rows))
+    assert not np.signbit(norms).any()
+    assert qs.norms_sq(np.zeros((0, 8))).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_norms_sq_bitwise_on_every_leaf_of_a_walk(kind):
+    # The eight basis columns of one linking case, through one walk.
+    linking = tf.LinkingByproducts((1, 1, 1), (1, 0, 1))
+    embedded, _, leaves = tf._outcome_leaves(tf.ResourceVariant(kind), [linking], np.eye(8))
+    rows = leaves.reshape(-1, 8)
+    assert_bitwise(qs.norms_sq(rows), vdot_norms(rows))
+    assert_bitwise(qs.norms_sq(embedded), vdot_norms(embedded))
+
+
+def test_norms_sq_rejects_a_non_matrix():
+    with pytest.raises(ValueError, match=r"\(B, d\)"):
+        qs.norms_sq(np.ones(8))

@@ -627,10 +627,60 @@ def test_success_walks_the_sz_probes_of_each_sx_once(monkeypatch):
     assert [tensor.shape[0] for _, tensor in walks] == [6] * len(accepted_sx(variant))
 
 
-def test_uniformity_batch_must_share_one_sx():
-    cases = [tf.NO_LINKING, tf.LinkingByproducts((1, 1, 1))]
-    with pytest.raises(ValueError, match="share one sx"):
-        tf.verify_branch_uniformity(tf.ResourceVariant("six"), cases)
+def test_success_embeds_every_uniformity_probe_in_one_build(monkeypatch):
+    builds = count_calls(monkeypatch, tf, "_encode_rows")
+    variant = tf.ResourceVariant("eight")
+    tf.success_probability(variant, "uniform")
+    # Every accepted sx with both sz probes, in the order the report lists sx.
+    [(_, cases, rows)] = builds
+    probes = [(0, 0, 0), (1, 1, 1)]
+    assert cases == [tf.LinkingByproducts(sx, sz) for sx in accepted_sx(variant) for sz in probes]
+    assert rows.shape == (1 + tf.UNIFORMITY_RANDOM_INPUTS, 8) and not rows.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "kind,theta",
+    [("six", Fraction(1)), ("seven", Fraction(1)), ("eight", Fraction(1)), ("six", Fraction(1, 2))],
+)
+def test_uniformity_batch_may_mix_sx(monkeypatch, kind, theta):
+    # Cases of every accepted sx, interleaved, in one call: exactly the
+    # maximum of one call per sx, from one build and one walk per sx.
+    variant = tf.ResourceVariant(kind, theta)
+    probes = [(1, 1, 1), (0, 1, 0), (0, 0, 0)]
+    per_sx = {
+        sx: tf.verify_branch_uniformity(variant, [tf.LinkingByproducts(sx, sz) for sz in probes])
+        for sx in accepted_sx(variant)
+    }
+    mixed = [tf.LinkingByproducts(sx, sz) for sz in probes for sx in reversed(accepted_sx(variant))]
+    builds = count_calls(monkeypatch, tf, "_encode_rows")
+    walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
+    assert tf.verify_branch_uniformity(variant, mixed).hex() == max(per_sx.values()).hex()
+    assert len(builds) == 1 and len(walks) == len(per_sx)
+    with pytest.raises(ValueError, match="at least one linking case is needed"):
+        tf.verify_branch_uniformity(variant, [])
+
+
+@pytest.mark.parametrize("model", ["none", "uniform"])
+@pytest.mark.parametrize(
+    "kind,theta",
+    [(kind, Fraction(1)) for kind in tf.VARIANT_KINDS]
+    + [("six", Fraction(1, 2)), ("six", Fraction(3, 2))],
+)
+def test_local_branches_equal_the_per_sz_recount(kind, theta, model):
+    # success_probability classifies each sx once; the table's verdicts,
+    # recounted for every sz case, must give the same numbers.
+    variant = tf.ResourceVariant(kind, theta)
+    report = tf.success_probability(variant, model, check_uniformity=False)
+    sz_cases = list(itertools.product((0, 1), repeat=3)) if model == "uniform" else [(0, 0, 0)]
+    branches = list(all_outcomes(variant))
+    for case in report.cases:
+        recount = 0
+        if case.recoverable:
+            for sz in sz_cases:
+                frames = tf.linking_frames(variant, tf.LinkingByproducts(case.sx, sz))
+                recount += sum(map(frames.is_local, branches))
+        assert case.local_branches == recount, case.sx
+        assert case.total_branches == len(branches) * len(sz_cases)
 
 
 # --- the CCZ(theta) family ---

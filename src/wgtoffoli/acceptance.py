@@ -21,7 +21,6 @@ from .mbqc import (
     PatternStep,
     basis_states,
     enumerate_branches,
-    frame_to_operator,
     outcome_prefixes,
 )
 from .qstate import (
@@ -102,6 +101,7 @@ def check_seven_eight_success() -> dict:
 
 
 def check_gate_correctness() -> dict:
+    """Every local branch, corrected by its frame, is the Toffoli; one comparison per resource."""
     rng = np.random.default_rng(SEED + 3)
     inputs = _random_states(rng, 5)
     psis = np.stack([psi.amplitudes for psi in inputs], axis=1)
@@ -114,25 +114,24 @@ def check_gate_correctness() -> dict:
     all_match = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
+        outs, sigma_ops = [], []
         for sx in variant.spec.prefactors:
             linking = LinkingByproducts(sx=sx)
             frames = linking_frames(variant, linking)
-            branches = outcome_prefixes(variant.measured_vertices)
-            local = [frames.is_local(outcomes) for outcomes in branches]
-            outs = branch_outputs(variant, linking, columns)[local]
-            sigma_ops = np.stack(
-                [frame_to_operator(frames(o)) for o, keep in zip(branches, local) if keep]
-            )
-            corrected = unit_scale(np.linalg.inv(sigma_ops) @ outs[:, :, :8])
-            all_match &= bool(equal_up_to_phase(corrected, tof, 1e-10).all())
-            worst_fidelity = min(worst_fidelity, float(process_fidelity(corrected, tof).min()))
-            # Each random input of each branch is one (8, 1) member.
-            got, expected = (
-                cols.transpose(0, 2, 1).reshape(-1, 8, 1)
-                for cols in (outs[:, :, 8:], sigma_ops @ tof @ psis)
-            )
-            all_match &= bool(equal_up_to_phase(got, expected, 1e-10).all())
-            checked += len(outs)
+            local = frames.local_mask()
+            outs.append(branch_outputs(variant, linking, columns)[local])
+            sigma_ops.append(frames.operators()[local])
+        outs, sigma_ops = np.concatenate(outs), np.concatenate(sigma_ops)
+        corrected = unit_scale(np.linalg.inv(sigma_ops) @ outs[:, :, :8])
+        all_match &= bool(equal_up_to_phase(corrected, tof, 1e-10).all())
+        worst_fidelity = min(worst_fidelity, float(process_fidelity(corrected, tof).min()))
+        # Each random input of each branch is one (8, 1) member.
+        got, expected = (
+            cols.transpose(0, 2, 1).reshape(-1, 8, 1)
+            for cols in (outs[:, :, 8:], sigma_ops @ tof @ psis)
+        )
+        all_match &= bool(equal_up_to_phase(got, expected, 1e-10).all())
+        checked += len(outs)
     passed = all_match and worst_fidelity >= 1 - 1e-10
     return {
         "id": 3,
@@ -147,21 +146,22 @@ def check_gate_correctness() -> dict:
 
 
 def check_sigma_formulas() -> dict:
+    """Every branch residual equals its predicted frame; one comparison per resource."""
     tof_inv = toffoli_matrix().conj().T
     checked = 0
     all_match = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
-        branches = outcome_prefixes(variant.measured_vertices)
+        residual, predicted = [], []
         for sx in variant.spec.prefactors:
             # The pattern reads sx alone, so both sz cases share one walk.
             cases = [LinkingByproducts(sx=sx, sz=sz) for sz in ((0, 0, 0), (1, 1, 0))]
-            for linking, operators in zip(cases, branch_outputs(variant, cases, np.eye(8))):
-                frames = linking_frames(variant, linking)
-                residual = unit_scale(operators @ tof_inv)
-                predicted = unit_scale(np.stack([frame_to_operator(frames(o)) for o in branches]))
-                all_match &= bool(equal_up_to_phase(residual, predicted, 1e-10).all())
-                checked += len(branches)
+            residual += [ops @ tof_inv for ops in branch_outputs(variant, cases, np.eye(8))]
+            predicted += [linking_frames(variant, linking).operators() for linking in cases]
+        residual = unit_scale(np.concatenate(residual))
+        predicted = unit_scale(np.concatenate(predicted))
+        all_match &= bool(equal_up_to_phase(residual, predicted, 1e-10).all())
+        checked += len(residual)
     return {
         "id": 4,
         "name": "predicted residual formulas match every extracted branch residual",
@@ -225,9 +225,9 @@ def check_ccz_generalisation() -> dict:
         branches = outcome_prefixes(variant.measured_vertices)
         residuals = unit_scale(operators @ target_inv)
         local = np.array([outcomes[variant.spec.nonlocal_vertex] == 0 for outcomes in branches])
-        sigmas = [frames(outcomes) for outcomes, keep in zip(branches, local) if keep]
-        all_match &= all(sigma.is_local for sigma in sigmas)
-        predicted = unit_scale(np.stack([frame_to_operator(sigma) for sigma in sigmas]))
+        kept = [outcomes for outcomes, keep in zip(branches, local) if keep]
+        all_match &= bool(frames.local_mask(kept).all())
+        predicted = unit_scale(frames.operators(kept))
         all_match &= bool(equal_up_to_phase(residuals[local], predicted, 1e-10).all())
         locality_ok &= not is_local(residuals[~local]).is_local.any()
         tested.append(str(frac))
@@ -452,7 +452,7 @@ def check_locality_classifier() -> dict:
         frames = linking_frames(variant, NO_LINKING)
         vertex = variant.spec.nonlocal_vertex
         outcomes = outcome_prefixes(variant.measured_vertices)
-        sigmas = np.stack([frame_to_operator(frames(branch)) for branch in outcomes])
+        sigmas = frames.operators()
         expected = [vertex is None or branch[vertex] == 0 for branch in outcomes]
         ground_truth_ok &= bool(np.array_equal(is_local(sigmas).is_local, expected))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import angles, graphstate, optics
 from .acceptance import build_report, canonical_json, recipe_fidelity
-from .mbqc import frame_to_operator, outcome_prefixes
+from .mbqc import outcome_prefixes
 from .qstate import StateVector, from_amplitudes, norms_sq
 from .toffoli import (
     VARIANT_KINDS,
@@ -217,7 +217,7 @@ def _branch_table(variant, linking):
     frames = linking_frames(variant, linking)
     branches = outcome_prefixes(variant.measured_vertices)
     sigmas = [frames(outcomes) for outcomes in branches]
-    sigma_ops = np.stack([frame_to_operator(sigma) for sigma in sigmas])
+    sigma_ops = frames.operators()
     corrected = unit_scale(np.linalg.inv(sigma_ops) @ branch_ops)
     matches = equal_up_to_phase(corrected, target, 1e-10)
     fidelities = process_fidelity(corrected, target)

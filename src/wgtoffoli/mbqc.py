@@ -16,11 +16,11 @@ order ``X^x Z^z Rz(k*pi/4)`` with ``k`` in 0..3, an optional non-local
 matrix factor applied before the words, and a global phase. The phase
 is a float product of ``np.exp`` values, so it carries their rounding.
 
-A word is a value: ``make_word``, the word product ``_word_mul``, the
-2x2 ``WireWord.matrix`` and the Kronecker product of a frame's words are
-memoised by value in bounded ``functools.lru_cache`` tables, so a branch
-loop looks each up instead of recomputing it. Every cached matrix is
-read-only; ``frame_to_operator`` always returns a fresh array.
+A word is a value, one of the sixteen ``WORDS``. ``word_tables`` holds
+the product ``_word_mul`` of every pair of words and every word's
+Kronecker entries as arrays, for tables of many frames. It and the 2x2
+``WireWord.matrix`` are cached and read-only; ``frame_to_operator``
+always returns a fresh array.
 """
 
 from __future__ import annotations
@@ -254,6 +254,11 @@ class WireWord(NamedTuple):
         """The 2x2 matrix, shared between calls and read-only."""
         return _word_matrix(self)
 
+    @property
+    def code(self) -> int:
+        """The word's index ``8x + 4z + k`` in ``WORDS``."""
+        return 8 * self.x + 4 * self.z + self.k
+
     def label(self) -> str:
         parts = []
         if self.x:
@@ -263,6 +268,9 @@ class WireWord(NamedTuple):
         if self.k:
             parts.append(f"Rz({self.k}pi/4)")
         return ".".join(parts) or "I"
+
+
+WORDS = tuple(WireWord(code >> 3, code >> 2 & 1, code & 3) for code in range(16))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -280,26 +288,11 @@ def _word_matrix(word: WireWord) -> np.ndarray:
     return _read_only(out)
 
 
-@lru_cache(maxsize=1024)
-def _words_matrix(words: tuple[WireWord, ...]) -> np.ndarray:
-    """Kronecker product of the word matrices, first word most significant."""
-    return _read_only(kron_all(*(_word_matrix(word) for word in words)))
-
-
 def make_word(x: int = 0, z: int = 0, k: int = 0) -> WireWord:
     """Build a word, folding Rz(pi) into Z so that k lands in 0..3."""
-    return _canonical_word(x & 1, z & 1, k % 8)
+    return WORDS[8 * (x & 1) + 4 * ((z ^ (k % 8 >= 4)) & 1) + k % 4]
 
 
-@lru_cache(maxsize=256)
-def _canonical_word(x: int, z: int, k: int) -> WireWord:
-    if k >= 4:
-        k -= 4
-        z ^= 1
-    return WireWord(x, z, k)
-
-
-@lru_cache(maxsize=4096)
 def _word_mul(a: WireWord, b: WireWord) -> tuple[WireWord, complex]:
     """Product a*b in canonical form plus the scalar it picks up."""
     phase = 1.0 + 0.0j
@@ -311,6 +304,20 @@ def _word_mul(a: WireWord, b: WireWord) -> tuple[WireWord, complex]:
             phase *= np.exp(1j * np.pi / 4 * a.k)
             k_left = -a.k
     return make_word(a.x ^ b.x, a.z ^ b.z, k_left + b.k), phase
+
+
+@lru_cache(maxsize=None)
+def word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_word_mul`` of every pair of codes as ``(16, 16)`` codes and Python complex
+    phases (an object array, whose products round as ``frame_compose``'s do), and
+    ``(3, 16, 64)`` entries: word c as factor w of a flattened three-word ``kron_all``."""
+    products = [_word_mul(a, b) for a in WORDS for b in WORDS]
+    codes = np.array([word.code for word, _ in products]).reshape(16, 16)
+    phases = np.array([complex(phase) for _, phase in products], dtype=object).reshape(16, 16)
+    row, col = np.divmod(np.arange(64), 8)
+    matrices = np.stack([_word_matrix(word) for word in WORDS])
+    entries = np.stack([matrices[:, row >> s & 1, col >> s & 1] for s in (2, 1, 0)])
+    return _read_only(codes), _read_only(phases), _read_only(entries)
 
 
 @dataclass(eq=False)
@@ -330,10 +337,6 @@ class ByproductOperator:
     global_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        # Words already keyed in wire order (every frame the package builds)
-        # need neither filling in nor checking.
-        if tuple(self.words) == self.wires:
-            return
         for wire in self.wires:
             self.words.setdefault(wire, WireWord())
         if set(self.words) != set(self.wires):
@@ -365,18 +368,14 @@ class ByproductOperator:
 
 def frame_to_operator(frame: ByproductOperator) -> np.ndarray:
     """Dense matrix of the frame on ``len(wires)`` qubits."""
-    out = _words_matrix(tuple([frame.words[w] for w in frame.wires]))
+    out = kron_all(*(frame.words[w].matrix() for w in frame.wires))
     if frame.nonlocal_factor is not None:
         out = out @ frame.nonlocal_factor
     return frame.global_phase * out
 
 
 def frame_compose(a: ByproductOperator, b: ByproductOperator) -> ByproductOperator:
-    """Operator product ``a @ b`` as a frame; phases multiply as floats.
-
-    Both frames are valid already, so the product's words come out in
-    wire order and its construction takes the fast path.
-    """
+    """Operator product ``a @ b`` as a frame; phases multiply as floats."""
     if a.wires != b.wires:
         raise ValueError(f"wire mismatch: {a.wires} vs {b.wires}")
     phase = a.global_phase * b.global_phase

@@ -55,12 +55,13 @@ from .mbqc import (
     MeasurementBasis,
     Pattern,
     PatternStep,
-    WireWord,
-    frame_compose,
+    WORDS,
+    frame_to_operator,
     make_word,
     measured_qubits,
     outcome_prefixes,
     outcome_tree_leaves,
+    word_tables,
 )
 from .qstate import (
     CNOT,
@@ -183,6 +184,18 @@ class VariantSpec:
     def measured_vertices(self) -> tuple[int, ...]:
         """Measured vertices in ascending label order (the outcome-bit order)."""
         return tuple(sorted(step.vertex for step in self.schedule))
+
+    @cached_property
+    def branch_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each branch's ``sigma`` word codes and non-local flag, branch i spelling i."""
+        m = len(self.schedule)
+        bits = dict(zip(self.measured_vertices, np.arange(2**m) >> np.arange(m)[::-1, None] & 1))
+        zero = np.zeros(2**m, dtype=np.intp)
+        def parity(vertices):
+            return sum((bits[v] for v in vertices), zero) & 1
+        words = map(self.sigma.get, WIRES)
+        codes = np.stack([make_word(k=w.k).code ^ 8 * parity(w.x) ^ 4 * parity(w.z) for w in words], 1)
+        return codes, zero == 1 if self.nonlocal_vertex is None else bits[self.nonlocal_vertex] == 1
 
 
 # Edges every resource shares: the maximal spine and the (c2, t-in) weight.
@@ -487,34 +500,24 @@ def _nonlocal_factor(theta: Fraction, flip: int) -> tuple[np.ndarray, str]:
     return factor, f"conjugated CZ({angles.describe(theta)}) on (c2,t)"
 
 
-def _frame(c1=WireWord(), c2=WireWord(), t=WireWord(), **kwargs) -> ByproductOperator:
-    return ByproductOperator(WIRES, {"c1": c1, "c2": c2, "t": t}, **kwargs)
-
-
 class LinkingFrames:
-    """The frame table of one linking case: ``frames(outcomes) -> sigma``.
+    """The frame table of one linking case, every branch at once.
 
-    Linking byproducts reach a branch's frame only through a prefactor and
-    an sz frame, so the work that depends on the case alone is done once,
-    on construction: the recoverability check, the theta-table checks,
-    the linking prefactor and the sz frame. Each branch then goes through
-    ``_check``, which applies the coverage check and the
-    ``FrameUnavailable`` rules in that order and says whether the branch
-    is the non-local one. ``is_local`` returns that verdict and composes
-    no frame; it reads sx and the outcomes, never sz, since the sz frame
-    is a local Pauli word, so one table per sx gives the verdict of every
-    sz case. Calling the table builds the branch's words and composes
-    ``(prefactor @ words) @ sz_frame``, with the six-qubit non-local factor
-    built for a non-local branch alone.
+    Row i, the branch ``outcome_prefixes(measured_vertices)[i]``, composes
+    ``(prefactor @ words) @ sz_frame`` from ``mbqc.word_tables`` with
+    ``frame_compose``'s bits; a six-qubit non-local row folds the sz frame
+    into its ``_nonlocal_factor`` product instead. ``operators`` is the
+    ``frame_to_operator`` stack, byte for byte, and ``local_mask`` the
+    verdicts, which read sx and the outcomes, never sz. Both take outcome
+    dicts, every branch by default; the table's call and ``is_local`` read
+    one row. The first given branch that would raise alone raises.
     """
 
     def __init__(self, variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING):
         _check_recoverable(variant, linking)
-        spec = variant.spec
+        self._spec = spec = variant.spec
         self._kind = variant.kind
         self._theta = theta = variant.theta
-        self._needed = set(spec.measured_vertices)
-        self._nonlocal_vertex = spec.nonlocal_vertex
         self._h8 = h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
         self._flip = -1 if (linking.sx[1] ^ linking.sx[2]) else 1
         entries = spec.prefactors[linking.sx]
@@ -530,53 +533,97 @@ class LinkingFrames:
                 "multiple of pi/2 only"
             )
         else:
-            self._prefactor = _frame(
-                **{wire: make_word(x, z, k * h8 if k else 0) for wire, (x, z, k) in entries.items()}
-            )
-        self._words = [(wire, word.x, word.z, word.k) for wire, word in spec.sigma.items()]
-        self._sz_frame = _frame(
-            c1=make_word(z=linking.sz[0]),
-            c2=make_word(z=linking.sz[1]),
-            t=make_word(x=linking.sz[2]),
-        )
+            words = (entries.get(wire, (0, 0, 0)) for wire in WIRES)
+            self._prefactor = np.array([make_word(x, z, k * h8 if k else 0).code for x, z, k in words])
+        self._sz = np.array([4 * linking.sz[0], 4 * linking.sz[1], 8 * linking.sz[2]])
+        self._nonlocal = spec.branch_words[1]
 
-    def _check(self, outcomes) -> bool:
-        """Whether the branch is the non-local one, once the table covers it."""
-        if outcomes.keys() != self._needed:
-            raise ValueError(f"outcomes must cover vertices {sorted(self._needed)}")
-        vertex = self._nonlocal_vertex
-        nonlocal_branch = vertex is not None and bool(outcomes[vertex])
-        if nonlocal_branch and self._h8 is None:
+    def _rows(self, branches) -> np.ndarray:
+        """Row indices of outcome dicts; every row for ``None``."""
+        if branches is None:
+            return np.arange(len(self._nonlocal))
+        vertices, rows = self._spec.measured_vertices, []
+        for outcomes in branches:
+            if outcomes.keys() != set(vertices):
+                problem = f"outcomes must cover vertices {list(vertices)}"
+            else:
+                bad = [v for v in vertices if outcomes[v] not in (0, 1)]
+                problem = bad and f"outcome for vertex {bad[0]} must be 0 or 1"
+            if problem:
+                self._check(rows)  # an earlier branch's missing frame raises first
+                raise ValueError(problem)
+            rows.append(sum(int(outcomes[v]) << i for i, v in enumerate(reversed(vertices))))
+        return np.array(rows, dtype=np.intp)
+
+    def _check(self, rows) -> np.ndarray:
+        """Each row's non-local flag, or what the first uncovered row raises."""
+        nonlocal_rows = self._nonlocal[rows]
+        uncovered = nonlocal_rows & (self._h8 is None)
+        if self._unavailable and nonlocal_rows.size and not uncovered[0]:
+            raise FrameUnavailable(self._unavailable)
+        if uncovered.any():
             raise FrameUnavailable(
-                f"{self._kind}-qubit frames with s{vertex + 1} = 1 are "
+                f"{self._kind}-qubit frames with s{self._spec.nonlocal_vertex + 1} = 1 are "
                 "tabulated for theta a multiple of pi/2 only, not theta = "
                 f"{angles.describe(self._theta)}"
             )
-        if self._unavailable:
-            raise FrameUnavailable(self._unavailable)
-        return nonlocal_branch
+        return nonlocal_rows
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's word codes, in ``WIRES`` order, and global phase."""
+        branch = self._spec.branch_words[0].copy()
+        if self._h8 is not None:  # else the non-local rows are uncovered
+            branch[self._nonlocal, 1] = make_word(k=-self._flip * self._h8).code
+        # Python complex products (object arrays), in frame_compose's order:
+        # each wire's phase, then the sz frame's unit phase, then each sz wire's.
+        products, phases, _ = word_tables()
+        codes = products[self._prefactor, branch]
+        phase = np.full(len(branch), 1.0 + 0.0j, dtype=object)
+        for extra in [*phases[self._prefactor, branch].T, 1.0 + 0.0j]:
+            phase = phase * extra
+        local_codes, local_phase = products[codes, self._sz], phase
+        for extra in phases[codes, self._sz].T:
+            local_phase = local_phase * extra
+        local = ~self._nonlocal
+        local_phase = np.where(local, local_phase, phase).astype(complex)
+        return np.where(local[:, None], local_codes, codes), local_phase
+
+    def _nonlocal_tail(self) -> tuple[np.ndarray, str]:
+        """The non-local factor with the sz frame folded in, and its label."""
+        factor, label = _nonlocal_factor(self._theta, self._flip)
+        sz_frame = ByproductOperator(WIRES, {w: WORDS[c] for w, c in zip(WIRES, self._sz)})
+        return factor @ frame_to_operator(sz_frame), label
+
+    def local_mask(self, branches=None) -> np.ndarray:
+        """Whether each branch's frame is a tensor product, without building it."""
+        return ~self._check(self._rows(branches))
+
+    def operators(self, branches=None) -> np.ndarray:
+        """``frame_to_operator`` of each branch's frame, as one ``(B, 8, 8)`` stack."""
+        rows = self._rows(branches)
+        nonlocal_rows = self._check(rows)
+        if not rows.size:
+            return np.empty((0, 8, 8), dtype=complex)
+        codes, phases = (column[rows] for column in self._table)
+        entries = word_tables()[2]
+        out = entries[0][codes[:, 0]] * entries[1][codes[:, 1]] * entries[2][codes[:, 2]]
+        out = out.reshape(-1, 8, 8)
+        if nonlocal_rows.any():
+            out[nonlocal_rows] = out[nonlocal_rows] @ self._nonlocal_tail()[0]
+        return phases[:, None, None] * out
 
     def is_local(self, outcomes) -> bool:
         """Whether the branch's frame is a tensor product, without building it."""
-        return not self._check(outcomes)
+        return bool(self.local_mask([outcomes])[0])
 
     def __call__(self, outcomes) -> ByproductOperator:
-        nonlocal_branch = self._check(outcomes)
-        branch_words = {}
-        for wire, xs, zs, k in self._words:
-            x = z = 0
-            for v in xs:
-                x ^= outcomes[v]
-            for v in zs:
-                z ^= outcomes[v]
-            branch_words[wire] = make_word(x, z, k)
-        if nonlocal_branch:
-            branch_words["c2"] = make_word(k=-self._flip * self._h8)
-            factor, label = _nonlocal_factor(self._theta, self._flip)
-            frame = ByproductOperator(WIRES, branch_words, factor, label)
-        else:
-            frame = ByproductOperator(WIRES, branch_words)
-        return frame_compose(frame_compose(self._prefactor, frame), self._sz_frame)
+        rows = self._rows([outcomes])
+        [nonlocal_branch] = self._check(rows)
+        codes, phase = (column[rows[0]] for column in self._table)
+        words = {wire: WORDS[code] for wire, code in zip(WIRES, codes)}
+        factor, label = self._nonlocal_tail() if nonlocal_branch else (None, None)
+        return ByproductOperator(WIRES, words, factor, label, complex(phase))
 
 
 def linking_frames(
@@ -586,9 +633,9 @@ def linking_frames(
 
     An sx the resource cannot absorb raises ``UnrecoverableLinkingError``
     here, for the whole case; a branch without a table entry raises
-    ``FrameUnavailable`` alike from the table's call and its ``is_local``.
-    ``predicted_sigma`` is the one-branch call, and ``success_probability``
-    counts branches with ``is_local``.
+    ``FrameUnavailable`` alike from each of its methods. ``predicted_sigma``
+    reads one row, ``success_probability`` counts ``local_mask``, and the
+    acceptance checks and ``toffoli enumerate`` take ``operators``.
     """
     return LinkingFrames(variant, linking)
 
@@ -603,8 +650,9 @@ def predicted_sigma(
     The branch output always equals ``frame_to_operator(sigma) @ gate``
     applied to the logical input, up to a global phase. The frame is
     non-local exactly for the six-qubit resource with outcome s3 = 1.
-    Raises ``FrameUnavailable`` where the table has no entry for theta.
-    Loops over the branches of one linking case use ``linking_frames``.
+    Raises ``FrameUnavailable`` where the table has no entry for theta, and
+    ``ValueError`` naming the vertex for an outcome other than 0 or 1. This
+    is one row of the ``linking_frames`` table of the linking case.
     """
     return linking_frames(variant, linking)(outcomes)
 
@@ -894,8 +942,8 @@ def success_probability(
     Branch probabilities are verified uniform by simulation: one
     ``verify_branch_uniformity`` call takes every accepted sx with its sz
     probes, in one embedding and one walk per sx. Branches are then
-    classified by ``LinkingFrames.is_local``, which applies the frame
-    table's checks and builds no frame. Its verdict reads sx and the
+    counted from ``LinkingFrames.local_mask``, which applies the frame
+    table's checks and builds no matrix. Its verdict reads sx and the
     outcomes, never sz, so each accepted sx is classified once and its
     count stands for every sz case. The counts are combined with exact
     rational arithmetic.
@@ -904,7 +952,6 @@ def success_probability(
         raise ValueError(f"unknown linking model {linking_model!r}")
     uniform = linking_model == "uniform"
     sx_cases = sz_cases = list(itertools.product((0, 1), repeat=3)) if uniform else [(0, 0, 0)]
-    branches = outcome_prefixes(variant.measured_vertices)
     m = len(variant.measured_vertices)
     branch_fraction = Fraction(1, 2**m)
     case_weight = Fraction(1, len(sx_cases))
@@ -933,7 +980,7 @@ def success_probability(
             cases.append(LinkingCase(sx, False, 0, 2**m * len(sz_cases)))
             continue
         frames = linking_frames(variant, LinkingByproducts(sx))
-        local = sum(map(frames.is_local, branches)) * len(sz_cases)
+        local = int(frames.local_mask().sum()) * len(sz_cases)
         cases.append(LinkingCase(sx, True, local, 2**m * len(sz_cases)))
         total += case_weight * Fraction(local, len(sz_cases)) * branch_fraction
     return SuccessReport(

@@ -99,16 +99,19 @@ def is_local(op: np.ndarray, tol: float = LOCALITY_TOL) -> LocalityVerdict:
 def process_fidelity(a: np.ndarray, b: np.ndarray):
     """|tr(a^dag b)|^2 / d^2 for two unitaries of dimension d, per stack member.
 
-    Warns once per operand and member that is not unitary.
+    Warns once per non-unitary member of a stack operand, naming its index,
+    and once for a non-unitary one-matrix operand, which is checked once.
     """
+    repeated = [np.ndim(op) < 3 for op in (a, b)]
     (a, b), single = _stacks(a, b)
     if a.shape[1] != a.shape[2]:
         raise ValueError(f"incompatible shapes {a.shape[1:]} and {b.shape[1:]}")
-    for name, stack in (("first", a), ("second", b)):
-        gram = stack.conj().swapaxes(1, 2) @ stack
+    for name, stack, one in zip(("first", "second"), (a, b), repeated):
+        members = stack[:1] if one else stack
+        gram = members.conj().swapaxes(1, 2) @ members
         unitary = np.max(np.abs(gram - np.eye(stack.shape[1])), axis=(1, 2)) <= 1e-9
         for index in np.flatnonzero(~unitary):
-            where = "" if single else f" (stack index {index})"
+            where = "" if one else f" (stack index {index})"
             warnings.warn(f"{name} operator{where} is not unitary; fidelity may be meaningless")
     dim = a.shape[1]
     traces = np.trace(a.conj().swapaxes(1, 2) @ b, axis1=1, axis2=2)

@@ -7,10 +7,15 @@ branch operator. ``toffoli.branch_outputs`` must equal both as values.
 ``apply_cz_theta_mask`` is the controlled phase in its index-mask form,
 which ``qstate.apply_cz_theta`` must match byte for byte. ``make_word``,
 ``word_mul`` and ``word_matrix`` are the byproduct-word formulas computed
-afresh on every call, which the memoised ``mbqc`` word algebra must match
+afresh on every call, which the ``mbqc`` word algebra must match
 in the word, in every bit of the phase and in the matrix bytes.
+``composed_frame`` is one branch's frame as ``toffoli.LinkingFrames``
+composed it before it built every branch at once: the branch's words from
+its outcome bits, then ``(prefactor @ words) @ sz_frame`` by two
+``mbqc.frame_compose`` calls, with the same checks in the same order.
+The table's stack and rows must equal it byte for byte.
 ``local_branch_counts`` counts the local branches of each sx case one
-``predicted_sigma`` frame at a time, the way ``success_probability``
+``composed_frame`` at a time, the way ``success_probability``
 counted before it classified branches without frames, and
 ``uniformity_by_enumeration`` is the branch-uniformity check as one
 ``enumerate_branches`` call per input and linking case.
@@ -28,7 +33,13 @@ import itertools
 import numpy as np
 
 from wgtoffoli import angles
-from wgtoffoli.mbqc import WireWord, enumerate_branches, run_branch
+from wgtoffoli.mbqc import (
+    ByproductOperator,
+    WireWord,
+    enumerate_branches,
+    frame_compose,
+    run_branch,
+)
 from wgtoffoli.qstate import (
     HADAMARD,
     KET_PLUS,
@@ -45,18 +56,23 @@ from wgtoffoli.qstate import (
 from wgtoffoli.toffoli import (
     C1_VERTEX,
     C2_VERTEX,
+    NO_LINKING,
     T_IN_VERTEX,
     UNIFORMITY_RANDOM_INPUTS,
+    WIRES,
+    FrameUnavailable,
     LinkingByproducts,
+    _check_recoverable,
+    _nonlocal_factor,
     build_resource,
     encoded_state,
     measurement_program,
-    predicted_sigma,
 )
 
 __all__ = [
     "apply_cz_theta_mask",
     "branch_map",
+    "composed_frame",
     "encoded_state_per_row",
     "factorisation_local",
     "local_branch_counts",
@@ -130,11 +146,71 @@ def word_matrix(word: WireWord) -> np.ndarray:
     return out
 
 
+def _frame(c1=WireWord(), c2=WireWord(), t=WireWord(), **kwargs) -> ByproductOperator:
+    return ByproductOperator(WIRES, {"c1": c1, "c2": c2, "t": t}, **kwargs)
+
+
+def composed_frame(variant, outcomes, linking=NO_LINKING) -> ByproductOperator:
+    """One branch's frame, composed on its own by ``mbqc.frame_compose``."""
+    _check_recoverable(variant, linking)
+    spec, theta = variant.spec, variant.theta
+    h8 = angles.eighths(theta / 2)
+    flip = -1 if (linking.sx[1] ^ linking.sx[2]) else 1
+    entries = spec.prefactors[linking.sx]
+    needed = set(spec.measured_vertices)
+    if outcomes.keys() != needed:
+        raise ValueError(f"outcomes must cover vertices {sorted(needed)}")
+    for vertex in sorted(needed):
+        if outcomes[vertex] not in (0, 1):
+            raise ValueError(f"outcome for vertex {vertex} must be 0 or 1")
+    vertex = spec.nonlocal_vertex
+    nonlocal_branch = vertex is not None and bool(outcomes[vertex])
+    if nonlocal_branch and h8 is None:
+        raise FrameUnavailable(
+            f"{variant.kind}-qubit frames with s{vertex + 1} = 1 are "
+            "tabulated for theta a multiple of pi/2 only, not theta = "
+            f"{angles.describe(theta)}"
+        )
+    if spec.pi_only and theta != 1:
+        raise FrameUnavailable(
+            f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
+            f"not theta = {angles.describe(theta)}"
+        )
+    if h8 is None and any(k for _, _, k in entries.values()):
+        raise FrameUnavailable(
+            f"{variant.kind}-qubit linking corrections are tabulated for theta a "
+            "multiple of pi/2 only"
+        )
+    prefactor = _frame(
+        **{wire: make_word(x, z, k * h8 if k else 0) for wire, (x, z, k) in entries.items()}
+    )
+    sz_frame = _frame(
+        c1=make_word(z=linking.sz[0]),
+        c2=make_word(z=linking.sz[1]),
+        t=make_word(x=linking.sz[2]),
+    )
+    branch_words = {}
+    for wire, word in spec.sigma.items():
+        x = z = 0
+        for v in word.x:
+            x ^= outcomes[v]
+        for v in word.z:
+            z ^= outcomes[v]
+        branch_words[wire] = make_word(x, z, word.k)
+    if nonlocal_branch:
+        branch_words["c2"] = make_word(k=-flip * h8)
+        factor, label = _nonlocal_factor(theta, flip)
+        frame = ByproductOperator(WIRES, branch_words, factor, label)
+    else:
+        frame = ByproductOperator(WIRES, branch_words)
+    return frame_compose(frame_compose(prefactor, frame), sz_frame)
+
+
 def local_branch_counts(variant, linking_model):
     """Local branches per sx case, in ``success_probability``'s case order.
 
     Every branch of every accepted linking case gets its whole frame from
-    ``predicted_sigma``; the first error any frame raises propagates.
+    ``composed_frame``; the first error any frame raises propagates.
     """
     cases = list(itertools.product((0, 1), repeat=3)) if linking_model == "uniform" else [(0, 0, 0)]
     vertices = variant.measured_vertices
@@ -145,7 +221,7 @@ def local_branch_counts(variant, linking_model):
             for sz in cases:
                 for bits in itertools.product((0, 1), repeat=len(vertices)):
                     outcomes = dict(zip(vertices, bits))
-                    local += predicted_sigma(variant, outcomes, LinkingByproducts(sx, sz)).is_local
+                    local += composed_frame(variant, outcomes, LinkingByproducts(sx, sz)).is_local
         counts.append(local)
     return counts
 

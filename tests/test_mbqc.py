@@ -527,9 +527,8 @@ def test_cached_word_matrices_are_read_only():
     word = mbqc.make_word(x=1, k=3)
     frame = mbqc.ByproductOperator(("c1", "t"), {"c1": word})
     first = mbqc.frame_to_operator(frame)
-    for cached in (word.matrix(), mbqc._words_matrix((word, mbqc.WireWord()))):
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0
+    with pytest.raises(ValueError):
+        word.matrix()[0, 0] = 0
     # The dense matrix is a fresh array on every call.
     first[0, 0] = 7
     np.testing.assert_array_equal(

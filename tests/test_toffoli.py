@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from reference import (
     branch_map,
+    composed_frame,
     encoded_state_per_row,
     local_branch_counts,
     reconstruct_operator,
@@ -565,17 +566,23 @@ def test_success_raises_what_the_first_missing_frame_raises(kind, theta, model):
 
 
 def test_success_probability_composes_no_frame(monkeypatch):
-    composed = count_calls(monkeypatch, tf, "frame_compose")
+    # success_probability counts the table's local mask: it builds no frame,
+    # no operator matrix and no non-local factor.
+    frames_built = count_calls(monkeypatch, tf, "ByproductOperator")
+    matrices = [count_calls(monkeypatch, tf.LinkingFrames, "operators")]
+    matrices.append(count_calls(monkeypatch, tf, "frame_to_operator"))
     factors = count_calls(monkeypatch, tf, "_nonlocal_factor")
     for theta in (Fraction(1), Fraction(1, 2), Fraction(3, 2)):
         tf.success_probability(tf.ResourceVariant("six", theta), "uniform")
-    assert composed == [] and factors == []
-    # The non-local factor is built for a non-local frame alone.
+    assert frames_built == [] and matrices == [[], []] and factors == []
+    # The non-local factor is built for non-local frames alone, once per call.
     frames = tf.linking_frames(tf.ResourceVariant("six"))
     frames({1: 0, 2: 0, 3: 0})
+    frames.operators([{1: 1, 2: 0, 3: 1}])
     assert factors == []
     frames({1: 0, 2: 1, 3: 0})
-    assert len(factors) == 1
+    frames.operators()
+    assert len(factors) == 2
 
 
 def test_branch_probabilities_uniform():
@@ -782,6 +789,112 @@ def test_linking_frames_share_nothing_between_branches(kind, theta, sx, sz):
     backward = [frame_bits(frames(outcomes)) for outcomes in reversed(branches)][::-1]
     single = [frame_bits(tf.predicted_sigma(variant, outcomes, linking)) for outcomes in branches]
     assert forward == backward == single
+
+
+FRAME_TABLE_CASES = [
+    (kind, theta)
+    for kind in tf.VARIANT_KINDS
+    for theta in (Fraction(1), Fraction(1, 2), Fraction(3, 2))
+] + [("six", Fraction(1, 3)), ("six", Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("kind,theta", FRAME_TABLE_CASES)
+def test_frame_table_equals_the_composed_frames(kind, theta):
+    # On every branch the table covers, the stack and each row equal the
+    # per-branch frame_compose composition byte for byte; elsewhere each
+    # row raises what that composition raises.
+    variant = tf.ResourceVariant(kind, theta)
+    branches = list(all_outcomes(variant))
+    for sx, sz in itertools.product(accepted_sx(variant), itertools.product((0, 1), repeat=3)):
+        linking = tf.LinkingByproducts(sx, sz)
+        frames = tf.linking_frames(variant, linking)
+        covered, expected = [], []
+        for outcomes in branches:
+            try:
+                frame = composed_frame(variant, outcomes, linking)
+            except tf.FrameUnavailable as exc:
+                with pytest.raises(tf.FrameUnavailable) as got:
+                    frames(outcomes)
+                assert str(got.value) == str(exc)
+                continue
+            covered.append(outcomes)
+            expected.append(frame)
+            assert frame_bits(frames(outcomes)) == frame_bits(frame), (linking, outcomes)
+        stack = np.array([frame_to_operator(frame) for frame in expected]).reshape(-1, 8, 8)
+        assert frames.operators(covered).tobytes() == stack.tobytes(), linking
+        assert frames.local_mask(covered).tolist() == [frame.is_local for frame in expected]
+        if len(covered) == len(branches):
+            assert frames.operators().tobytes() == stack.tobytes(), linking
+
+
+def first_error(calls):
+    """The class and message of the first call that raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "kind,theta,sx",
+    [
+        ("six", Fraction(1, 3), (0, 0, 0)),
+        ("six", Fraction(1, 3), (0, 1, 0)),
+        ("six", Fraction(1, 4), (1, 1, 1)),
+        ("six", Fraction(1), (1, 0, 1)),
+        ("seven", Fraction(1, 2), (0, 0, 0)),
+        ("eight", Fraction(-1), (0, 1, 1)),
+    ],
+)
+def test_frame_table_raises_what_the_first_branch_raises(kind, theta, sx):
+    variant = tf.ResourceVariant(kind, theta)
+    linking = tf.LinkingByproducts(sx, (1, 0, 1))
+    frames = tf.linking_frames(variant, linking)
+    branches = list(all_outcomes(variant))
+    first_bad = {**branches[0], variant.measured_vertices[0]: 2}
+    orders = [
+        branches,
+        branches[::-1],
+        branches[len(branches) // 2 :],
+        [first_bad] + branches,
+        branches[1:2] + [{}] + branches,
+        branches[-1:] + [first_bad],
+    ]
+    for order in orders:
+        expected = first_error(lambda o=o: composed_frame(variant, o, linking) for o in order)
+        for batched in (frames.operators, frames.local_mask):
+            assert first_error([lambda: batched(order)]) == expected, (batched.__name__, order)
+    # Without a sequence the table takes every branch in outcome order.
+    for batched in (frames.operators, frames.local_mask):
+        assert first_error([batched]) == first_error([lambda: batched(branches)])
+
+
+@pytest.mark.parametrize(
+    "kind,outcomes,vertex",
+    [
+        ("six", {1: 2, 2: 0, 3: 0}, 1),
+        ("six", {1: 0, 2: 2, 3: 0}, 2),
+        ("six", {1: 0, 2: 0, 3: -1}, 3),
+        ("eight", {1: 0, 2: 0, 3: 0, 6: 1, 7: 3}, 7),
+    ],
+)
+def test_frame_table_rejects_outcomes_other_than_0_or_1(kind, outcomes, vertex):
+    variant = tf.ResourceVariant(kind)
+    frames = tf.linking_frames(variant)
+    message = f"outcome for vertex {vertex} must be 0 or 1"
+    calls = [
+        lambda: tf.predicted_sigma(variant, outcomes),
+        lambda: frames(outcomes),
+        lambda: frames.is_local(outcomes),
+        lambda: frames.local_mask([outcomes]),
+        lambda: frames.operators([outcomes]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message) as err:
+            call()
+        assert not isinstance(err.value, tf.FrameUnavailable)
 
 
 def test_linking_frames_raise_per_branch_in_single_call_order():

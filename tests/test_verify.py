@@ -134,6 +134,22 @@ def test_process_fidelity_warns_on_a_non_unitary_member():
     assert fidelities.shape == (3,)
 
 
+def test_process_fidelity_checks_a_one_matrix_operand_once():
+    # A one-matrix operand is checked once, not once per member of the
+    # other operand's stack, and its warning names no stack index.
+    ops = verify.unit_scale(seeded_stack(53, 3))
+    for args, name in (((ops, 2 * np.eye(8)), "second"), ((2 * np.eye(8), ops), "first")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fidelities = verify.process_fidelity(*args)
+        messages = [str(w.message) for w in caught]
+        assert messages == [f"{name} operator is not unitary; fidelity may be meaningless"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            singles = [verify.process_fidelity(*(op if a is ops else a for a in args)) for op in ops]
+        assert [f.hex() for f in fidelities] == [f.hex() for f in singles]
+
+
 @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
 def test_is_local_rejects_zero_and_non_finite_operators(bad):
     ops = seeded_stack(52, 3)

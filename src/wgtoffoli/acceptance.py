@@ -101,7 +101,7 @@ def check_seven_eight_success() -> dict:
 
 
 def check_gate_correctness() -> dict:
-    """Every local branch, corrected by its frame, is the Toffoli; one comparison per resource."""
+    """Each local branch, frame removed, is the Toffoli; one walk and comparison per resource."""
     rng = np.random.default_rng(SEED + 3)
     inputs = _random_states(rng, 5)
     psis = np.stack([psi.amplitudes for psi in inputs], axis=1)
@@ -114,12 +114,12 @@ def check_gate_correctness() -> dict:
     all_match = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
+        cases = [LinkingByproducts(sx=sx) for sx in variant.spec.prefactors]
         outs, sigma_ops = [], []
-        for sx in variant.spec.prefactors:
-            linking = LinkingByproducts(sx=sx)
+        for linking, outputs in zip(cases, branch_outputs(variant, cases, columns)):
             frames = linking_frames(variant, linking)
             local = frames.local_mask()
-            outs.append(branch_outputs(variant, linking, columns)[local])
+            outs.append(outputs[local])
             sigma_ops.append(frames.operators()[local])
         outs, sigma_ops = np.concatenate(outs), np.concatenate(sigma_ops)
         corrected = unit_scale(np.linalg.inv(sigma_ops) @ outs[:, :, :8])
@@ -146,18 +146,16 @@ def check_gate_correctness() -> dict:
 
 
 def check_sigma_formulas() -> dict:
-    """Every branch residual equals its predicted frame; one comparison per resource."""
+    """Every branch residual equals its predicted frame; one walk and comparison per resource."""
     tof_inv = toffoli_matrix().conj().T
     checked = 0
     all_match = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
-        residual, predicted = [], []
-        for sx in variant.spec.prefactors:
-            # The pattern reads sx alone, so both sz cases share one walk.
-            cases = [LinkingByproducts(sx=sx, sz=sz) for sz in ((0, 0, 0), (1, 1, 0))]
-            residual += [ops @ tof_inv for ops in branch_outputs(variant, cases, np.eye(8))]
-            predicted += [linking_frames(variant, linking).operators() for linking in cases]
+        sz_cases = ((0, 0, 0), (1, 1, 0))
+        cases = [LinkingByproducts(sx, sz) for sx in variant.spec.prefactors for sz in sz_cases]
+        residual = [ops @ tof_inv for ops in branch_outputs(variant, cases, np.eye(8))]
+        predicted = [linking_frames(variant, linking).operators() for linking in cases]
         residual = unit_scale(np.concatenate(residual))
         predicted = unit_scale(np.concatenate(predicted))
         all_match &= bool(equal_up_to_phase(residual, predicted, 1e-10).all())

@@ -102,12 +102,27 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+def known_keys(obj: dict, keys: frozenset, where: str, error: type[ValueError] = ValueError):
+    """Raise ``error`` naming the first key of ``obj`` outside ``keys`` and its path.
+
+    A misspelt key would otherwise be ignored and its value silently lost.
+    """
+    if not keys.issuperset(obj):
+        key = next(key for key in obj if key not in keys)
+        raise error(f"{where}: unknown key {key!r}")
+
+
+ANGLE_KEYS = frozenset(("pi_num", "pi_den"))
+
+
 def from_json(obj, where: str = "angle") -> Angle:
     if isinstance(obj, dict):
         try:
             num, den = obj["pi_num"], obj["pi_den"]
         except KeyError as exc:
             raise ValueError(f"{where}: missing {exc.args[0]}") from None
+        if len(obj) > 2:
+            known_keys(obj, ANGLE_KEYS, where)
         if not (is_json_int(num) and is_json_int(den)):
             raise ValueError(f"{where}: pi_num/pi_den must be integers")
         if den == 0:

@@ -166,6 +166,10 @@ def to_json(graph: WeightedGraph) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
+GRAPH_KEYS = frozenset(("vertices", "edges", "inputs"))
+INPUT_KEYS = frozenset(("role", "basis"))
+
+
 def from_json(text) -> WeightedGraph:
     if isinstance(text, bytes):
         try:
@@ -182,6 +186,7 @@ def from_json(text) -> WeightedGraph:
         raise GraphFormatError(str(exc)) from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top level must be an object")
+    angles.known_keys(doc, GRAPH_KEYS, "top level", GraphFormatError)
     vertices = doc.get("vertices")
     if not angles.is_json_int(vertices) or vertices < 1:
         raise GraphFormatError("'vertices' must be a positive integer")
@@ -214,6 +219,7 @@ def from_json(text) -> WeightedGraph:
         keys[v] = key
         if not isinstance(entry, dict):
             raise GraphFormatError(f"inputs[{key}]: expected an object")
+        angles.known_keys(entry, INPUT_KEYS, f"inputs[{key}]", GraphFormatError)
         role = entry.get("role", "none")
         basis = entry.get("basis", "computational")
         if basis not in ("computational", "hadamard"):

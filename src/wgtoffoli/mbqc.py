@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -52,15 +52,17 @@ OutcomeBits = dict[int, int]
 MAX_PATTERN_QUBITS = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementBasis:
+    """Frozen, since programs share their bases (``toffoli._step_bases``)."""
+
     alpha: Angle = Fraction(0)
     hadamard: bool = False
     absorbed: np.ndarray | None = None
 
     def __post_init__(self):
         if self.absorbed is not None:
-            self.absorbed = np.asarray(self.absorbed, dtype=complex)
+            object.__setattr__(self, "absorbed", np.asarray(self.absorbed, dtype=complex))
             if self.absorbed.shape != (2, 2):
                 raise ValueError("absorbed correction must be a 2x2 matrix")
 
@@ -157,48 +159,94 @@ def measured_qubits(num_qubits: int, pattern: Pattern) -> tuple[list[int], list[
     return qubits, position
 
 
-def outcome_tree_leaves(pattern: Pattern, tensor: np.ndarray) -> np.ndarray:
+def outcome_tree_leaves(pattern: Pattern | Sequence[Pattern], tensor: np.ndarray) -> np.ndarray:
     """Walk the outcome tree of ``pattern`` one level at a time.
 
-    ``tensor`` is a batch of n-qubit registers, shaped ``(B,) + (2,)*n``;
-    qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``. The
-    ``2**d`` nodes at depth d are held as one ``(2**d, B) + (2,)*(n-d)``
-    array, and each step projects them onto both kets with
-    ``qstate.project_axis``. A fixed basis is resolved to its kets once
-    per walk and projects its whole level in one call. An adaptive basis
-    is called once per node with the outcomes above it; the nodes are
-    grouped by the identity of the basis object it returns, and each
-    group costs one ``basis_states`` and one ``project_axis`` call. So a
-    pattern of m fixed steps makes m kernel calls, and an adaptive step
-    one per distinct basis at its depth. The projection is elementwise,
-    so every row of a leaf is bitwise equal to ``run_branch`` on that
-    register. The result is the last level, ``(2**m, B) + (2,)*(n-m)``:
-    leaf i holds the outcomes ``outcome_prefixes(pattern.vertices)[i]``,
-    and the survivors sit in ``measured_qubits`` order.
+    ``tensor`` is a batch of n-qubit registers, ``(B,) + (2,)*n`` with
+    B >= 1; qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``.
+    ``pattern`` may be a sequence of patterns over the same vertices in
+    the same order, one per equal block of rows. The ``2**d`` nodes at
+    depth d are one ``(2**d, B) + (2,)*(n-d)`` array. An adaptive basis is
+    called once per node with the outcomes above it, once however many
+    blocks share it; the (node, block) pairs of a depth are grouped by the
+    identity of their basis, and each group costs one ``basis_states`` and
+    one ``qstate.project_axis`` call on its rows, gathered by fancy
+    indexing and scattered into the next level. A depth with one group
+    projects the whole level without a gather, so m fixed steps make m
+    kernel calls. The projection is elementwise, so every leaf row is
+    bitwise equal to ``run_branch`` on that register under its block's
+    pattern. The result is the last level, ``(2**m, B) + (2,)*(n-m)``: leaf
+    i holds the outcomes ``outcome_prefixes(pattern.vertices)[i]``, and the
+    survivors sit in ``measured_qubits`` order.
     """
-    n = tensor.ndim - 1
-    qubits, _ = measured_qubits(n, pattern)
+    patterns = [pattern] if isinstance(pattern, Pattern) else list(pattern)
+    shape, n, blocks = tensor.shape, tensor.ndim - 1, len(patterns)
+    if n < 0 or shape[0] < 1 or shape[1:] != (2,) * n:
+        raise ValueError(f"tensor must be a batch (B,) + (2,)*n of qubit registers, got {shape}")
+    if not blocks or shape[0] % blocks:
+        raise ValueError(f"{shape[0]} rows do not split into {blocks} equal blocks")
+    vertices = patterns[0].vertices
+    if blocks > 1 and any(p.vertices != vertices for p in patterns):
+        raise ValueError("block patterns must measure the same vertices in the same order")
+    qubits, _ = measured_qubits(n, patterns[0])
     level = tensor[np.newaxis]
-    for depth, step in enumerate(pattern.steps):
+    for depth, step in enumerate(patterns[0].steps):
         axis = 1 + n - depth - qubits[depth]
-        if callable(step.basis):
-            # Each entry holds its basis, so no id is reused while grouping.
-            groups = {}
-            for node, seen in enumerate(outcome_prefixes(pattern.vertices[:depth])):
-                basis = step.basis(seen)
-                groups.setdefault(id(basis), (basis, []))[1].append(node)
-            groups = list(groups.values())
+        if blocks > 1:
+            bases = [p.steps[depth].basis for p in patterns]
+            groups = _block_groups(bases, vertices[:depth], len(level))
+        elif callable(step.basis):
+            groups = _node_groups(step.basis, outcome_prefixes(vertices[:depth]))
         else:
             groups = [(step.basis, None)]
         child_shape = level.shape[1:axis] + level.shape[axis + 1 :]
         children = np.empty((len(level), 2) + child_shape, dtype=complex)
-        for basis, nodes in groups:
-            rows = slice(None) if len(groups) == 1 else nodes
-            children[rows, 0], children[rows, 1] = project_axis(
-                level[rows], axis, basis_states(basis)
-            )
+        if blocks > 1 and len(groups) > 1:  # split the row axis into (block, row)
+            source = level.reshape(level.shape[:1] + (blocks, -1) + level.shape[2:])
+            target = children.reshape(children.shape[:2] + (blocks, -1) + child_shape[1:])
+        for basis, where in groups:
+            kets = basis_states(basis)
+            if len(groups) == 1:
+                children[:, 0], children[:, 1] = project_axis(level, axis, kets)
+            elif blocks == 1:
+                children[where, 0], children[where, 1] = project_axis(level[where], axis, kets)
+            else:
+                block, node = np.divmod(np.concatenate(where), len(level))
+                target[node, 0, block], target[node, 1, block] = project_axis(
+                    source[node, block], axis, kets
+                )
         level = children.reshape((-1,) + child_shape)
     return level
+
+
+def _node_groups(basis, prefixes) -> list:
+    """``(returned basis, nodes)`` of each distinct basis an adaptive ``basis`` returns."""
+    # Each entry holds its basis, so no id is reused while grouping.
+    groups = {}
+    for node, seen in enumerate(prefixes):
+        chosen = basis(seen)
+        groups.setdefault(id(chosen), (chosen, []))[1].append(node)
+    return list(groups.values())
+
+
+def _block_groups(bases, prefix_vertices, count: int) -> list:
+    """Each distinct basis among the blocks' ``bases`` at a depth of ``count`` nodes, with
+    one array of ``block * count + node`` per block, or None for one fixed basis of all."""
+    first = bases[0]
+    if not callable(first) and all(basis is first for basis in bases):
+        return [(first, None)]
+    prefixes, resolved, groups = outcome_prefixes(prefix_vertices), {}, {}
+    for block, basis in enumerate(bases):
+        if not callable(basis):
+            found = [(basis, None)]
+        elif id(basis) in resolved:
+            found = resolved[id(basis)]
+        else:
+            found = resolved[id(basis)] = _node_groups(basis, prefixes)
+        for chosen, nodes in found:
+            pairs = np.arange(count) if nodes is None else np.array(nodes)
+            groups.setdefault(id(chosen), (chosen, []))[1].append(block * count + pairs)
+    return list(groups.values())
 
 
 def outcome_prefixes(vertices) -> list[OutcomeBits]:

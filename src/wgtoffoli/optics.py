@@ -291,6 +291,22 @@ def _angle_field(value, where: str) -> Angle:
         raise RecipeError(str(exc)) from None
 
 
+# The keys the reader reads: of the document, of each op's step, of a basis.
+RECIPE_KEYS = frozenset(("steps",))
+_READ_BY_EVERY_OP = ("op", "gamma", "angle", "h_on", "outcome")
+STEP_KEYS = {
+    op: frozenset(_READ_BY_EVERY_OP + fields)
+    for op, fields in (
+        ("source", ("modes",)),
+        ("fuse", ("modes",)),
+        ("rotate", ("mode",)),
+        ("reset", ("mode",)),
+        ("measure", ("mode", "basis")),
+    )
+}
+BASIS_KEYS = frozenset(("alpha", "hadamard"))
+
+
 def steps_from_json(text) -> list[RecipeStep]:
     if isinstance(text, bytes):
         try:
@@ -307,6 +323,7 @@ def steps_from_json(text) -> list[RecipeStep]:
         raise RecipeError(str(exc)) from None
     if not isinstance(doc, dict):
         raise RecipeError("top level must be an object")
+    angles.known_keys(doc, RECIPE_KEYS, "top level", RecipeError)
     raw_steps = doc.get("steps", [])
     if not isinstance(raw_steps, list):
         raise RecipeError("'steps' must be a list")
@@ -327,6 +344,7 @@ def steps_from_json(text) -> list[RecipeStep]:
             modes = (_int_field(entry["mode"], f"{where}.mode"),)
         else:
             raise RecipeError(f"{where}: unknown op {op!r}")
+        angles.known_keys(entry, STEP_KEYS[op], where, RecipeError)
         gamma = _angle_field(entry["gamma"], f"{where}.gamma") if "gamma" in entry else None
         angle = _angle_field(entry["angle"], f"{where}.angle") if "angle" in entry else None
         if op == "rotate" and angle is None:
@@ -345,6 +363,7 @@ def steps_from_json(text) -> list[RecipeStep]:
             elif not isinstance(raw, dict):
                 raise RecipeError(f"{where}.basis: expected \"computational\" or an object")
             else:
+                angles.known_keys(raw, BASIS_KEYS, f"{where}.basis", RecipeError)
                 hadamard = raw.get("hadamard", False)
                 if not isinstance(hadamard, bool):
                     raise RecipeError(f"{where}.basis.hadamard: expected true or false")

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ from . import angles
 from .angles import Angle
 from .graphstate import InputAssignment, WeightedGraph, embed_input_rows
 from .mbqc import (
+    BasisLike,
     ByproductOperator,
     MeasurementBasis,
     Pattern,
@@ -427,11 +428,31 @@ def measurement_program(
 ) -> Pattern:
     """Measurement order, angles and absorbed corrections for one run.
 
-    Each step resolves one ``Step`` of the variant's schedule against the
-    inherited x-corruption; a step with a trigger adapts its basis to that
-    earlier outcome.
+    Each step picks one of its two bases in ``_step_bases`` by the parity
+    of its ``when`` bits of sx, so programs for different sx share their
+    basis objects, adaptive callables included, where corrections agree.
     """
     _check_recoverable(variant, linking)
+    sx = dict(zip(WIRES, linking.sx))
+    steps = []
+    for step, bases in zip(variant.spec.schedule, _step_bases(variant)):
+        steps.append(PatternStep(step.vertex, bases[sum(sx[w] for w in step.when) & 1]))
+    return Pattern(steps)
+
+
+@lru_cache(maxsize=None)
+def _step_bases(variant: ResourceVariant) -> tuple[tuple[BasisLike, BasisLike], ...]:
+    """Each schedule step's basis for an even and an odd ``when`` parity.
+
+    One ``MeasurementBasis`` is built per step and product of absorbed
+    corrections, its ``absorbed`` array read-only, and a step with a
+    trigger adapts between two of them (``_adaptive``), its conditional
+    correction multiplied after the static one. Where both are set they
+    are the same Pauli, so their product is the identity; it stays a
+    computed product because the kets it yields differ from unabsorbed
+    kets in the signs of their zeros. Equal products share one basis, so
+    seven's untriggered odd-parity X basis is its triggered even one.
+    """
     theta = variant.theta
     corrections = {
         "X": PAULI_X,
@@ -439,43 +460,32 @@ def measurement_program(
         "Rz(-theta/2)": rz(angles.radians(-theta / 2)),
         "Rz(theta/2)": rz(angles.radians(theta / 2)),
     }
-    quarter = theta / 4
-    sx = dict(zip(WIRES, linking.sx))
-    steps = []
+    table = []
     for step in variant.spec.schedule:
-        alpha = step.quarters * quarter
-        static = corrections[step.static] if sum(sx[w] for w in step.when) & 1 else None
+        odd = (step.static,) if step.static else ()
+        extra = (step.conditional,) if step.trigger is not None else ()
+        made = {}
+        for names in ((), odd, extra, odd + extra):
+            if names not in made:
+                absorbed = None
+                if names:
+                    absorbed = np.array(reduce(np.matmul, map(corrections.get, names)))
+                    absorbed.flags.writeable = False
+                made[names] = MeasurementBasis(step.quarters * theta / 4, step.hadamard, absorbed)
         if step.trigger is None:
-            basis = MeasurementBasis(alpha, step.hadamard, static)
+            table.append((made[()], made[odd]))
         else:
-            conditional = corrections[step.conditional]
-            basis = _adaptive(step.trigger, alpha, step.hadamard, static, conditional)
-        steps.append(PatternStep(step.vertex, basis))
-    return Pattern(steps)
+            even = _adaptive(step.trigger, made[()], made[extra])
+            odd_basis = _adaptive(step.trigger, made[odd], made[odd + extra]) if odd else even
+            table.append((even, odd_basis))
+    return tuple(table)
 
 
-def _adaptive(
-    trigger_vertex: int,
-    alpha: Angle,
-    hadamard: bool,
-    static: np.ndarray | None,
-    conditional: np.ndarray,
-):
-    """Basis whose absorbed correction gains ``conditional`` on outcome 1.
+def _adaptive(trigger_vertex: int, untriggered: MeasurementBasis, triggered: MeasurementBasis):
+    """Basis that is ``triggered`` on outcome 1 of the trigger vertex, else ``untriggered``.
 
-    Both bases are built once, and the returned function picks one by the
-    trigger outcome, so the walk resolves their kets once per depth
-    rather than once per node. The conditional factor goes after the
-    static one. Where both are set they are the same Pauli, so their
-    product is the identity; it stays a computed product because the kets
-    it yields differ from unabsorbed kets in the signs of their zeros.
+    Returning prebuilt bases lets the walk resolve their kets once per depth.
     """
-    untriggered = MeasurementBasis(alpha=alpha, hadamard=hadamard, absorbed=static)
-    triggered = MeasurementBasis(
-        alpha=alpha,
-        hadamard=hadamard,
-        absorbed=conditional if static is None else static @ conditional,
-    )
 
     def resolve(outcomes):
         return triggered if outcomes.get(trigger_vertex) else untriggered
@@ -729,21 +739,19 @@ def _outcome_leaves(
 ):
     """Embed each ``(B, 8)`` input row once per linking case and walk them as one batch.
 
-    ``cases`` is a non-empty sequence of linking cases that share one sx:
-    the measurement pattern reads sx alone, so their rows share one walk.
-    Returns the ``(len(cases) * B, 2**n)`` embedded rows, case by case,
-    the surviving vertices in ascending label order and the last level of
-    ``mbqc.outcome_tree_leaves``, ``(2**m, rows, 2, 2, 2)`` with the
-    outcomes in schedule order. Row ``r`` of a leaf is the branch output
-    for embedded row ``r`` in ``run_branch``'s qubit layout; each row is
-    projected on its own, so a batch gives every row the bits a walk of
-    that row alone would. Every row of every case comes from one
-    ``_encode_rows`` build, equal to ``encoded_state`` of the row byte
-    for byte.
+    ``cases`` is a non-empty sequence of linking cases in any mix of sx;
+    each case's rows are one block of the walk, under its own
+    ``measurement_program``. Returns the ``(len(cases) * B, 2**n)``
+    embedded rows, case by case, the surviving vertices in ascending label
+    order and the last level of ``mbqc.outcome_tree_leaves``,
+    ``(2**m, rows, 2, 2, 2)`` with the outcomes in schedule order. Row
+    ``r`` of a leaf is the branch output for embedded row ``r`` in
+    ``run_branch``'s qubit layout; each row is projected on its own, so a
+    batch gives every row the bits a walk of that row alone would. Every
+    row of every case comes from one ``_encode_rows`` build, equal to
+    ``encoded_state`` of the row byte for byte.
     """
-    if len({linking.sx for linking in cases}) != 1:
-        raise ValueError("linking cases walked together must share one sx")
-    pattern = measurement_program(variant, cases[0])
+    patterns = [measurement_program(variant, case) for case in cases]
     inputs = np.asarray(inputs, dtype=complex)
     if inputs.ndim != 2 or inputs.shape[1] != 8:
         raise ValueError(f"inputs must have shape (B, 8), got {inputs.shape}")
@@ -751,9 +759,9 @@ def _outcome_leaves(
         raise ValueError("inputs is an empty batch: need at least one (8,) row")
     n = variant.vertex_count
     embedded = _encode_rows(variant, cases, inputs)
-    _, survivors = measured_qubits(n, pattern)
+    _, survivors = measured_qubits(n, patterns[0])
     tensor = embedded.reshape((len(embedded),) + (2,) * n)
-    return embedded, survivors, outcome_tree_leaves(pattern, tensor)
+    return embedded, survivors, outcome_tree_leaves(patterns, tensor)
 
 
 def branch_outputs(
@@ -770,17 +778,17 @@ def branch_outputs(
     bits in ascending vertex order spell i in binary; its column ``b`` is
     the branch output for input row ``b``, and with the identity as input
     the row is the branch operator. ``linking`` may instead be a sequence
-    of cases that share one sx; the result is then a list with one such
+    of cases in any mix of sx; the result is then a list with one such
     array per case, each byte-identical to the case's own call, and the
     one-case call is the sequence of one.
 
     Every row of every case shares one walk of the outcome tree
-    (``_outcome_leaves``), the walk ``mbqc.enumerate_branches`` makes for
-    a single state, so column ``b`` is ``run_branch`` on the embedded row
-    ``b``. One transpose puts the outcome axes, which the walk leaves in
-    schedule order, into ascending vertex order and the survivors into
-    wire order. All rows of all cases are embedded in one batched build
-    per call.
+    (``_outcome_leaves``), each case's rows measured by its own program:
+    the walk ``mbqc.enumerate_branches`` makes for a single state, so
+    column ``b`` is ``run_branch`` on the embedded row ``b``. One
+    transpose puts the outcome axes, which the walk leaves in schedule
+    order, into ascending vertex order and the survivors into wire order.
+    All rows of all cases are embedded in one batched build per call.
     """
     cases = _case_list(linking)
     _, survivors, leaves = _outcome_leaves(variant, cases, inputs)
@@ -900,34 +908,18 @@ def verify_branch_uniformity(
 
     ``linking`` is one linking case or a non-empty sequence of cases, in
     any mix of sx. Each case embeds ``|000>`` and
-    ``UNIFORMITY_RANDOM_INPUTS`` seeded random states. The cases are
-    grouped by sx, every row of every case is embedded in one
-    ``_encode_rows`` build, and each sx's block of rows goes through one
-    ``mbqc.outcome_tree_leaves`` walk of that sx's ``measurement_program``
-    (the pattern reads sx alone), the walk ``mbqc.enumerate_branches``
-    makes for one state. Each probability is the leaf row's squared norm,
-    taken before any reordering, over the embedded input's, both from
-    ``qstate.norms_sq``; so it equals the one ``enumerate_branches``
-    reports for that input and case, and the result is the maximum of one
-    call per case.
+    ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, all in one
+    ``_outcome_leaves`` build and walk, the walk
+    ``mbqc.enumerate_branches`` makes for one state. Each probability is
+    the leaf row's squared norm, taken before any reordering, over the
+    embedded input's, both from ``qstate.norms_sq``; so it equals the one
+    ``enumerate_branches`` reports for that input and case, and the
+    result is the maximum of one call per case.
     """
-    groups: dict[tuple[int, int, int], list[LinkingByproducts]] = {}
-    for case in _case_list(linking):
-        groups.setdefault(case.sx, []).append(case)
-    cases = [case for group in groups.values() for case in group]
-    inputs = _uniformity_inputs()
-    embedded = _encode_rows(variant, cases, inputs)
-    initial = norms_sq(embedded)
-    n, m = variant.vertex_count, len(variant.measured_vertices)
-    worst, start = 0.0, 0
-    for group in groups.values():
-        rows = slice(start, start + len(group) * len(inputs))
-        pattern = measurement_program(variant, group[0])
-        leaves = outcome_tree_leaves(pattern, embedded[rows].reshape((-1,) + (2,) * n))
-        probabilities = norms_sq(leaves.reshape(-1, 8)).reshape(2**m, -1) / initial[rows]
-        worst = max(worst, float(np.max(np.abs(probabilities - 0.5**m))))
-        start = rows.stop
-    return worst
+    embedded, _, leaves = _outcome_leaves(variant, _case_list(linking), _uniformity_inputs())
+    m = len(variant.measured_vertices)
+    probabilities = norms_sq(leaves.reshape(-1, 8)).reshape(2**m, -1) / norms_sq(embedded)
+    return float(np.max(np.abs(probabilities - 0.5**m)))
 
 
 def success_probability(
@@ -941,7 +933,7 @@ def success_probability(
     x-corruption and all eight z-corruption patterns with weight 1/8 each.
     Branch probabilities are verified uniform by simulation: one
     ``verify_branch_uniformity`` call takes every accepted sx with its sz
-    probes, in one embedding and one walk per sx. Branches are then
+    probes, in one embedding and one walk. Branches are then
     counted from ``LinkingFrames.local_mask``, which applies the frame
     table's checks and builds no matrix. Its verdict reads sx and the
     outcomes, never sz, so each accepted sx is classified once and its

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import reference
 
-from wgtoffoli import acceptance
+from wgtoffoli import acceptance, toffoli
 from wgtoffoli.qstate import kron_all
 
 GOLDEN = Path(__file__).parent / "golden" / "records.txt"
@@ -55,6 +55,29 @@ def test_criterion_3_gate_correctness(checks):
 def test_criterion_4_sigma_formula_fidelity(checks):
     _report(checks[4])
     assert checks[4]["details"]["branches_checked"] == (32 + 64 + 256) * 2
+
+
+@pytest.mark.parametrize(
+    "check,cases_per_sx,rows_per_case",
+    [
+        (acceptance.check_gate_correctness, 1, 8 + 5),  # basis columns and random inputs
+        (acceptance.check_sigma_formulas, 2, 8),  # two sz cases of the basis columns
+    ],
+    ids=["criterion_3", "criterion_4"],
+)
+def test_criteria_3_and_4_walk_once_per_resource(monkeypatch, check, cases_per_sx, rows_per_case):
+    walks = []
+    original = toffoli.outcome_tree_leaves
+
+    def spy(patterns, tensor):
+        walks.append((len(patterns), tensor.shape[0]))
+        return original(patterns, tensor)
+
+    monkeypatch.setattr(toffoli, "outcome_tree_leaves", spy)
+    assert check()["passed"]
+    # One walk per resource, with one block of rows per linking case.
+    cases = [len(spec.prefactors) * cases_per_sx for spec in toffoli.VARIANT_SPECS.values()]
+    assert walks == [(count, count * rows_per_case) for count in cases]
 
 
 def test_criterion_5_gadget_identity(checks):

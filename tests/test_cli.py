@@ -123,6 +123,16 @@ def test_graph_build_bad_file(tmp_path, capsys):
     assert err.value.code == 1
 
 
+def test_graph_build_rejects_a_misspelt_key(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    doc = {"vertices": 2, "edges": [[0, 1, 1.0]], "input": {"0": {"basis": "hadamard"}}}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["graph", "build", str(path)])
+    assert err.value.code == 1
+    assert "top level: unknown key 'input'" in capsys.readouterr().err
+
+
 def test_graph_build_too_many_vertices(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vertices": 13, "edges": [[0, 1, 1.0]]}))

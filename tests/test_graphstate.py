@@ -211,6 +211,28 @@ def test_json_rejects_non_finite_and_undecodable_input():
         gs.from_json(b'{"vertices": 2}\xff')
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {"vertices": 2, "edges": [[0, 1, 1.0]], "input": {"0": {"basis": "hadamard"}}},
+            "top level: unknown key 'input'",
+        ),
+        ({"vertices": 2, "inputs": {"0": {"bases": "hadamard"}}}, "inputs[0]: unknown key 'bases'"),
+        (
+            {"vertices": 2, "edges": [[0, 1, {"pi_num": 1, "pi_den": 2, "x": 1}]]},
+            "edges[0].angle: unknown key 'x'",
+        ),
+    ],
+    ids=["input", "bases", "angle"],
+)
+def test_from_json_rejects_unknown_keys(doc, message):
+    # Each of these documents used to build a graph without the misspelt field.
+    with pytest.raises(gs.GraphFormatError) as err:
+        gs.from_json(json.dumps(doc))
+    assert str(err.value) == message
+
+
 json_scalars = st.none() | st.booleans() | st.integers(-3, 14) | st.floats() | st.text(max_size=4)
 json_values = st.recursive(
     json_scalars,

@@ -317,6 +317,90 @@ def test_walk_resolves_fixed_bases_once_and_adaptive_ones_per_distinct_basis(mon
     assert projected == [1, 2, 2, 2, 4, 4]
 
 
+def block_patterns():
+    """Three patterns over vertices 3, 0, 4 of a five-qubit register.
+
+    Depth 0: blocks 0 and 1 share one fixed basis, block 2 has its own.
+    Depth 1: every block shares one callable that picks one of two bases
+    by the outcome on vertex 3. Depth 2: block 0 builds a fresh basis at
+    every node, blocks 1 and 2 share one fixed basis. Returns the
+    patterns, the number of distinct bases at each depth and the shared
+    callable's calls.
+    """
+    shared_fixed = mbqc.MeasurementBasis(Fraction(1, 4), True)
+    own_fixed = mbqc.MeasurementBasis(Fraction(-1, 3), False, qs.PAULI_X)
+    calls = []
+    flipped, plain = mbqc.MeasurementBasis(Fraction(1, 2)), mbqc.MeasurementBasis(Fraction(-1, 2))
+
+    def shared_callable(seen):
+        calls.append(dict(seen))
+        return flipped if seen[3] else plain
+
+    tail = mbqc.MeasurementBasis(Fraction(2, 3), True)
+
+    def fresh(seen):
+        return mbqc.MeasurementBasis(Fraction(seen[3] + 2 * seen[0], 5))
+
+    patterns = [
+        mbqc.Pattern([mbqc.PatternStep(v, basis) for v, basis in zip((3, 0, 4), bases)])
+        for bases in (
+            (shared_fixed, shared_callable, fresh),
+            (shared_fixed, shared_callable, tail),
+            (own_fixed, shared_callable, tail),
+        )
+    ]
+    return patterns, [2, 2, 4 + 1], calls
+
+
+def test_block_patterns_walk_each_block_as_its_own_pattern(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    patterns, distinct, calls = block_patterns()
+    rows = np.stack([random_state(rng, 5).amplitudes for _ in range(6)]).reshape((6,) + (2,) * 5)
+    rows[1, 0, 1] = complex(-0.0, 0.0)  # signed zeros keep their bits
+    projected = count_projections(monkeypatch)
+    resolved = count_basis_resolutions(monkeypatch)
+    leaves = mbqc.outcome_tree_leaves(patterns, rows)
+    assert leaves.shape == (8, 6, 2, 2)
+    # One kernel call per distinct basis at each depth, and the shared
+    # callable called once per node however many blocks share it.
+    assert len(projected) == len(resolved) == sum(distinct)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for block, pattern in enumerate(patterns):
+        alone = mbqc.outcome_tree_leaves(pattern, rows[2 * block : 2 * block + 2])
+        assert leaves[:, 2 * block : 2 * block + 2].tobytes() == alone.tobytes(), block
+    # Blocks that share every basis object make the kernel calls of one
+    # block: a fixed depth projects its whole level, and the adaptive depth
+    # one (node, block) pair of each block per basis.
+    projected = count_projections(monkeypatch)
+    shared = mbqc.outcome_tree_leaves([patterns[1]] * 3, rows)
+    assert projected == [1, 3, 3, 4]
+    alone = mbqc.outcome_tree_leaves(patterns[1], rows)
+    assert shared.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (1, 4, 4), (0, 2), (2, 2, 1), ()])
+def test_walk_rejects_tensors_that_are_not_qubit_registers(shape):
+    pattern = mbqc.Pattern([mbqc.PatternStep(0, mbqc.MeasurementBasis())])
+    with pytest.raises(ValueError, match="qubit registers"):
+        mbqc.outcome_tree_leaves(pattern, np.ones(shape, dtype=complex))
+
+
+def test_walk_rejects_blocks_that_do_not_fit():
+    patterns, _, _ = block_patterns()
+    rows = np.ones((6,) + (2,) * 5, dtype=complex)
+    with pytest.raises(ValueError, match="6 rows do not split into 4 equal blocks"):
+        mbqc.outcome_tree_leaves(patterns + patterns[:1], rows)
+    with pytest.raises(ValueError, match="do not split into 0 equal blocks"):
+        mbqc.outcome_tree_leaves([], rows)
+    reordered = mbqc.Pattern([patterns[0].steps[1], patterns[0].steps[0], patterns[0].steps[2]])
+    with pytest.raises(ValueError, match="same vertices in the same order"):
+        mbqc.outcome_tree_leaves([patterns[1], reordered, patterns[2]], rows)
+    shorter = mbqc.Pattern(patterns[0].steps[:2])
+    with pytest.raises(ValueError, match="same vertices in the same order"):
+        mbqc.outcome_tree_leaves([patterns[1], patterns[2], shorter], rows)
+
+
 def test_enumerate_without_measurements_returns_the_state():
     state = qs.plus_state(2)
     [(outcomes, probability, final)] = mbqc.enumerate_branches(state, mbqc.Pattern([]))

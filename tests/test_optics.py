@@ -320,6 +320,32 @@ def test_recipe_json_field_errors(doc, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"step": []}, "top level: unknown key 'step'"),
+        ({"steps": [{"op": "measure", "mode": 1, "outcom": 1}]}, "steps[0]: unknown key 'outcom'"),
+        (
+            {"steps": [{"op": "measure", "mode": 1, "basis": {"alpha": 0, "hadamrd": True}}]},
+            "steps[0].basis: unknown key 'hadamrd'",
+        ),
+        ({"steps": [{"op": "fuse", "modes": [1, 2], "mode": 1}]}, "steps[0]: unknown key 'mode'"),
+        ({"steps": [{"op": "reset", "mode": 1, "modes": [1]}]}, "steps[0]: unknown key 'modes'"),
+        ({"steps": [{"op": "rotate", "mode": 1, "angle": 1.0, "basis": {}}]}, "'basis'"),
+        (
+            {"steps": [{"op": "source", "modes": [1, 2], "gamma": {"pi_num": 1, "pi_den": 2, "x": 0}}]},
+            "steps[0].gamma: unknown key 'x'",
+        ),
+    ],
+    ids=["top", "outcome", "basis", "fuse-mode", "reset-modes", "rotate-basis", "angle"],
+)
+def test_recipe_json_rejects_unknown_keys(doc, message):
+    # A misspelt "outcome" ran as outcome 0.
+    with pytest.raises(optics.RecipeError) as err:
+        optics.steps_from_json(json.dumps(doc))
+    assert message in str(err.value)
+
+
 def test_register_capped_at_max_qubits():
     steps = [optics.RecipeStep("source", (2 * k, 2 * k + 1), gamma=Fraction(1)) for k in range(7)]
     with pytest.raises(optics.RecipeError, match="MAX_QUBITS = 12"):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 from fractions import Fraction
@@ -205,6 +206,39 @@ def test_gadget_bases_adapt_on_first_outcome():
     assert by_vertex[tf.GADGET_TOP].absorbed is None
 
 
+def step_parity(step, sx):
+    return sum(bit for wire, bit in zip(tf.WIRES, sx) if wire in step.when) & 1
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_programs_share_basis_objects_where_the_parities_agree(kind, theta):
+    variant = tf.ResourceVariant(kind, theta)
+    programs = {
+        sx: tf.measurement_program(variant, tf.LinkingByproducts(sx)) for sx in accepted_sx(variant)
+    }
+    for a, b in itertools.combinations(accepted_sx(variant), 2):
+        for step, in_a, in_b in zip(variant.spec.schedule, programs[a].steps, programs[b].steps):
+            agree = step.static is None or step_parity(step, a) == step_parity(step, b)
+            assert (in_a.basis is in_b.basis) == agree, (a, b, step.vertex)
+    last = accepted_sx(variant)[-1]
+    again = tf.measurement_program(variant, tf.LinkingByproducts(last, (1, 1, 1)))
+    assert all(x.basis is y.basis for x, y in zip(again.steps, programs[last].steps))
+    # Every shared basis is frozen and its absorbed correction read-only.
+    for program in programs.values():
+        for step, spec_step in zip(program.steps, variant.spec.schedule):
+            bases = [step.basis]
+            if callable(step.basis):
+                bases = [step.basis({spec_step.trigger: bit}) for bit in (0, 1)]
+            for basis in bases:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    basis.alpha = Fraction(0)
+                if basis.absorbed is not None:
+                    assert not basis.absorbed.flags.writeable
+                    with pytest.raises(ValueError):
+                        basis.absorbed[0, 0] = 0
+
+
 @pytest.mark.parametrize("kind", ["six", "seven"])
 @pytest.mark.parametrize("sx", [(0, 0, 1), (1, 0, 0), (1, 1, 0), (0, 1, 1)])
 def test_unrecoverable_linking_rejected(kind, sx):
@@ -336,21 +370,44 @@ def test_branch_outputs_equal_reference_path_off_grid():
 
 
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
-def test_multi_case_branch_outputs_equal_separate_calls(kind):
-    # Every sz case of one sx in one call: one array per case, byte-identical
-    # to the case's own call.
+def test_multi_case_branch_outputs_equal_separate_calls(monkeypatch, kind):
+    # Every sz case of two sx in one call: one array per case, byte-identical
+    # to the case's own call, and one walk for the whole call.
     variant = tf.ResourceVariant(kind)
     inputs = np.vstack([np.eye(8), signed_zero_inputs()[:2]])
-    for sx in accepted_sx(variant)[:2]:
-        cases = [tf.LinkingByproducts(sx, sz) for sz in itertools.product((0, 1), repeat=3)]
-        joint = tf.branch_outputs(variant, cases, inputs)
-        assert isinstance(joint, list) and len(joint) == len(cases)
-        for linking, outputs in zip(cases, joint):
-            alone = tf.branch_outputs(variant, linking, inputs)
-            assert outputs.shape == alone.shape and outputs.flags.c_contiguous
-            assert outputs.tobytes() == alone.tobytes(), linking
-    with pytest.raises(ValueError, match="share one sx"):
-        tf.branch_outputs(variant, [tf.NO_LINKING, tf.LinkingByproducts((0, 1, 0))], inputs)
+    cases = [
+        tf.LinkingByproducts(sx, sz)
+        for sx in accepted_sx(variant)[:2]
+        for sz in itertools.product((0, 1), repeat=3)
+    ]
+    walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
+    joint = tf.branch_outputs(variant, cases, inputs)
+    assert [tensor.shape[0] for _, tensor in walks] == [len(cases) * len(inputs)]
+    assert isinstance(joint, list) and len(joint) == len(cases)
+    for linking, outputs in zip(cases, joint):
+        alone = tf.branch_outputs(variant, linking, inputs)
+        assert outputs.shape == alone.shape and outputs.flags.c_contiguous
+        assert outputs.tobytes() == alone.tobytes(), linking
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_mixed_sx_branch_outputs_equal_the_per_case_calls(monkeypatch, kind, theta):
+    # Every accepted sx, interleaved with three sz, in one walk: each case's
+    # outputs are byte-identical to its own call.
+    variant = tf.ResourceVariant(kind, theta)
+    inputs = np.vstack([np.eye(8), signed_zero_inputs()])
+    cases = [
+        tf.LinkingByproducts(sx, sz)
+        for sz in ((0, 0, 0), (1, 0, 1), (0, 1, 1))
+        for sx in reversed(accepted_sx(variant))
+    ]
+    walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
+    joint = tf.branch_outputs(variant, cases, inputs)
+    assert len(walks) == 1
+    for linking, outputs in zip(cases, joint, strict=True):
+        alone = tf.branch_outputs(variant, linking, inputs)
+        assert outputs.tobytes() == alone.tobytes(), linking
 
 
 def signed_zero_inputs():
@@ -616,12 +673,14 @@ def test_branch_uniformity_bitwise_equals_enumeration(kind, theta):
             assert tf.verify_branch_uniformity(variant, linking).hex() == expected.hex(), linking
         assert tf.verify_branch_uniformity(variant, cases).hex() == max(separate).hex(), sx
         worst += separate
-        # Each case's rows in the shared walk carry the bits of its own walk.
-        _, _, shared = tf._outcome_leaves(variant, cases, inputs)
-        for index, linking in enumerate(cases):
-            rows = slice(index * len(inputs), (index + 1) * len(inputs))
-            _, _, alone = tf._outcome_leaves(variant, [linking], inputs)
-            assert shared[:, rows].tobytes() == alone.tobytes(), linking
+    # Each case's rows in a walk of every sx carry the bits of its own walk.
+    probes = ((0, 0, 0), (1, 1, 1))
+    cases = [tf.LinkingByproducts(sx, sz) for sx in accepted_sx(variant) for sz in probes]
+    _, _, shared = tf._outcome_leaves(variant, cases, inputs)
+    for index, linking in enumerate(cases):
+        rows = slice(index * len(inputs), (index + 1) * len(inputs))
+        _, _, alone = tf._outcome_leaves(variant, [linking], inputs)
+        assert shared[:, rows].tobytes() == alone.tobytes(), linking
     report = tf.success_probability(variant, "uniform")
     assert report.max_uniformity_error.hex() == max(worst).hex()
 
@@ -630,8 +689,17 @@ def test_success_walks_the_sz_probes_of_each_sx_once(monkeypatch):
     walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
     variant = tf.ResourceVariant("eight")
     tf.success_probability(variant, "uniform")
-    # Two sz probes of three inputs each, in one walk per accepted sx.
-    assert [tensor.shape[0] for _, tensor in walks] == [6] * len(accepted_sx(variant))
+    # Two sz probes of three inputs each for every accepted sx, in one walk.
+    [(patterns, tensor)] = walks
+    assert tensor.shape[0] == 6 * len(accepted_sx(variant))
+    programs = [
+        tf.measurement_program(variant, tf.LinkingByproducts(sx, sz))
+        for sx in accepted_sx(variant)
+        for sz in ((0, 0, 0), (1, 1, 1))
+    ]
+    assert [[id(s.basis) for s in p.steps] for p in patterns] == [
+        [id(s.basis) for s in p.steps] for p in programs
+    ]
 
 
 def test_success_embeds_every_uniformity_probe_in_one_build(monkeypatch):
@@ -651,7 +719,7 @@ def test_success_embeds_every_uniformity_probe_in_one_build(monkeypatch):
 )
 def test_uniformity_batch_may_mix_sx(monkeypatch, kind, theta):
     # Cases of every accepted sx, interleaved, in one call: exactly the
-    # maximum of one call per sx, from one build and one walk per sx.
+    # maximum of one call per sx, from one build and one walk.
     variant = tf.ResourceVariant(kind, theta)
     probes = [(1, 1, 1), (0, 1, 0), (0, 0, 0)]
     per_sx = {
@@ -662,7 +730,7 @@ def test_uniformity_batch_may_mix_sx(monkeypatch, kind, theta):
     builds = count_calls(monkeypatch, tf, "_encode_rows")
     walks = count_calls(monkeypatch, tf, "outcome_tree_leaves")
     assert tf.verify_branch_uniformity(variant, mixed).hex() == max(per_sx.values()).hex()
-    assert len(builds) == 1 and len(walks) == len(per_sx)
+    assert len(builds) == 1 and len(walks) == 1
     with pytest.raises(ValueError, match="at least one linking case is needed"):
         tf.verify_branch_uniformity(variant, [])
 

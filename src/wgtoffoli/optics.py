@@ -17,6 +17,7 @@ construction is required to reproduce (see the tests).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import angles
 from .angles import Angle
-from .mbqc import COMPUTATIONAL, MeasurementBasis, basis_states
+from .mbqc import COMPUTATIONAL, MAX_PATTERN_QUBITS, MeasurementBasis, basis_states
 from .qstate import (
     HADAMARD,
     KET_PLUS,
@@ -149,42 +150,49 @@ def _measure_out(register: PhotonRegister, mode: int, basis, outcome: int) -> Ph
     return PhotonRegister(labels, projected.normalized(), register.cumulative_prob * ratio)
 
 
-def run_recipe(
-    steps, outcome_overrides: dict[int, int] | None = None
+def apply_step(
+    register: PhotonRegister, index: int, step: RecipeStep, outcome: int | None = None
 ) -> PhotonRegister:
-    """Execute steps in order; ``outcome_overrides`` maps step index to outcome."""
+    """Apply step ``index`` of a recipe to ``register``; return the new register.
+
+    ``outcome``, when given, replaces a measure step's own outcome. The
+    input register is never written: every step returns a new register
+    with new amplitudes, so a sweep may branch from any register.
+    """
+    if step.op == "source":
+        if len(step.modes) != 2 or step.gamma is None:
+            raise RecipeError(f"step {index}: source needs two modes and gamma")
+        pair = to_weighted_pair(pdc_pair(step.gamma), step.gamma)
+        return _append_modes(register, step.modes, pair)
+    if step.op == "reset":
+        (mode,) = step.modes
+        return _append_modes(register, [mode], StateVector(1, KET_PLUS.copy()))
+    if step.op == "fuse":
+        a, b = step.modes
+        return fuse(register, a, b, step.h_on)
+    if step.op == "rotate":
+        (mode,) = step.modes
+        return PhotonRegister(
+            list(register.labels),
+            apply_single(
+                register.state,
+                register.qubit_of(mode),
+                rz(angles.radians(step.angle)),
+            ),
+            register.cumulative_prob,
+        )
+    if step.op == "measure":
+        (mode,) = step.modes
+        outcome = step.outcome if outcome is None else outcome
+        return _measure_out(register, mode, step.basis or COMPUTATIONAL, outcome)
+    raise RecipeError(f"step {index}: unknown op {step.op!r}")
+
+
+def run_recipe(steps) -> PhotonRegister:
+    """Apply the steps in order, each measurement with its own outcome."""
     register = PhotonRegister()
     for index, step in enumerate(steps):
-        if step.op == "source":
-            if len(step.modes) != 2 or step.gamma is None:
-                raise RecipeError(f"step {index}: source needs two modes and gamma")
-            pair = to_weighted_pair(pdc_pair(step.gamma), step.gamma)
-            register = _append_modes(register, step.modes, pair)
-        elif step.op == "reset":
-            (mode,) = step.modes
-            register = _append_modes(register, [mode], StateVector(1, KET_PLUS.copy()))
-        elif step.op == "fuse":
-            a, b = step.modes
-            register = fuse(register, a, b, step.h_on)
-        elif step.op == "rotate":
-            (mode,) = step.modes
-            register = PhotonRegister(
-                list(register.labels),
-                apply_single(
-                    register.state,
-                    register.qubit_of(mode),
-                    rz(angles.radians(step.angle)),
-                ),
-                register.cumulative_prob,
-            )
-        elif step.op == "measure":
-            (mode,) = step.modes
-            outcome = step.outcome
-            if outcome_overrides and index in outcome_overrides:
-                outcome = outcome_overrides[index]
-            register = _measure_out(register, mode, step.basis or COMPUTATIONAL, outcome)
-        else:
-            raise RecipeError(f"step {index}: unknown op {step.op!r}")
+        register = apply_step(register, index, step)
     return register
 
 
@@ -196,18 +204,44 @@ def coincidence_probability(steps) -> float:
 def sweep_measure_outcomes(steps) -> list[tuple[dict[int, int], float]]:
     """Cumulative probability of every measurement-outcome branch.
 
-    A branch whose postselection has zero support gets probability 0.0;
-    a malformed recipe raises its ``RecipeError``.
+    Branches come in ``np.ndindex`` product order over the measure steps,
+    each as ``({step index: outcome}, probability)``. The outcome tree is
+    walked depth first, bit 0 before bit 1: the steps before the first
+    measurement run once, the steps up to the next one once per outcome
+    of the first, and so on, so every step runs at most once per node of
+    the tree. A postselection failure at a node gives 0.0 to every branch
+    below it; a malformed recipe raises its ``RecipeError``, the one the
+    first such branch in order would raise on its own. More than
+    ``MAX_PATTERN_QUBITS`` measure steps are rejected before any step runs.
     """
     measure_steps = [i for i, s in enumerate(steps) if s.op == "measure"]
+    if len(measure_steps) > MAX_PATTERN_QUBITS:
+        raise RecipeError(
+            f"{len(measure_steps)} measure steps exceed the sweep limit of "
+            f"{MAX_PATTERN_QUBITS} ({1 << len(measure_steps)} branches)"
+        )
+    # Node ``depth`` runs measure step depth - 1 (none at the root) and the
+    # steps after it, up to the next measure step.
+    starts = [0] + measure_steps
+    ends = measure_steps + [len(steps)]
     results = []
-    for bits in np.ndindex(*(2,) * len(measure_steps)):
-        overrides = dict(zip(measure_steps, map(int, bits)))
+
+    def walk(register: PhotonRegister, depth: int, outcomes: dict[int, int]) -> None:
         try:
-            register = run_recipe(steps, overrides)
-            results.append((overrides, register.cumulative_prob))
+            for index in range(starts[depth], ends[depth]):
+                register = apply_step(register, index, steps[index], outcomes.get(index))
         except PostselectionError:
-            results.append((overrides, 0.0))
+            rest = measure_steps[depth:]
+            for bits in itertools.product((0, 1), repeat=len(rest)):
+                results.append(({**outcomes, **dict(zip(rest, bits))}, 0.0))
+            return
+        if depth == len(measure_steps):
+            results.append((outcomes, register.cumulative_prob))
+            return
+        for bit in (0, 1):
+            walk(register, depth + 1, {**outcomes, measure_steps[depth]: bit})
+
+    walk(PhotonRegister(), 0, {})
     return results
 
 
@@ -292,16 +326,16 @@ def _angle_field(value, where: str) -> Angle:
 
 
 # The keys the reader reads: of the document, of each op's step, of a basis.
+# Each op takes exactly the fields it uses.
 RECIPE_KEYS = frozenset(("steps",))
-_READ_BY_EVERY_OP = ("op", "gamma", "angle", "h_on", "outcome")
 STEP_KEYS = {
-    op: frozenset(_READ_BY_EVERY_OP + fields)
+    op: frozenset(("op",) + fields)
     for op, fields in (
-        ("source", ("modes",)),
-        ("fuse", ("modes",)),
-        ("rotate", ("mode",)),
+        ("source", ("modes", "gamma")),
+        ("fuse", ("modes", "h_on")),
+        ("rotate", ("mode", "angle")),
         ("reset", ("mode",)),
-        ("measure", ("mode", "basis")),
+        ("measure", ("mode", "basis", "outcome")),
     )
 }
 BASIS_KEYS = frozenset(("alpha", "hadamard"))

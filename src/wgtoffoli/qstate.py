@@ -148,6 +148,10 @@ def apply_operator(
     """Apply a ``2**k x 2**k`` matrix to ``k`` target qubits.
 
     ``targets[0]`` addresses the most significant bit of the matrix index.
+    The target axes are moved to the front by one ``transpose`` with
+    ``order = axes + the rest`` and moved back by its inverse. That is
+    the view ``np.moveaxis`` builds, so the ``matmul`` input and the bits
+    are the same, without ``moveaxis``'s per-call axis normalisation.
     """
     n = state.num_qubits
     k = len(targets)
@@ -158,12 +162,14 @@ def apply_operator(
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {matrix.shape} does not fit {k} qubits")
-    axes = [n - 1 - q for q in targets]
-    tensor = state.amplitudes.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, axes, range(k))
+    order = [n - 1 - q for q in targets]
+    order += [axis for axis in range(n) if axis not in order]
+    inverse = [0] * n
+    for position, axis in enumerate(order):
+        inverse[axis] = position
+    tensor = state.amplitudes.reshape((2,) * n).transpose(order)
     tensor = (matrix @ tensor.reshape(1 << k, -1)).reshape((2,) * n)
-    tensor = np.moveaxis(tensor, range(k), axes)
-    return StateVector(n, tensor.reshape(-1))
+    return StateVector(n, tensor.transpose(inverse).reshape(-1))
 
 
 def apply_cz_theta(

@@ -5,7 +5,9 @@ and ``mbqc.run_branch`` on its own, one projection at a time, and
 ``reconstruct_operator`` stacks its outputs on the basis inputs into a
 branch operator. ``toffoli.branch_outputs`` must equal both as values.
 ``apply_cz_theta_mask`` is the controlled phase in its index-mask form,
-which ``qstate.apply_cz_theta`` must match byte for byte. ``make_word``,
+which ``qstate.apply_cz_theta`` must match byte for byte, and
+``apply_operator_moveaxis`` is ``qstate.apply_operator`` as two
+``np.moveaxis`` calls around the matmul, which it must match byte for byte. ``make_word``,
 ``word_mul`` and ``word_matrix`` are the byproduct-word formulas computed
 afresh on every call, which the ``mbqc`` word algebra must match
 in the word, in every bit of the phase and in the matrix bytes.
@@ -71,6 +73,7 @@ from wgtoffoli.toffoli import (
 
 __all__ = [
     "apply_cz_theta_mask",
+    "apply_operator_moveaxis",
     "branch_map",
     "composed_frame",
     "encoded_state_per_row",
@@ -94,6 +97,15 @@ def apply_cz_theta_mask(state: StateVector, qubit_a: int, qubit_b: int, theta: f
     amps = state.amplitudes.copy()
     amps[mask] *= np.exp(1j * theta)
     return StateVector(state.num_qubits, amps)
+
+
+def apply_operator_moveaxis(state: StateVector, targets, matrix) -> StateVector:
+    """Move the target axes to the front, apply the matrix, move them back."""
+    n, k = state.num_qubits, len(targets)
+    axes = [n - 1 - q for q in targets]
+    tensor = np.moveaxis(state.amplitudes.reshape((2,) * n), axes, range(k))
+    tensor = (np.asarray(matrix, dtype=complex) @ tensor.reshape(1 << k, -1)).reshape((2,) * n)
+    return StateVector(n, np.moveaxis(tensor, range(k), axes).reshape(-1))
 
 
 def branch_map(variant, linking, outcomes):

@@ -209,6 +209,17 @@ EXIT_CODE_FILES = {
     "uncreated.json": {"steps": [{"op": "reset", "mode": 2}, {"op": "fuse", "modes": [1, 2], "h_on": 2}]},
     "duplicate.json": {"steps": [{"op": "reset", "mode": 1}, {"op": "reset", "mode": 1}]},
     "unknown_op.json": {"steps": [{"op": "warp", "mode": 1}]},
+    # a measure step takes no angle; it measured in the computational basis
+    "measure_angle.json": {
+        "steps": [
+            {"op": "reset", "mode": 2},
+            {"op": "measure", "mode": 2, "angle": {"pi_num": 1, "pi_den": 2}, "outcome": 1},
+        ]
+    },
+    # 17 measure steps: 2^17 branches to sweep
+    "many_measures.json": {
+        "steps": [{"op": "reset", "mode": 1}, {"op": "measure", "mode": 1}] * 17
+    },
 }
 
 
@@ -235,6 +246,9 @@ EXIT_CODE_FILES = {
         ("optics run --recipe duplicate.json", 1),
         ("optics run --recipe zero_measure.json", 3),
         ("optics run --recipe zero_fuse.json", 3),
+        ("optics run --recipe measure_angle.json", 1),
+        ("optics run --recipe many_measures.json", 0),
+        ("optics run --recipe many_measures.json --sweep-outcomes", 1),
     ],
 )
 def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, code):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 from wgtoffoli import optics
 from wgtoffoli import qstate as qs
-from wgtoffoli.acceptance import _one_shot_probability, _quoted_fixture
+from wgtoffoli.acceptance import _one_shot_probability, _quoted_fixture, check_optics_recipe
 from wgtoffoli.graphstate import WeightedGraph, build_state
+from wgtoffoli.mbqc import MAX_PATTERN_QUBITS
 from wgtoffoli.toffoli import ResourceVariant, build_resource
 
 H = np.array([1, 0], dtype=complex)
@@ -171,6 +174,32 @@ def test_tilted_measurement_fixture():
     assert abs(overlap - 1) < 1e-10
 
 
+def register_bits(register):
+    return (
+        register.labels,
+        register.state.amplitudes.tobytes(),
+        register.cumulative_prob.hex(),
+    )
+
+
+def test_check_8_reads_every_register_from_one_run(monkeypatch):
+    seen = []
+    apply_step = optics.apply_step
+
+    def recorded(register, index, step, outcome=None):
+        out = apply_step(register, index, step, outcome)
+        seen.append((index, out))
+        return out
+
+    monkeypatch.setattr(optics, "apply_step", recorded)
+    assert check_optics_recipe()["passed"]
+    monkeypatch.undo()
+    steps = optics.six_qubit_recipe()
+    assert [index for index, _ in seen] == list(range(len(steps)))
+    for index, register in seen:
+        assert register_bits(register) == register_bits(optics.run_recipe(steps[: index + 1]))
+
+
 def test_full_recipe_builds_the_six_qubit_resource():
     register = optics.run_recipe(optics.six_qubit_recipe())
     assert sorted(register.labels) == [1, 2, 3, 4, 5, 6]
@@ -255,6 +284,37 @@ def test_sweep_outcomes_records_zero_support_as_zero():
     (zero, p_zero), (one, p_one) = optics.sweep_measure_outcomes(steps)
     assert (zero, one, p_one) == ({1: 0}, {1: 1}, 0.0)
     assert abs(p_zero - 1) < 1e-12
+
+
+def test_builtin_sweep_runs_each_step_once_per_tree_node(monkeypatch):
+    calls = []
+    apply_step = optics.apply_step
+
+    def counted(register, index, step, outcome=None):
+        calls.append(index)
+        return apply_step(register, index, step, outcome)
+
+    monkeypatch.setattr(optics, "apply_step", counted)
+    sweep = optics.sweep_measure_outcomes(optics.six_qubit_recipe())
+    assert [list(outcomes.items()) for outcomes, _ in sweep] == [
+        [(5, a), (15, b)] for a, b in itertools.product((0, 1), repeat=2)
+    ]
+    # Steps 0-4 once, 5-14 per outcome of step 5, step 15 per branch: 29, not 4 x 16.
+    assert calls == list(range(5)) + (list(range(5, 15)) + [15, 15]) * 2
+
+
+def test_sweep_rejects_more_measure_steps_than_the_limit(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(optics, "apply_step", no_step)
+    measures = MAX_PATTERN_QUBITS + 1
+    steps = [optics.RecipeStep("reset", (1,))] + [
+        optics.RecipeStep("measure", (1,), basis=optics.COMPUTATIONAL)
+    ] * measures
+    limit = f"{measures} measure steps exceed the sweep limit of {MAX_PATTERN_QUBITS}"
+    with pytest.raises(optics.RecipeError, match=limit):
+        optics.sweep_measure_outcomes(steps)
 
 
 def test_recipe_json_round_trip():
@@ -346,6 +406,30 @@ def test_recipe_json_rejects_unknown_keys(doc, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "step,key",
+    [
+        ({"op": "measure", "mode": 2, "angle": {"pi_num": 1, "pi_den": 2}, "outcome": 1}, "angle"),
+        ({"op": "measure", "mode": 2, "h_on": 2}, "h_on"),
+        ({"op": "measure", "mode": 2, "gamma": 1.0}, "gamma"),
+        ({"op": "fuse", "modes": [1, 2], "h_on": 2, "outcome": 1}, "outcome"),
+        ({"op": "fuse", "modes": [1, 2], "h_on": 2, "gamma": 1.0}, "gamma"),
+        ({"op": "source", "modes": [1, 2], "gamma": 1.0, "h_on": 1}, "h_on"),
+        ({"op": "rotate", "mode": 1, "angle": 1.0, "outcome": 0}, "outcome"),
+        ({"op": "reset", "mode": 1, "angle": 1.0}, "angle"),
+    ],
+    ids=["measure-angle", "measure-h_on", "measure-gamma", "fuse-outcome", "fuse-gamma",
+         "source-h_on", "rotate-outcome", "reset-angle"],
+)
+def test_recipe_json_rejects_fields_the_op_ignores(step, key):
+    # Each of these ran and ignored the field: a measure with an angle
+    # measured in the computational basis.
+    doc = {"steps": [{"op": "reset", "mode": 2}, step]}
+    with pytest.raises(optics.RecipeError) as err:
+        optics.steps_from_json(json.dumps(doc))
+    assert str(err.value) == f"steps[1]: unknown key '{key}'"
+
+
 def test_register_capped_at_max_qubits():
     steps = [optics.RecipeStep("source", (2 * k, 2 * k + 1), gamma=Fraction(1)) for k in range(7)]
     with pytest.raises(optics.RecipeError, match="MAX_QUBITS = 12"):
@@ -427,3 +511,86 @@ def test_recipe_parser_and_runner_fuzz(doc):
     except optics.RecipeError:
         return
     assert len(register.labels) <= qs.MAX_QUBITS
+
+
+step_angles = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)) | st.floats(-10, 10)
+bases = st.sampled_from((optics.COMPUTATIONAL, PLUS_MINUS)) | st.builds(
+    optics.MeasurementBasis, alpha=step_angles, hadamard=st.booleans()
+)
+
+
+@st.composite
+def live_recipes(draw, max_steps=10, max_measures=4):
+    """Typed recipe steps, each on modes that its register can supply.
+
+    One mode in 32 is drawn from all six instead, so a recipe may also
+    fail with a ``RecipeError``.
+    """
+    live, steps = set(), []
+
+    def pick(pool):
+        if draw(st.integers(0, 31)) == 0:
+            return draw(st.integers(0, 5))
+        return draw(st.sampled_from(sorted(pool)))
+
+    for _ in range(draw(st.integers(0, max_steps))):
+        fresh = set(range(6)) - live
+        measures = sum(step.op == "measure" for step in steps)
+        possible = (
+            ("source", len(fresh) >= 2),
+            ("reset", len(fresh) >= 1),
+            ("fuse", len(live) >= 2),
+            ("rotate", len(live) >= 1),
+            ("measure", len(live) >= 1 and measures < max_measures),
+        )
+        op = draw(st.sampled_from([op for op, ok in possible if ok]))
+        if op == "source":
+            a = pick(fresh)
+            step = optics.RecipeStep(op, (a, pick(fresh - {a})), gamma=draw(step_angles))
+        elif op == "reset":
+            step = optics.RecipeStep(op, (pick(fresh),))
+        elif op == "fuse":
+            a = pick(live)
+            b = pick(live - {a})
+            step = optics.RecipeStep(op, (a, b), h_on=draw(st.sampled_from((a, b))))
+        elif op == "rotate":
+            step = optics.RecipeStep(op, (pick(live),), angle=draw(step_angles))
+        else:
+            outcome = draw(st.integers(0, 1))
+            step = optics.RecipeStep(op, (pick(live),), basis=draw(bases), outcome=outcome)
+        live = live - set(step.modes) if op == "measure" else live | set(step.modes)
+        steps.append(step)
+    return steps
+
+
+def sweep_by_branch(steps):
+    """The sweep as one ``run_recipe`` per branch, outcomes set on the steps."""
+    measure_steps = [i for i, step in enumerate(steps) if step.op == "measure"]
+    results = []
+    for bits in itertools.product((0, 1), repeat=len(measure_steps)):
+        outcomes = dict(zip(measure_steps, bits))
+        branch = [
+            dataclasses.replace(step, outcome=outcomes[i]) if i in outcomes else step
+            for i, step in enumerate(steps)
+        ]
+        try:
+            results.append((outcomes, optics.run_recipe(branch).cumulative_prob))
+        except optics.PostselectionError:
+            results.append((outcomes, 0.0))
+    return results
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=live_recipes())
+def test_sweep_equals_one_run_per_branch(steps):
+    try:
+        expected = sweep_by_branch(steps)
+    except optics.RecipeError as exc:
+        with pytest.raises(optics.RecipeError) as err:
+            optics.sweep_measure_outcomes(steps)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    got = optics.sweep_measure_outcomes(steps)
+    assert [(list(o.items()), p.hex()) for o, p in got] == [
+        (list(o.items()), p.hex()) for o, p in expected
+    ]

@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from reference import apply_cz_theta_mask
+from reference import apply_cz_theta_mask, apply_operator_moveaxis
 
 from wgtoffoli import qstate as qs
 from wgtoffoli import toffoli as tf
@@ -149,6 +149,18 @@ def test_apply_operator_target_order():
     state = qs.basis_state(2, 2)  # qubit 1 set
     out = qs.apply_operator(state, (1, 0), qs.CNOT)
     np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+
+
+def test_apply_operator_bitwise_equals_moveaxis_reference():
+    rng = np.random.default_rng(37)
+    for n in range(1, 6):
+        state = random_state(rng, n)
+        for k in range(1, min(3, n) + 1):
+            matrix = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+            for targets in itertools.permutations(range(n), k):
+                out = qs.apply_operator(state, targets, matrix).amplitudes
+                expected = apply_operator_moveaxis(state, targets, matrix).amplitudes
+                assert out.tobytes() == expected.tobytes()
 
 
 def test_reorder_qubits_permutation():

@@ -6,12 +6,15 @@ wherever possible, with plain float radians as an escape hatch. A
 this package stays on the rational side; floats only appear when a state
 vector is actually built.
 
-The JSON readers of the package share the value checks here:
-``is_json_int``, ``is_json_number`` and the ``unique_keys`` object hook.
+Every JSON file the package reads (graph, recipe, ``--input`` state) goes
+through ``read_json``, which turns each fault into the caller's error
+class. The field checks (``is_json_int``, ``is_json_number``,
+``known_keys``, ``from_json``) raise plain ``ValueError``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -87,10 +90,10 @@ def is_json_number(value) -> bool:
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``json.loads`` object hook: the object, or ``ValueError`` naming a repeated key.
+    """``read_json``'s object hook: the object, or ``ValueError`` naming a repeated key.
 
-    ``json.loads`` alone keeps the last of two equal keys, so a repeated
-    key would silently drop the first value.
+    The parser alone keeps the last of two equal keys, so a repeated key
+    would silently drop the first value.
     """
     doc = dict(pairs)
     if len(doc) != len(pairs):
@@ -102,14 +105,37 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def known_keys(obj: dict, keys: frozenset, where: str, error: type[ValueError] = ValueError):
-    """Raise ``error`` naming the first key of ``obj`` outside ``keys`` and its path.
+def known_keys(obj: dict, keys: frozenset, where: str):
+    """Raise ``ValueError`` naming the first key of ``obj`` outside ``keys`` and its path.
 
     A misspelt key would otherwise be ignored and its value silently lost.
     """
     if not keys.issuperset(obj):
         key = next(key for key in obj if key not in keys)
-        raise error(f"{where}: unknown key {key!r}")
+        raise ValueError(f"{where}: unknown key {key!r}")
+
+
+def read_json(data, error: type[ValueError], build):
+    """``build(doc)`` of the JSON document in ``data`` (text or UTF-8 bytes).
+
+    Every fault leaves as ``error``: bad UTF-8, a syntax error (its line and
+    column), nesting too deep, a repeated key (``unique_keys``) and any
+    ``ValueError`` of ``build``. An ``error`` itself passes unchanged.
+    """
+    try:
+        if isinstance(data, bytes):
+            data = data.decode()
+        return build(json.loads(data, object_pairs_hook=unique_keys))
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise error("JSON nested too deeply") from None
+    except error:
+        raise
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 ANGLE_KEYS = frozenset(("pi_num", "pi_den"))

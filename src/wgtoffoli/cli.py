@@ -20,7 +20,6 @@ recipe postselection with zero support.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -116,28 +115,34 @@ def _parse_input(text: str) -> StateVector:
         amps[index] = 1.0
         return StateVector(3, amps)
     try:
-        with open(text) as handle:
-            pairs = json.load(handle)
-        amplitudes = [complex(re, im) for re, im in pairs]
-        # complex() takes true and false as 1 and 0, and nothing else but numbers.
-        if not all(angles.is_json_number(part) for pair in pairs for part in pair):
-            raise _usage_error("input amplitudes must be numbers, not true or false")
-        state = from_amplitudes(amplitudes)
-        if not np.isfinite(state.amplitudes).all():
-            raise _usage_error("input amplitudes must be finite (NaN or infinity found)")
-        if not np.isfinite(state.norm_sq):
-            raise _usage_error("input state norm overflows; scale the amplitudes down")
-        if state.norm_sq == 0:
-            raise _usage_error("input state has zero norm (every amplitude is 0 or underflows)")
-        return state.normalized()
+        with open(text, "rb") as handle:
+            return angles.read_json(handle.read(), ValueError, _input_state)
     except OSError as exc:
         raise _usage_error(f"cannot read input state: {exc}")
+    except ValueError as exc:
+        raise _usage_error(str(exc))
+
+
+def _input_state(pairs) -> StateVector:
+    """The normalised state of a ``--input`` document, a list of ``[re, im]`` pairs."""
+    try:
+        state = from_amplitudes([complex(re, im) for re, im in pairs])
     except OverflowError:
-        raise _usage_error("input amplitude overflows a float; scale the amplitudes down")
-    except (ValueError, TypeError, RecursionError):
-        raise _usage_error(
+        raise ValueError("input amplitude overflows a float; scale the amplitudes down") from None
+    except (ValueError, TypeError):
+        raise ValueError(
             "input must be three bits (c1 c2 t) or a JSON file of [re, im] pairs"
-        )
+        ) from None
+    # complex() takes true and false as 1 and 0, and nothing else but numbers.
+    if not all(angles.is_json_number(part) for pair in pairs for part in pair):
+        raise ValueError("input amplitudes must be numbers, not true or false")
+    if not np.isfinite(state.amplitudes).all():
+        raise ValueError("input amplitudes must be finite (NaN or infinity found)")
+    if not np.isfinite(state.norm_sq):
+        raise ValueError("input state norm overflows; scale the amplitudes down")
+    if state.norm_sq == 0:
+        raise ValueError("input state has zero norm (every amplitude is 0 or underflows)")
+    return state.normalized()
 
 
 def _print_state(state: StateVector) -> list[list[float]]:
@@ -281,6 +286,8 @@ def cmd_optics_run(args) -> int:
     else:
         steps = optics.six_qubit_recipe()
     register = optics.run_recipe(steps)
+    # Before the first print: a sweep that fails leaves stdout empty.
+    sweep = optics.sweep_measure_outcomes(steps) if args.sweep_outcomes else None
     print(f"surviving modes: {sorted(register.labels)}")
     print(f"coincidence probability: {register.cumulative_prob:.12f}")
     results = {
@@ -291,10 +298,10 @@ def cmd_optics_run(args) -> int:
         fidelity = recipe_fidelity(register)
         print(f"fidelity with the six-qubit resource graph: {fidelity:.12f}")
         results["fidelity"] = fidelity
-    if args.sweep_outcomes:
+    if sweep is not None:
         print("measurement-outcome branches (step index: outcome):")
         branches = []
-        for overrides, prob in optics.sweep_measure_outcomes(steps):
+        for overrides, prob in sweep:
             text = ",".join(f"{k}:{v}" for k, v in sorted(overrides.items()))
             print(f"  {text or '(none)'} -> {prob:.12f}")
             branches.append({"outcomes": text, "probability": prob})

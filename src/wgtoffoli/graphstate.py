@@ -171,63 +171,47 @@ INPUT_KEYS = frozenset(("role", "basis"))
 
 
 def from_json(text) -> WeightedGraph:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode()
-        except UnicodeDecodeError as exc:
-            raise GraphFormatError(f"not UTF-8 text: {exc.reason}") from None
-    try:
-        doc = json.loads(text, object_pairs_hook=angles.unique_keys)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise GraphFormatError("JSON nested too deeply") from None
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    """The graph in a JSON document (text or UTF-8 bytes); a fault is a ``GraphFormatError``."""
+    return angles.read_json(text, GraphFormatError, _graph_from_doc)
+
+
+def _graph_from_doc(doc) -> WeightedGraph:
     if not isinstance(doc, dict):
-        raise GraphFormatError("top level must be an object")
-    angles.known_keys(doc, GRAPH_KEYS, "top level", GraphFormatError)
+        raise ValueError("top level must be an object")
+    angles.known_keys(doc, GRAPH_KEYS, "top level")
     vertices = doc.get("vertices")
     if not angles.is_json_int(vertices) or vertices < 1:
-        raise GraphFormatError("'vertices' must be a positive integer")
+        raise ValueError("'vertices' must be a positive integer")
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
-        raise GraphFormatError("'edges' must be a list")
+        raise ValueError("'edges' must be a list")
     raw_inputs = doc.get("inputs", {})
     if not isinstance(raw_inputs, dict):
-        raise GraphFormatError("'inputs' must be an object")
+        raise ValueError("'inputs' must be an object")
     edges = []
     for pos, entry in enumerate(raw_edges):
         if not (isinstance(entry, list) and len(entry) == 3):
-            raise GraphFormatError(f"edges[{pos}]: expected [i, j, angle]")
+            raise ValueError(f"edges[{pos}]: expected [i, j, angle]")
         i, j, raw = entry
         if not (angles.is_json_int(i) and angles.is_json_int(j)):
-            raise GraphFormatError(f"edges[{pos}]: endpoints must be integers")
-        try:
-            theta = angles.from_json(raw, where=f"edges[{pos}].angle")
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from None
-        edges.append((i, j, theta))
-    inputs, keys = {}, {}
+            raise ValueError(f"edges[{pos}]: endpoints must be integers")
+        edges.append((i, j, angles.from_json(raw, where=f"edges[{pos}].angle")))
+    inputs = {}
     for key, entry in raw_inputs.items():
+        # Only the spelling to_json writes; int() also reads "00", " 1", "+1",
+        # "1_0" and non-ASCII digits, so two keys could name one vertex.
         try:
             v = int(key)
-        except ValueError:
-            raise GraphFormatError(f"inputs key {key!r} is not a vertex") from None
-        if v in keys:
-            raise GraphFormatError(f"inputs keys {keys[v]!r} and {key!r} both name vertex {v}")
-        keys[v] = key
+        except ValueError:  # not an integer, or too many digits to convert
+            v = None
+        if v is None or str(v) != key:
+            raise ValueError(f"inputs key {key!r} is not a vertex")
         if not isinstance(entry, dict):
-            raise GraphFormatError(f"inputs[{key}]: expected an object")
-        angles.known_keys(entry, INPUT_KEYS, f"inputs[{key}]", GraphFormatError)
+            raise ValueError(f"inputs[{key}]: expected an object")
+        angles.known_keys(entry, INPUT_KEYS, f"inputs[{key}]")
         role = entry.get("role", "none")
         basis = entry.get("basis", "computational")
         if basis not in ("computational", "hadamard"):
-            raise GraphFormatError(f"inputs[{key}].basis: unknown value {basis!r}")
+            raise ValueError(f"inputs[{key}].basis: unknown value {basis!r}")
         inputs[v] = InputAssignment(role=role, hadamard=(basis == "hadamard"))
-    try:
-        return WeightedGraph(vertices, edges, inputs)
-    except GraphFormatError:
-        raise
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return WeightedGraph(vertices, edges, inputs)

@@ -283,50 +283,8 @@ def six_qubit_recipe() -> list[RecipeStep]:
 
 # --- JSON recipe files ---
 
-
-def steps_to_json(steps) -> bytes:
-    out = []
-    for step in steps:
-        entry: dict = {"op": step.op}
-        if step.op in ("source", "fuse"):
-            entry["modes"] = list(step.modes)
-        else:
-            entry["mode"] = step.modes[0]
-        if step.gamma is not None:
-            entry["gamma"] = angles.to_json(step.gamma)
-        if step.h_on is not None:
-            entry["h_on"] = step.h_on
-        if step.angle is not None:
-            entry["angle"] = angles.to_json(step.angle)
-        if step.op == "measure":
-            basis = step.basis or COMPUTATIONAL
-            if basis.hadamard and angles.is_zero(basis.alpha):
-                entry["basis"] = "computational"
-            else:
-                entry["basis"] = {
-                    "alpha": angles.to_json(basis.alpha),
-                    "hadamard": basis.hadamard,
-                }
-            entry["outcome"] = step.outcome
-        out.append(entry)
-    return (json.dumps({"steps": out}, indent=2, sort_keys=True) + "\n").encode()
-
-
-def _int_field(value, where: str) -> int:
-    if not angles.is_json_int(value):
-        raise RecipeError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _angle_field(value, where: str) -> Angle:
-    try:
-        return angles.from_json(value, where)
-    except ValueError as exc:
-        raise RecipeError(str(exc)) from None
-
-
-# The keys the reader reads: of the document, of each op's step, of a basis.
-# Each op takes exactly the fields it uses.
+# The keys of the document, of each op's step and of a basis. Each op takes
+# exactly the fields it uses, as steps_to_json writes and steps_from_json reads.
 RECIPE_KEYS = frozenset(("steps",))
 STEP_KEYS = {
     op: frozenset(("op",) + fields)
@@ -341,68 +299,92 @@ STEP_KEYS = {
 BASIS_KEYS = frozenset(("alpha", "hadamard"))
 
 
+def _angle_to_json(angle: Angle | None):
+    return None if angle is None else angles.to_json(angle)
+
+
+def steps_to_json(steps) -> bytes:
+    """The recipe document: each step with the fields of ``STEP_KEYS[op]`` it has."""
+    out = []
+    for step in steps:
+        basis = step.basis or COMPUTATIONAL
+        fields = {
+            "op": step.op,
+            "modes": list(step.modes),
+            "mode": step.modes[0] if step.modes else None,
+            "gamma": _angle_to_json(step.gamma),
+            "h_on": step.h_on,
+            "angle": _angle_to_json(step.angle),
+            # Only an alpha of exactly 0 reads back as "computational"; 2pi would not.
+            "basis": "computational"
+            if basis.hadamard and basis.alpha == 0
+            else {"alpha": angles.to_json(basis.alpha), "hadamard": basis.hadamard},
+            "outcome": step.outcome,
+        }
+        out.append({key: fields[key] for key in STEP_KEYS[step.op] if fields[key] is not None})
+    return (json.dumps({"steps": out}, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _int_field(value, where: str) -> int:
+    if not angles.is_json_int(value):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def steps_from_json(text) -> list[RecipeStep]:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode()
-        except UnicodeDecodeError as exc:
-            raise RecipeError(f"not UTF-8 text: {exc.reason}") from None
-    try:
-        doc = json.loads(text, object_pairs_hook=angles.unique_keys)
-    except json.JSONDecodeError as exc:
-        raise RecipeError(f"line {exc.lineno}: {exc.msg}") from None
-    except RecursionError:
-        raise RecipeError("JSON nested too deeply") from None
-    except ValueError as exc:
-        raise RecipeError(str(exc)) from None
+    """The steps of a recipe document (text or UTF-8 bytes); a fault is a ``RecipeError``."""
+    return angles.read_json(text, RecipeError, _steps_from_doc)
+
+
+def _steps_from_doc(doc) -> list[RecipeStep]:
     if not isinstance(doc, dict):
-        raise RecipeError("top level must be an object")
-    angles.known_keys(doc, RECIPE_KEYS, "top level", RecipeError)
+        raise ValueError("top level must be an object")
+    angles.known_keys(doc, RECIPE_KEYS, "top level")
     raw_steps = doc.get("steps", [])
     if not isinstance(raw_steps, list):
-        raise RecipeError("'steps' must be a list")
+        raise ValueError("'steps' must be a list")
     steps = []
     for pos, entry in enumerate(raw_steps):
         where = f"steps[{pos}]"
         if not isinstance(entry, dict):
-            raise RecipeError(f"{where}: expected an object")
+            raise ValueError(f"{where}: expected an object")
         op = entry.get("op")
         if op in ("source", "fuse"):
             modes = entry.get("modes", [])
             if not isinstance(modes, list) or len(modes) != 2:
-                raise RecipeError(f"{where}: {op} needs two modes")
+                raise ValueError(f"{where}: {op} needs two modes")
             modes = tuple(_int_field(m, f"{where}.modes[{k}]") for k, m in enumerate(modes))
         elif op in ("rotate", "measure", "reset"):
             if "mode" not in entry:
-                raise RecipeError(f"{where}: {op} needs a mode")
+                raise ValueError(f"{where}: {op} needs a mode")
             modes = (_int_field(entry["mode"], f"{where}.mode"),)
         else:
-            raise RecipeError(f"{where}: unknown op {op!r}")
-        angles.known_keys(entry, STEP_KEYS[op], where, RecipeError)
-        gamma = _angle_field(entry["gamma"], f"{where}.gamma") if "gamma" in entry else None
-        angle = _angle_field(entry["angle"], f"{where}.angle") if "angle" in entry else None
+            raise ValueError(f"{where}: unknown op {op!r}")
+        angles.known_keys(entry, STEP_KEYS[op], where)
+        gamma = angles.from_json(entry["gamma"], f"{where}.gamma") if "gamma" in entry else None
+        angle = angles.from_json(entry["angle"], f"{where}.angle") if "angle" in entry else None
         if op == "rotate" and angle is None:
-            raise RecipeError(f"{where}: rotate needs an angle")
+            raise ValueError(f"{where}: rotate needs an angle")
         h_on = entry.get("h_on")
         if h_on is not None:
             h_on = _int_field(h_on, f"{where}.h_on")
         basis = None
         outcome = entry.get("outcome", 0)
         if not angles.is_json_int(outcome) or outcome not in (0, 1):
-            raise RecipeError(f"{where}.outcome: expected 0 or 1, got {outcome!r}")
+            raise ValueError(f"{where}.outcome: expected 0 or 1, got {outcome!r}")
         if op == "measure":
             raw = entry.get("basis", "computational")
             if raw == "computational":
                 basis = COMPUTATIONAL
             elif not isinstance(raw, dict):
-                raise RecipeError(f"{where}.basis: expected \"computational\" or an object")
+                raise ValueError(f"{where}.basis: expected \"computational\" or an object")
             else:
-                angles.known_keys(raw, BASIS_KEYS, f"{where}.basis", RecipeError)
+                angles.known_keys(raw, BASIS_KEYS, f"{where}.basis")
                 hadamard = raw.get("hadamard", False)
                 if not isinstance(hadamard, bool):
-                    raise RecipeError(f"{where}.basis.hadamard: expected true or false")
+                    raise ValueError(f"{where}.basis.hadamard: expected true or false")
                 basis = MeasurementBasis(
-                    alpha=_angle_field(raw.get("alpha", 0), f"{where}.basis.alpha"),
+                    alpha=angles.from_json(raw.get("alpha", 0), f"{where}.basis.alpha"),
                     hadamard=hadamard,
                 )
         steps.append(

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wgtoffoli import cli, graphstate
+from wgtoffoli.mbqc import MAX_PATTERN_QUBITS
 from wgtoffoli.toffoli import ResourceVariant, build_resource
 
 
@@ -337,6 +338,55 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, monkeypatch, capsys, argv
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+GRAPH, RECIPE, INPUT = "graph build", "optics run --recipe", "toffoli run --variant six --input"
+
+
+@pytest.mark.parametrize(
+    "command,doc,fragment",
+    [
+        (GRAPH, b'{"vertices": 2, "vertices": 3}', "key 'vertices' appears more than once"),
+        (GRAPH, b'{"vertices": 2, "edges": [[0, 1, true]]}', "edges[0].angle: expected"),
+        (GRAPH, b'{"vertices": 2}\xff', "not UTF-8 text"),
+        (GRAPH, b'{"vertices": 2,', "line 1, column 16: "),
+        (RECIPE, b'{"steps": [{"op": "reset", "mode": 1, "mode": 2}]}', "key 'mode' appears"),
+        (RECIPE, b'{"steps": [{"op": "rotate", "mode": 1, "angle": true}]}', "steps[0].angle"),
+        (RECIPE, b'{"steps": []}\xff', "not UTF-8 text"),
+        (RECIPE, b'{"steps": [', "line 1, column 12: "),
+        (INPUT, b'[[1, 0], {"re": 0, "re": 1}]', "key 're' appears more than once"),
+        (INPUT, b"[[1, 0], [0, true]]", "numbers, not true or false"),
+        (INPUT, b"[[1, 0]]\xff", "not UTF-8 text"),
+        (INPUT, b"[[1, 0],", "line 1, column 9: "),
+    ],
+    ids=[
+        f"{reader}-{defect}"
+        for reader in ("graph", "recipe", "input")
+        for defect in ("repeated-key", "boolean", "bad-utf8", "syntax")
+    ],
+)
+def test_malformed_json_is_a_usage_error(tmp_path, monkeypatch, capsys, command, doc, fragment):
+    # Every reader goes through one loader: one error line, never a traceback.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(doc)
+    try:
+        code = cli.main(command.split() + ["bad.json"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert "Traceback" not in err
+
+
+def test_failing_sweep_prints_nothing_to_stdout(tmp_path, capsys):
+    # The sweep-limit error used to follow the recipe's first lines on stdout.
+    path = tmp_path / "recipe.json"
+    pairs = [{"op": "reset", "mode": 1}, {"op": "measure", "mode": 1}] * (MAX_PATTERN_QUBITS + 1)
+    path.write_text(json.dumps({"steps": pairs}))
+    code, out, err = run_cli(["optics", "run", "--recipe", str(path), "--sweep-outcomes"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("error: ") == 1 and "exceed the sweep limit" in err
 
 
 def test_run_rejects_oversized_integer_amplitude(tmp_path, capsys):

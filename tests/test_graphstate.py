@@ -107,6 +107,50 @@ def test_json_round_trip_random_graphs(graph):
     assert gs.to_json(graph) == gs.to_json(again)
 
 
+angle_docs = (
+    st.fixed_dictionaries({"pi_num": st.integers(-16, 16), "pi_den": st.integers(1, 8)})
+    | st.floats(-10, 10)
+    | st.integers(-10, 10)
+)
+input_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "role": st.sampled_from(gs.ROLES),
+        "basis": st.sampled_from(("computational", "hadamard")),
+    },
+)
+
+
+@st.composite
+def graph_documents(draw):
+    """Graph documents in any spelling ``from_json`` accepts: unreduced or
+    unnormalised angles, either endpoint first, optional fields left out."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    doc = {"vertices": n}
+    edges = [list(draw(st.permutations(pair))) + [draw(angle_docs)] for pair in chosen]
+    if edges or draw(st.booleans()):
+        doc["edges"] = edges
+    inputs = draw(st.dictionaries(st.integers(0, n - 1).map(str), input_docs, max_size=n))
+    if inputs or draw(st.booleans()):
+        doc["inputs"] = inputs
+    return doc
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=graph_documents())
+def test_accepted_graph_documents_round_trip(doc):
+    try:
+        graph = gs.from_json(json.dumps(doc))
+    except gs.GraphFormatError as exc:
+        assert "weight 0" in str(exc)  # a zero angle; every other field is valid
+        return
+    text = gs.to_json(graph)
+    assert gs.to_json(gs.from_json(text)) == text
+    assert gs.from_json(text) == graph
+
+
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
 def test_resource_graph_round_trips(kind):
     graph = build_resource(ResourceVariant(kind))
@@ -180,13 +224,18 @@ def test_json_field_errors(doc, fragment):
     assert fragment in str(err.value)
 
 
-@pytest.mark.parametrize("first,second", [("0", "00"), ("1", " 1")])
+@pytest.mark.parametrize(
+    "first,second", [("0", "00"), ("1", " 1"), ("10", "1_0"), ("1", "+1"), ("1", "\u0661")]
+)
 def test_inputs_keys_naming_one_vertex_are_rejected(first, second):
-    # Both keys int() to one vertex; neither assignment may silently win.
-    doc = {"vertices": 2, "inputs": {first: {"basis": "hadamard"}, second: {}}}
-    with pytest.raises(gs.GraphFormatError) as err:
-        gs.from_json(json.dumps(doc))
-    assert f"inputs keys {first!r} and {second!r} both name vertex {int(first)}" in str(err.value)
+    # Both keys int() to one vertex; only the spelling to_json writes names it,
+    # so neither assignment may silently win.
+    doc = {"vertices": 11, "inputs": {first: {"basis": "hadamard"}, second: {}}}
+    for inputs in (doc["inputs"], {second: {}}):
+        with pytest.raises(gs.GraphFormatError) as err:
+            gs.from_json(json.dumps({**doc, "inputs": inputs}))
+        assert str(err.value) == f"inputs key {second!r} is not a vertex"
+    assert gs.from_json(json.dumps({**doc, "inputs": {first: {}}})).inputs.keys() == {int(first)}
 
 
 @pytest.mark.parametrize(

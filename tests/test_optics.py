@@ -594,3 +594,63 @@ def test_sweep_equals_one_run_per_branch(steps):
     assert [(list(o.items()), p.hex()) for o, p in got] == [
         (list(o.items()), p.hex()) for o, p in expected
     ]
+
+
+# The fields of a RecipeStep each op runs with; it ignores the others.
+USED_FIELDS = {
+    "source": {"gamma"},
+    "fuse": {"h_on"},
+    "rotate": {"angle"},
+    "reset": set(),
+    "measure": {"basis", "outcome"},
+}
+spare_fields = st.fixed_dictionaries(
+    {},
+    optional={
+        "gamma": step_angles,
+        "h_on": st.integers(0, 5),
+        "angle": step_angles,
+        "basis": bases,
+        "outcome": st.integers(0, 1),
+    },
+)
+
+
+@st.composite
+def recipes_with_ignored_fields(draw):
+    """``live_recipes`` steps that also carry fields their ops ignore."""
+    steps = []
+    for step in draw(live_recipes(max_steps=6)):
+        extra = {k: v for k, v in draw(spare_fields).items() if k not in USED_FIELDS[step.op]}
+        steps.append(dataclasses.replace(step, **extra))
+    return steps
+
+
+def run_bits(steps):
+    """Labels, ``float.hex`` probability and amplitude bytes of a run, or its error."""
+    try:
+        register = optics.run_recipe(steps)
+    except optics.RecipeError as exc:
+        return type(exc), str(exc)
+    return register.labels, register.cumulative_prob.hex(), register.state.amplitudes.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=recipes_with_ignored_fields())
+def test_recipe_json_round_trip_keeps_document_and_run(steps):
+    # steps_to_json once wrote a fuse's gamma, which steps_from_json rejects.
+    text = optics.steps_to_json(steps)
+    again = optics.steps_from_json(text)
+    assert optics.steps_to_json(again) == text
+    assert run_bits(again) == run_bits(steps)
+
+
+@pytest.mark.parametrize(
+    "alpha", [Fraction(2), 2 * np.pi, 1e-16], ids=["two-pi", "two-pi-float", "tiny"]
+)
+def test_recipe_json_keeps_a_hadamard_basis_with_nonzero_alpha(alpha):
+    # Written as "computational", these read back as alpha 0: another phase.
+    basis = optics.MeasurementBasis(alpha=alpha, hadamard=True)
+    steps = [optics.RecipeStep("reset", (1,)), optics.RecipeStep("measure", (1,), basis=basis)]
+    again = optics.steps_from_json(optics.steps_to_json(steps))
+    assert again[1].basis == basis

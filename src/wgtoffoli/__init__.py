@@ -14,9 +14,9 @@ from .mbqc import (
 from .qstate import StateVector, plus_state
 from .toffoli import (
     LinkingByproducts,
+    LinkingFrames,
     ResourceVariant,
     build_resource,
-    linking_frames,
     measurement_program,
     predicted_sigma,
     run_gate,
@@ -30,6 +30,7 @@ __all__ = [
     "ByproductOperator",
     "InputAssignment",
     "LinkingByproducts",
+    "LinkingFrames",
     "MeasurementBasis",
     "Pattern",
     "PatternStep",
@@ -41,7 +42,6 @@ __all__ = [
     "enumerate_branches",
     "frame_compose",
     "frame_to_operator",
-    "linking_frames",
     "measurement_program",
     "plus_state",
     "predicted_sigma",

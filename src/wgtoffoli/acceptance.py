@@ -40,10 +40,10 @@ from .toffoli import (
     NO_LINKING,
     VARIANT_KINDS,
     LinkingByproducts,
+    LinkingFrames,
     ResourceVariant,
     branch_outputs,
     build_resource,
-    linking_frames,
     logical_target,
     success_probability,
     toffoli_matrix,
@@ -117,7 +117,7 @@ def check_gate_correctness() -> dict:
         cases = [LinkingByproducts(sx=sx) for sx in variant.spec.prefactors]
         outs, sigma_ops = [], []
         for linking, outputs in zip(cases, branch_outputs(variant, cases, columns)):
-            frames = linking_frames(variant, linking)
+            frames = LinkingFrames(variant, linking)
             local = frames.local_mask()
             outs.append(outputs[local])
             sigma_ops.append(frames.operators()[local])
@@ -155,7 +155,7 @@ def check_sigma_formulas() -> dict:
         sz_cases = ((0, 0, 0), (1, 1, 0))
         cases = [LinkingByproducts(sx, sz) for sx in variant.spec.prefactors for sz in sz_cases]
         residual = [ops @ tof_inv for ops in branch_outputs(variant, cases, np.eye(8))]
-        predicted = [linking_frames(variant, linking).operators() for linking in cases]
+        predicted = [LinkingFrames(variant, linking).operators() for linking in cases]
         residual = unit_scale(np.concatenate(residual))
         predicted = unit_scale(np.concatenate(predicted))
         all_match &= bool(equal_up_to_phase(residual, predicted, 1e-10).all())
@@ -219,13 +219,12 @@ def check_ccz_generalisation() -> dict:
         variant = ResourceVariant("six", theta=frac)
         target_inv = np.linalg.inv(logical_target(variant))
         operators = branch_outputs(variant, NO_LINKING, np.eye(8))
-        frames = linking_frames(variant, NO_LINKING)
+        frames = LinkingFrames(variant, NO_LINKING)
         branches = outcome_prefixes(variant.measured_vertices)
         residuals = unit_scale(operators @ target_inv)
         local = np.array([outcomes[variant.spec.nonlocal_vertex] == 0 for outcomes in branches])
-        kept = [outcomes for outcomes, keep in zip(branches, local) if keep]
-        all_match &= bool(frames.local_mask(kept).all())
-        predicted = unit_scale(frames.operators(kept))
+        all_match &= bool(frames.local_mask(local).all())
+        predicted = unit_scale(frames.operators(local))
         all_match &= bool(equal_up_to_phase(residuals[local], predicted, 1e-10).all())
         locality_ok &= not is_local(residuals[~local]).is_local.any()
         tested.append(str(frac))
@@ -356,7 +355,7 @@ def check_optics_recipe() -> dict:
     fixture_err = 0.0
     register = optics.PhotonRegister()
     for index, step in enumerate(steps):
-        register = optics.apply_step(register, index, step)
+        register = optics.apply_step(register, step)
         terms = fixtures.get(index + 1)
         if terms is not None:
             expected = _quoted_fixture(register.labels, terms)
@@ -456,7 +455,7 @@ def check_locality_classifier() -> dict:
     ground_truth_ok = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
-        frames = linking_frames(variant, NO_LINKING)
+        frames = LinkingFrames(variant, NO_LINKING)
         vertex = variant.spec.nonlocal_vertex
         outcomes = outcome_prefixes(variant.measured_vertices)
         sigmas = frames.operators()

@@ -32,11 +32,11 @@ from .qstate import StateVector, from_amplitudes, norms_sq
 from .toffoli import (
     VARIANT_KINDS,
     LinkingByproducts,
+    LinkingFrames,
     ResourceVariant,
     UnrecoverableLinkingError,
     ZeroProbabilityBranchError,
     branch_outputs,
-    linking_frames,
     logical_target,
     run_gate,
     success_probability,
@@ -98,7 +98,7 @@ def _parse_theta(text: str) -> Fraction:
 
 
 def _load(path: str, parse):
-    """Parse a graph or recipe file; a bad file is a usage error that names it."""
+    """Parse a graph, recipe or ``--input`` file; a bad file is a usage error that names it."""
     try:
         with open(path, "rb") as handle:
             return parse(handle.read())
@@ -114,13 +114,7 @@ def _parse_input(text: str) -> StateVector:
         amps = np.zeros(8, dtype=complex)
         amps[index] = 1.0
         return StateVector(3, amps)
-    try:
-        with open(text, "rb") as handle:
-            return angles.read_json(handle.read(), ValueError, _input_state)
-    except OSError as exc:
-        raise _usage_error(f"cannot read input state: {exc}")
-    except ValueError as exc:
-        raise _usage_error(str(exc))
+    return _load(text, lambda data: angles.read_json(data, ValueError, _input_state))
 
 
 def _input_state(pairs) -> StateVector:
@@ -181,8 +175,7 @@ def _gate_args(args):
 def cmd_toffoli_run(args) -> int:
     variant, linking, m, inputs = _gate_args(args)
     outcome_text = "0" * m if args.outcomes is None else args.outcomes
-    _bits(outcome_text, m, "--outcomes")
-    outcomes = outcome_prefixes(variant.measured_vertices)[int(outcome_text, 2)]
+    outcomes = dict(zip(variant.measured_vertices, _bits(outcome_text, m, "--outcomes")))
     run = run_gate(variant, _parse_input(args.input), linking, outcomes)
     sigma_text = run.sigma.describe() if run.sigma else "(off-grid theta)"
     print(f"variant: {variant.kind}, theta = {angles.describe(variant.theta)}")
@@ -219,7 +212,7 @@ def _branch_table(variant, linking):
     # logical_target matches only to 5e-16.
     target = toffoli_matrix() if variant.theta % 2 == 1 else logical_target(variant)
     branch_ops = branch_outputs(variant, linking, np.eye(8))
-    frames = linking_frames(variant, linking)
+    frames = LinkingFrames(variant, linking)
     branches = outcome_prefixes(variant.measured_vertices)
     sigmas = [frames(outcomes) for outcomes in branches]
     sigma_ops = frames.operators()

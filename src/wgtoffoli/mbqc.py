@@ -119,8 +119,7 @@ def run_branch(
     the remaining state, unnormalised. Unmeasured vertices keep their
     relative order: the vertex with the smallest label becomes qubit 0.
     """
-    if set(outcomes) != set(pattern.vertices):
-        raise ValueError("outcome bits must cover exactly the measured vertices")
+    outcome_row(pattern.vertices, outcomes)
     initial = state.norm_sq
     if initial == 0:
         raise ValueError("cannot measure the zero state")
@@ -132,8 +131,6 @@ def run_branch(
         basis = step.basis(seen) if callable(step.basis) else step.basis
         kets = basis_states(basis)
         bit = outcomes[step.vertex]
-        if bit not in (0, 1):
-            raise ValueError(f"outcome for vertex {step.vertex} must be 0 or 1")
         q = position.pop(step.vertex)
         state = project(state, q, kets[bit])
         for v in position:
@@ -256,6 +253,23 @@ def outcome_prefixes(vertices) -> list[OutcomeBits]:
     vertex on the most significant bit.
     """
     return [dict(zip(vertices, bits)) for bits in itertools.product((0, 1), repeat=len(vertices))]
+
+
+def outcome_row(vertices, outcomes: OutcomeBits) -> int:
+    """The index of ``outcomes`` in ``outcome_prefixes(vertices)``.
+
+    The one check of an outcome dict: it must cover exactly ``vertices``,
+    and the ``ValueError`` for a bit other than 0 or 1 names the first
+    such vertex.
+    """
+    if outcomes.keys() != set(vertices):
+        raise ValueError(f"outcomes must cover exactly vertices {list(vertices)}")
+    row = 0
+    for vertex in vertices:
+        if outcomes[vertex] not in (0, 1):
+            raise ValueError(f"outcome for vertex {vertex} must be 0 or 1")
+        row = 2 * row + int(outcomes[vertex])
+    return row
 
 
 def enumerate_branches(

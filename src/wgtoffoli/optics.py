@@ -71,6 +71,8 @@ class PhotonRegister:
 
 @dataclass(frozen=True)
 class RecipeStep:
+    """One recipe step; ``RecipeError`` if its op cannot run it. Ignored fields are allowed."""
+
     op: str  # source | fuse | rotate | measure | reset
     modes: tuple[int, ...] = ()
     gamma: Angle | None = None
@@ -78,6 +80,21 @@ class RecipeStep:
     angle: Angle | None = None
     basis: MeasurementBasis | None = None
     outcome: int = 0
+
+    def __post_init__(self):
+        keys = STEP_KEYS.get(self.op)  # the fields the op runs with
+        if keys is None:
+            raise RecipeError(f"unknown op {self.op!r}")
+        two = "modes" in keys
+        if len(self.modes) != 1 + two:
+            raise RecipeError(f"{self.op} needs {'two modes' if two else 'one mode'}")
+        for name in ("gamma", "h_on", "angle"):  # the fields without a default
+            if name in keys and getattr(self, name) is None:
+                raise RecipeError(f"{self.op} needs {name}")
+        if not angles.is_json_int(self.outcome) or self.outcome not in (0, 1):
+            raise RecipeError(f"outcome must be 0 or 1, got {self.outcome!r}")
+        if self.basis is not None and not isinstance(self.basis, MeasurementBasis):
+            raise RecipeError(f"basis must be a MeasurementBasis, got {self.basis!r}")
 
 
 def pdc_pair(gamma: Angle) -> StateVector:
@@ -151,17 +168,15 @@ def _measure_out(register: PhotonRegister, mode: int, basis, outcome: int) -> Ph
 
 
 def apply_step(
-    register: PhotonRegister, index: int, step: RecipeStep, outcome: int | None = None
+    register: PhotonRegister, step: RecipeStep, outcome: int | None = None
 ) -> PhotonRegister:
-    """Apply step ``index`` of a recipe to ``register``; return the new register.
+    """Apply one recipe step to ``register``; return the new register.
 
     ``outcome``, when given, replaces a measure step's own outcome. The
     input register is never written: every step returns a new register
     with new amplitudes, so a sweep may branch from any register.
     """
     if step.op == "source":
-        if len(step.modes) != 2 or step.gamma is None:
-            raise RecipeError(f"step {index}: source needs two modes and gamma")
         pair = to_weighted_pair(pdc_pair(step.gamma), step.gamma)
         return _append_modes(register, step.modes, pair)
     if step.op == "reset":
@@ -181,18 +196,16 @@ def apply_step(
             ),
             register.cumulative_prob,
         )
-    if step.op == "measure":
-        (mode,) = step.modes
-        outcome = step.outcome if outcome is None else outcome
-        return _measure_out(register, mode, step.basis or COMPUTATIONAL, outcome)
-    raise RecipeError(f"step {index}: unknown op {step.op!r}")
+    (mode,) = step.modes  # a measure step
+    outcome = step.outcome if outcome is None else outcome
+    return _measure_out(register, mode, step.basis or COMPUTATIONAL, outcome)
 
 
 def run_recipe(steps) -> PhotonRegister:
     """Apply the steps in order, each measurement with its own outcome."""
     register = PhotonRegister()
-    for index, step in enumerate(steps):
-        register = apply_step(register, index, step)
+    for step in steps:
+        register = apply_step(register, step)
     return register
 
 
@@ -229,7 +242,7 @@ def sweep_measure_outcomes(steps) -> list[tuple[dict[int, int], float]]:
     def walk(register: PhotonRegister, depth: int, outcomes: dict[int, int]) -> None:
         try:
             for index in range(starts[depth], ends[depth]):
-                register = apply_step(register, index, steps[index], outcomes.get(index))
+                register = apply_step(register, steps[index], outcomes.get(index))
         except PostselectionError:
             rest = measure_steps[depth:]
             for bits in itertools.product((0, 1), repeat=len(rest)):
@@ -284,7 +297,7 @@ def six_qubit_recipe() -> list[RecipeStep]:
 # --- JSON recipe files ---
 
 # The keys of the document, of each op's step and of a basis. Each op takes
-# exactly the fields it uses, as steps_to_json writes and steps_from_json reads.
+# exactly the fields it uses, as steps_to_json writes, steps_from_json reads and RecipeStep checks.
 RECIPE_KEYS = frozenset(("steps",))
 STEP_KEYS = {
     op: frozenset(("op",) + fields)
@@ -387,7 +400,8 @@ def _steps_from_doc(doc) -> list[RecipeStep]:
                     alpha=angles.from_json(raw.get("alpha", 0), f"{where}.basis.alpha"),
                     hadamard=hadamard,
                 )
-        steps.append(
-            RecipeStep(op, modes, gamma=gamma, h_on=h_on, angle=angle, basis=basis, outcome=outcome)
-        )
+        try:
+            steps.append(RecipeStep(op, modes, gamma, h_on, angle, basis, outcome))
+        except RecipeError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return steps

@@ -60,7 +60,7 @@ from .mbqc import (
     frame_to_operator,
     make_word,
     measured_qubits,
-    outcome_prefixes,
+    outcome_row,
     outcome_tree_leaves,
     word_tables,
 )
@@ -144,6 +144,13 @@ class Step:
     when: tuple[str, ...] = ()
     trigger: int | None = None
     conditional: str | None = None
+
+    def __post_init__(self):
+        # A field without its partner would be read by nothing.
+        if (self.static is None) != (not self.when):
+            raise ValueError(f"step on vertex {self.vertex}: static and when come together")
+        if (self.trigger is None) != (self.conditional is None):
+            raise ValueError(f"step on vertex {self.vertex}: trigger and conditional come together")
 
 
 @dataclass(frozen=True)
@@ -513,14 +520,17 @@ def _nonlocal_factor(theta: Fraction, flip: int) -> tuple[np.ndarray, str]:
 class LinkingFrames:
     """The frame table of one linking case, every branch at once.
 
-    Row i, the branch ``outcome_prefixes(measured_vertices)[i]``, composes
-    ``(prefactor @ words) @ sz_frame`` from ``mbqc.word_tables`` with
-    ``frame_compose``'s bits; a six-qubit non-local row folds the sz frame
-    into its ``_nonlocal_factor`` product instead. ``operators`` is the
-    ``frame_to_operator`` stack, byte for byte, and ``local_mask`` the
-    verdicts, which read sx and the outcomes, never sz. Both take outcome
-    dicts, every branch by default; the table's call and ``is_local`` read
-    one row. The first given branch that would raise alone raises.
+    Row i, the branch whose outcome bits in ascending vertex order spell i
+    (row i of ``branch_outputs``), composes ``(prefactor @ words) @
+    sz_frame`` from ``mbqc.word_tables`` with ``frame_compose``'s bits; a
+    six-qubit non-local row folds the sz frame into its ``_nonlocal_factor``
+    product instead. ``operators`` is the ``frame_to_operator`` stack, byte
+    for byte, and ``local_mask`` the verdicts, which read sx and the
+    outcomes, never sz. Both take an index array or a boolean mask of rows,
+    every row by default; calling the table on an outcome dict gives its
+    row's frame (``mbqc.outcome_row``). An sx the resource cannot absorb
+    raises ``UnrecoverableLinkingError`` here; a row without a table entry
+    raises ``FrameUnavailable``, the first such given row deciding which.
     """
 
     def __init__(self, variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING):
@@ -548,25 +558,8 @@ class LinkingFrames:
         self._sz = np.array([4 * linking.sz[0], 4 * linking.sz[1], 8 * linking.sz[2]])
         self._nonlocal = spec.branch_words[1]
 
-    def _rows(self, branches) -> np.ndarray:
-        """Row indices of outcome dicts; every row for ``None``."""
-        if branches is None:
-            return np.arange(len(self._nonlocal))
-        vertices, rows = self._spec.measured_vertices, []
-        for outcomes in branches:
-            if outcomes.keys() != set(vertices):
-                problem = f"outcomes must cover vertices {list(vertices)}"
-            else:
-                bad = [v for v in vertices if outcomes[v] not in (0, 1)]
-                problem = bad and f"outcome for vertex {bad[0]} must be 0 or 1"
-            if problem:
-                self._check(rows)  # an earlier branch's missing frame raises first
-                raise ValueError(problem)
-            rows.append(sum(int(outcomes[v]) << i for i, v in enumerate(reversed(vertices))))
-        return np.array(rows, dtype=np.intp)
-
     def _check(self, rows) -> np.ndarray:
-        """Each row's non-local flag, or what the first uncovered row raises."""
+        """Each given row's non-local flag, or what the first uncovered row raises."""
         nonlocal_rows = self._nonlocal[rows]
         uncovered = nonlocal_rows & (self._h8 is None)
         if self._unavailable and nonlocal_rows.size and not uncovered[0]:
@@ -605,15 +598,14 @@ class LinkingFrames:
         sz_frame = ByproductOperator(WIRES, {w: WORDS[c] for w, c in zip(WIRES, self._sz)})
         return factor @ frame_to_operator(sz_frame), label
 
-    def local_mask(self, branches=None) -> np.ndarray:
-        """Whether each branch's frame is a tensor product, without building it."""
-        return ~self._check(self._rows(branches))
+    def local_mask(self, rows=slice(None)) -> np.ndarray:
+        """Whether each row's frame is a tensor product, without building it."""
+        return ~self._check(rows)
 
-    def operators(self, branches=None) -> np.ndarray:
-        """``frame_to_operator`` of each branch's frame, as one ``(B, 8, 8)`` stack."""
-        rows = self._rows(branches)
+    def operators(self, rows=slice(None)) -> np.ndarray:
+        """``frame_to_operator`` of each row's frame, as one ``(B, 8, 8)`` stack."""
         nonlocal_rows = self._check(rows)
-        if not rows.size:
+        if not nonlocal_rows.size:
             return np.empty((0, 8, 8), dtype=complex)
         codes, phases = (column[rows] for column in self._table)
         entries = word_tables()[2]
@@ -623,31 +615,13 @@ class LinkingFrames:
             out[nonlocal_rows] = out[nonlocal_rows] @ self._nonlocal_tail()[0]
         return phases[:, None, None] * out
 
-    def is_local(self, outcomes) -> bool:
-        """Whether the branch's frame is a tensor product, without building it."""
-        return bool(self.local_mask([outcomes])[0])
-
     def __call__(self, outcomes) -> ByproductOperator:
-        rows = self._rows([outcomes])
-        [nonlocal_branch] = self._check(rows)
-        codes, phase = (column[rows[0]] for column in self._table)
+        row = outcome_row(self._spec.measured_vertices, outcomes)
+        [nonlocal_branch] = self._check([row])
+        codes, phase = (column[row] for column in self._table)
         words = {wire: WORDS[code] for wire, code in zip(WIRES, codes)}
         factor, label = self._nonlocal_tail() if nonlocal_branch else (None, None)
         return ByproductOperator(WIRES, words, factor, label, complex(phase))
-
-
-def linking_frames(
-    variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING
-) -> LinkingFrames:
-    """The frame table of one linking case, as a ``LinkingFrames``.
-
-    An sx the resource cannot absorb raises ``UnrecoverableLinkingError``
-    here, for the whole case; a branch without a table entry raises
-    ``FrameUnavailable`` alike from each of its methods. ``predicted_sigma``
-    reads one row, ``success_probability`` counts ``local_mask``, and the
-    acceptance checks and ``toffoli enumerate`` take ``operators``.
-    """
-    return LinkingFrames(variant, linking)
 
 
 def predicted_sigma(
@@ -662,9 +636,9 @@ def predicted_sigma(
     non-local exactly for the six-qubit resource with outcome s3 = 1.
     Raises ``FrameUnavailable`` where the table has no entry for theta, and
     ``ValueError`` naming the vertex for an outcome other than 0 or 1. This
-    is one row of the ``linking_frames`` table of the linking case.
+    is one row of the ``LinkingFrames`` table of the linking case.
     """
-    return linking_frames(variant, linking)(outcomes)
+    return LinkingFrames(variant, linking)(outcomes)
 
 
 # --- end-to-end gate runs ---
@@ -822,24 +796,19 @@ def run_gate(
 ) -> GateRun:
     """Run one measurement branch of the gate on a logical input.
 
-    ``branch_outputs`` walks the input alone. Only where the frame table
-    has no entry does a second call walk the basis columns, whose branch
-    operator is then classified instead.
+    ``branch_outputs`` walks the input alone, at row ``outcome_row``. Only
+    where the frame table has no entry does a second call walk the basis
+    columns, whose branch operator is then classified instead.
     """
     if outcomes is None:
         outcomes = {v: 0 for v in variant.measured_vertices}
     _check_recoverable(variant, linking)
     if input_state.num_qubits != 3:
         raise ValueError("logical input must be a 3-qubit state")
-    if set(outcomes) != set(variant.measured_vertices):
-        raise ValueError("outcome bits must cover exactly the measured vertices")
-    for vertex, bit in outcomes.items():
-        if bit not in (0, 1):
-            raise ValueError(f"outcome for vertex {vertex} must be 0 or 1")
+    row = outcome_row(variant.measured_vertices, outcomes)
     initial = input_state.norm_sq
     if initial == 0:
         raise ValueError("cannot measure the zero state")
-    row = outcome_prefixes(variant.measured_vertices).index(outcomes)
     column = branch_outputs(variant, linking, input_state.amplitudes[None, :])[row]
     out = StateVector(3, column[:, 0])
     probability = out.norm_sq / initial
@@ -971,7 +940,7 @@ def success_probability(
         if not _recoverable(variant, sx):
             cases.append(LinkingCase(sx, False, 0, 2**m * len(sz_cases)))
             continue
-        frames = linking_frames(variant, LinkingByproducts(sx))
+        frames = LinkingFrames(variant, LinkingByproducts(sx))
         local = int(frames.local_mask().sum()) * len(sz_cases)
         cases.append(LinkingCase(sx, True, local, 2**m * len(sz_cases)))
         total += case_weight * Fraction(local, len(sz_cases)) * branch_fraction

@@ -171,7 +171,7 @@ def composed_frame(variant, outcomes, linking=NO_LINKING) -> ByproductOperator:
     entries = spec.prefactors[linking.sx]
     needed = set(spec.measured_vertices)
     if outcomes.keys() != needed:
-        raise ValueError(f"outcomes must cover vertices {sorted(needed)}")
+        raise ValueError(f"outcomes must cover exactly vertices {sorted(needed)}")
     for vertex in sorted(needed):
         if outcomes[vertex] not in (0, 1):
             raise ValueError(f"outcome for vertex {vertex} must be 0 or 1")

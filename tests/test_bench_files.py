@@ -1,15 +1,24 @@
-"""Checked-in ``BENCH_*.json`` files against ``BENCHMARK.json``.
+"""Checked-in ``BENCH_*.json`` files, and the names the benchmark's tracer wraps.
 
 Each file is the ``--out`` document of ``tools/paired_bench.py``; it must
-parse and name only a workload and metrics the benchmark defines.
+parse and name only a workload and metrics the benchmark defines. The
+names ``perfbench/tracer.py`` wraps must exist in ``wgtoffoli``: its
+constants are read from the source, which is neither run nor changed.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import json
+import typing
 from argparse import Namespace
 from pathlib import Path
 
 import pytest
+
+from wgtoffoli import acceptance
+from wgtoffoli.qstate import StateVector
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -54,3 +63,41 @@ def test_paired_bench_record_passes_the_file_check():
     assert undefined_names(doc) == []
     assert doc["metrics"]["wall_s"]["pairs_won"] == 0
     assert doc["trees"]["change"]["src_lines"] > 0
+
+
+def tracer_constants() -> dict:
+    """The literal top-level constants of ``perfbench/tracer.py``, read without running it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    constants = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id.isupper():
+                constants[target.id] = ast.literal_eval(node.value)
+    return constants
+
+
+def test_tracer_names_resolve_in_the_package():
+    # A name the tracer cannot resolve crashes `perfbench/run.py --trace 1` at Tracer.install.
+    tracer = tracer_constants()
+    traced = [(module, fn) for module, functions in tracer["LAYERS"].items() for fn in functions]
+    traced.append(tracer["COUNTED"])
+    missing = [
+        f"{module}.{fn}"
+        for module, fn in traced
+        if not callable(getattr(importlib.import_module(f"wgtoffoli.{module}"), fn, None))
+    ]
+    assert missing == []
+    # The kernel hook sizes its first argument and its result as StateVectors.
+    for name in tracer["KERNELS"]:
+        kernels = [
+            getattr(importlib.import_module(f"wgtoffoli.{module}"), fn)
+            for module, fn in traced
+            if fn == name
+        ]
+        assert kernels, f"kernel {name} is not traced"
+        for kernel in kernels:
+            hints = typing.get_type_hints(kernel)
+            first = next(iter(inspect.signature(kernel).parameters))
+            assert hints.get(first) is hints.get("return") is StateVector, name
+    assert len(acceptance.CHECKS) == tracer["ACCEPTANCE_CHECKS"]

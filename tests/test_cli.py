@@ -366,7 +366,8 @@ GRAPH, RECIPE, INPUT = "graph build", "optics run --recipe", "toffoli run --vari
     ],
 )
 def test_malformed_json_is_a_usage_error(tmp_path, monkeypatch, capsys, command, doc, fragment):
-    # Every reader goes through one loader: one error line, never a traceback.
+    # Every reader goes through one loader: one error line that names the
+    # file (a --input file once went unnamed), never a traceback.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_bytes(doc)
     try:
@@ -375,7 +376,7 @@ def test_malformed_json_is_a_usage_error(tmp_path, monkeypatch, capsys, command,
         code = exc.code
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert err.startswith("error: bad.json: ") and err.count("\n") == 1 and fragment in err
     assert "Traceback" not in err
 
 
@@ -408,7 +409,8 @@ def test_run_rejects_boolean_amplitudes(tmp_path, capsys):
         cli.main(["toffoli", "run", "--variant", "six", "--input", str(path)])
     assert err.value.code == 1
     out, err_text = capsys.readouterr()
-    assert out == "" and err_text == "error: input amplitudes must be numbers, not true or false\n"
+    expected = f"error: {path}: input amplitudes must be numbers, not true or false\n"
+    assert out == "" and err_text == expected
 
 
 def test_json_reports_are_deterministic(tmp_path, capsys):

@@ -141,6 +141,14 @@ def test_correction_absorption():
 # --- branch enumeration ---
 
 
+def test_outcome_row_inverts_outcome_prefixes():
+    # The row of a dict spells its bits in the order of the given vertices.
+    vertices = (3, 1, 7)
+    rows = [mbqc.outcome_row(vertices, outcomes) for outcomes in mbqc.outcome_prefixes(vertices)]
+    assert rows == list(range(8))
+    assert mbqc.outcome_row(vertices, {7: 1, 3: 1, 1: 0}) == 0b101
+
+
 def test_enumerate_keeps_zero_branches():
     pattern = mbqc.Pattern([mbqc.PatternStep(0, mbqc.MeasurementBasis())])
     branches = mbqc.enumerate_branches(qs.plus_state(1), pattern)

@@ -186,17 +186,17 @@ def test_check_8_reads_every_register_from_one_run(monkeypatch):
     seen = []
     apply_step = optics.apply_step
 
-    def recorded(register, index, step, outcome=None):
-        out = apply_step(register, index, step, outcome)
-        seen.append((index, out))
+    def recorded(register, step, outcome=None):
+        out = apply_step(register, step, outcome)
+        seen.append((step, out))
         return out
 
     monkeypatch.setattr(optics, "apply_step", recorded)
     assert check_optics_recipe()["passed"]
     monkeypatch.undo()
     steps = optics.six_qubit_recipe()
-    assert [index for index, _ in seen] == list(range(len(steps)))
-    for index, register in seen:
+    assert [step for step, _ in seen] == steps
+    for index, (_, register) in enumerate(seen):
         assert register_bits(register) == register_bits(optics.run_recipe(steps[: index + 1]))
 
 
@@ -289,13 +289,15 @@ def test_sweep_outcomes_records_zero_support_as_zero():
 def test_builtin_sweep_runs_each_step_once_per_tree_node(monkeypatch):
     calls = []
     apply_step = optics.apply_step
+    steps = optics.six_qubit_recipe()
+    index = {id(step): i for i, step in enumerate(steps)}
 
-    def counted(register, index, step, outcome=None):
-        calls.append(index)
-        return apply_step(register, index, step, outcome)
+    def counted(register, step, outcome=None):
+        calls.append(index[id(step)])
+        return apply_step(register, step, outcome)
 
     monkeypatch.setattr(optics, "apply_step", counted)
-    sweep = optics.sweep_measure_outcomes(optics.six_qubit_recipe())
+    sweep = optics.sweep_measure_outcomes(steps)
     assert [list(outcomes.items()) for outcomes, _ in sweep] == [
         [(5, a), (15, b)] for a, b in itertools.product((0, 1), repeat=2)
     ]
@@ -428,6 +430,45 @@ def test_recipe_json_rejects_fields_the_op_ignores(step, key):
     with pytest.raises(optics.RecipeError) as err:
         optics.steps_from_json(json.dumps(doc))
     assert str(err.value) == f"steps[1]: unknown key '{key}'"
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: optics.RecipeStep("warp", (1,)), "unknown op 'warp'"),
+        (lambda: optics.RecipeStep("reset", (1, 2)), "reset needs one mode"),
+        (lambda: optics.RecipeStep("measure", ()), "measure needs one mode"),
+        (lambda: optics.RecipeStep("fuse", (1,), h_on=1), "fuse needs two modes"),
+        (lambda: optics.RecipeStep("source", (1, 2)), "source needs gamma"),
+        (lambda: optics.RecipeStep("fuse", (1, 2)), "fuse needs h_on"),
+        (lambda: optics.RecipeStep("rotate", (1,)), "rotate needs angle"),
+        (lambda: optics.RecipeStep("measure", (1,), outcome=2), "outcome must be 0 or 1, got 2"),
+        (lambda: optics.RecipeStep("measure", (1,), outcome=True), "outcome must be 0 or 1"),
+        (lambda: optics.RecipeStep("measure", (1,), basis="computational"), "MeasurementBasis"),
+    ],
+    ids=["unknown-op", "reset-two-modes", "measure-no-mode", "fuse-one-mode", "source-gamma",
+         "fuse-h_on", "rotate-angle", "outcome-2", "outcome-bool", "basis-str"],
+)
+def test_recipe_step_rejects_a_step_its_op_cannot_run(make, message):
+    # These once failed later and badly: steps_to_json raised KeyError for
+    # the unknown op, run_recipe a TypeError for the rotate, an IndexError
+    # for the outcome and a bare unpacking ValueError for the reset.
+    with pytest.raises(optics.RecipeError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        ({"op": "source", "modes": [1, 2]}, "steps[1]: source needs gamma"),
+        ({"op": "fuse", "modes": [1, 2]}, "steps[1]: fuse needs h_on"),
+    ],
+)
+def test_recipe_json_names_the_step_without_a_needed_field(step, message):
+    doc = {"steps": [{"op": "reset", "mode": 3}, step]}
+    with pytest.raises(optics.RecipeError) as err:
+        optics.steps_from_json(json.dumps(doc))
+    assert str(err.value) == message
 
 
 def test_register_capped_at_max_qubits():

@@ -152,6 +152,25 @@ def test_trivial_branch_reconstructs_the_raw_gate():
 # --- measurement programs ---
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"static": "Z"}, "static and when"),
+        ({"when": ("c1",)}, "static and when"),
+        ({"trigger": 2}, "trigger and conditional"),
+        ({"conditional": "X"}, "trigger and conditional"),
+    ],
+    ids=["static-without-when", "when-without-static", "trigger-alone", "conditional-alone"],
+)
+def test_schedule_step_rejects_a_field_without_its_partner(fields, message):
+    # Each such field was read by nothing: a spec mutant that changed it
+    # passed every check.
+    with pytest.raises(ValueError, match=message):
+        tf.Step(3, **fields)
+    tf.Step(3, static="Z", when=("c1",), trigger=2, conditional="X")
+
+
+
 def test_six_program_plain_bases():
     pattern = tf.measurement_program(tf.ResourceVariant("six"))
     assert pattern.vertices == [1, 2, 3]
@@ -633,9 +652,9 @@ def test_success_probability_composes_no_frame(monkeypatch):
         tf.success_probability(tf.ResourceVariant("six", theta), "uniform")
     assert frames_built == [] and matrices == [[], []] and factors == []
     # The non-local factor is built for non-local frames alone, once per call.
-    frames = tf.linking_frames(tf.ResourceVariant("six"))
+    frames = tf.LinkingFrames(tf.ResourceVariant("six"))
     frames({1: 0, 2: 0, 3: 0})
-    frames.operators([{1: 1, 2: 0, 3: 1}])
+    frames.operators([0b101])
     assert factors == []
     frames({1: 0, 2: 1, 3: 0})
     frames.operators()
@@ -752,8 +771,8 @@ def test_local_branches_equal_the_per_sz_recount(kind, theta, model):
         recount = 0
         if case.recoverable:
             for sz in sz_cases:
-                frames = tf.linking_frames(variant, tf.LinkingByproducts(case.sx, sz))
-                recount += sum(map(frames.is_local, branches))
+                frames = tf.LinkingFrames(variant, tf.LinkingByproducts(case.sx, sz))
+                recount += sum(frames(outcomes).is_local for outcomes in branches)
         assert case.local_branches == recount, case.sx
         assert case.total_branches == len(branches) * len(sz_cases)
 
@@ -815,7 +834,7 @@ def test_six_linking_prefactor_frame_unavailable_off_grid():
 
 
 def test_frame_equality_compares_the_nonlocal_factor():
-    frames = tf.linking_frames(tf.ResourceVariant("six"))
+    frames = tf.LinkingFrames(tf.ResourceVariant("six"))
     local = {1: 0, 2: 0, 3: 0}
     nonlocal_ = {1: 0, 2: 1, 3: 0}
     assert frames(local) == frames(local)
@@ -852,7 +871,7 @@ def test_linking_frames_share_nothing_between_branches(kind, theta, sx, sz):
     variant = tf.ResourceVariant(kind, theta)
     linking = tf.LinkingByproducts(sx, sz)
     branches = list(all_outcomes(variant))
-    frames = tf.linking_frames(variant, linking)
+    frames = tf.LinkingFrames(variant, linking)
     forward = [frame_bits(frames(outcomes)) for outcomes in branches]
     backward = [frame_bits(frames(outcomes)) for outcomes in reversed(branches)][::-1]
     single = [frame_bits(tf.predicted_sigma(variant, outcomes, linking)) for outcomes in branches]
@@ -868,16 +887,17 @@ FRAME_TABLE_CASES = [
 
 @pytest.mark.parametrize("kind,theta", FRAME_TABLE_CASES)
 def test_frame_table_equals_the_composed_frames(kind, theta):
-    # On every branch the table covers, the stack and each row equal the
-    # per-branch frame_compose composition byte for byte; elsewhere each
-    # row raises what that composition raises.
+    # On every row the table covers, the stack and each frame equal the
+    # per-branch frame_compose composition byte for byte, whether the rows
+    # come as indices or as a mask; elsewhere each row raises what that
+    # composition raises.
     variant = tf.ResourceVariant(kind, theta)
     branches = list(all_outcomes(variant))
     for sx, sz in itertools.product(accepted_sx(variant), itertools.product((0, 1), repeat=3)):
         linking = tf.LinkingByproducts(sx, sz)
-        frames = tf.linking_frames(variant, linking)
+        frames = tf.LinkingFrames(variant, linking)
         covered, expected = [], []
-        for outcomes in branches:
+        for row, outcomes in enumerate(branches):
             try:
                 frame = composed_frame(variant, outcomes, linking)
             except tf.FrameUnavailable as exc:
@@ -885,12 +905,14 @@ def test_frame_table_equals_the_composed_frames(kind, theta):
                     frames(outcomes)
                 assert str(got.value) == str(exc)
                 continue
-            covered.append(outcomes)
+            covered.append(row)
             expected.append(frame)
             assert frame_bits(frames(outcomes)) == frame_bits(frame), (linking, outcomes)
         stack = np.array([frame_to_operator(frame) for frame in expected]).reshape(-1, 8, 8)
-        assert frames.operators(covered).tobytes() == stack.tobytes(), linking
-        assert frames.local_mask(covered).tolist() == [frame.is_local for frame in expected]
+        mask = np.isin(np.arange(len(branches)), covered)
+        for rows in (covered, np.array(covered, dtype=np.intp), mask):
+            assert frames.operators(rows).tobytes() == stack.tobytes(), linking
+            assert frames.local_mask(rows).tolist() == [frame.is_local for frame in expected]
         if len(covered) == len(branches):
             assert frames.operators().tobytes() == stack.tobytes(), linking
 
@@ -919,24 +941,49 @@ def first_error(calls):
 def test_frame_table_raises_what_the_first_branch_raises(kind, theta, sx):
     variant = tf.ResourceVariant(kind, theta)
     linking = tf.LinkingByproducts(sx, (1, 0, 1))
-    frames = tf.linking_frames(variant, linking)
+    frames = tf.LinkingFrames(variant, linking)
     branches = list(all_outcomes(variant))
-    first_bad = {**branches[0], variant.measured_vertices[0]: 2}
+    rows = list(range(len(branches)))
+    nonlocal_rows = [row for row in rows if branches[row].get(variant.spec.nonlocal_vertex)]
     orders = [
-        branches,
-        branches[::-1],
-        branches[len(branches) // 2 :],
-        [first_bad] + branches,
-        branches[1:2] + [{}] + branches,
-        branches[-1:] + [first_bad],
+        rows,
+        rows[::-1],
+        rows[len(rows) // 2 :],
+        rows[1:2] + rows,
+        rows[-1:] + rows[:1],
+        nonlocal_rows + rows,
+        [],
     ]
-    for order in orders:
-        expected = first_error(lambda o=o: composed_frame(variant, o, linking) for o in order)
+    # A boolean mask gives its rows in ascending order.
+    masks = [np.arange(len(rows)) % 2 == 1, np.arange(len(rows)) >= len(rows) // 2]
+    cases = [(order, order) for order in orders]
+    cases += [(np.flatnonzero(mask).tolist(), mask) for mask in masks]
+    for order, given in cases:
+        alone = (lambda r=r: composed_frame(variant, branches[r], linking) for r in order)
+        expected = first_error(alone)
         for batched in (frames.operators, frames.local_mask):
-            assert first_error([lambda: batched(order)]) == expected, (batched.__name__, order)
-    # Without a sequence the table takes every branch in outcome order.
+            assert first_error([lambda: batched(given)]) == expected, (batched.__name__, order)
+    # Without rows the table takes every row in order.
     for batched in (frames.operators, frames.local_mask):
-        assert first_error([batched]) == first_error([lambda: batched(branches)])
+        assert first_error([batched]) == first_error([lambda: batched(rows)])
+
+
+def test_frame_table_takes_rows_not_outcome_dicts():
+    frames = tf.LinkingFrames(tf.ResourceVariant("six"))
+    for batched in (frames.operators, frames.local_mask):
+        with pytest.raises(IndexError):
+            batched([{1: 0, 2: 0, 3: 0}])
+    assert frames.operators([]).shape == (0, 8, 8) and frames.local_mask([]).shape == (0,)
+
+
+def outcome_readers(variant, outcomes):
+    """Every reader of one outcome dict; each must raise ``mbqc.outcome_row``'s error."""
+    return [
+        lambda: mbqc.outcome_row(variant.measured_vertices, outcomes),
+        lambda: tf.LinkingFrames(variant)(outcomes),
+        lambda: tf.predicted_sigma(variant, outcomes),
+        lambda: tf.run_gate(variant, qs.basis_state(3, 0), outcomes=outcomes),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -949,40 +996,52 @@ def test_frame_table_raises_what_the_first_branch_raises(kind, theta, sx):
     ],
 )
 def test_frame_table_rejects_outcomes_other_than_0_or_1(kind, outcomes, vertex):
-    variant = tf.ResourceVariant(kind)
-    frames = tf.linking_frames(variant)
+    # Never a missing frame, even at a theta whose frames are not tabulated.
     message = f"outcome for vertex {vertex} must be 0 or 1"
-    calls = [
-        lambda: tf.predicted_sigma(variant, outcomes),
-        lambda: frames(outcomes),
-        lambda: frames.is_local(outcomes),
-        lambda: frames.local_mask([outcomes]),
-        lambda: frames.operators([outcomes]),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=message) as err:
-            call()
-        assert not isinstance(err.value, tf.FrameUnavailable)
+    for theta in (Fraction(1), Fraction(1, 3)):
+        for call in outcome_readers(tf.ResourceVariant(kind, theta), outcomes):
+            with pytest.raises(ValueError, match=message) as err:
+                call()
+            assert not isinstance(err.value, tf.FrameUnavailable)
+
+
+@pytest.mark.parametrize(
+    "kind,outcomes,vertices",
+    [
+        ("six", {1: 0, 2: 0}, "[1, 2, 3]"),
+        ("six", {1: 0, 2: 0, 3: 0, 4: 0}, "[1, 2, 3]"),
+        ("six", {1: 2, 2: 0, 4: 0}, "[1, 2, 3]"),
+        ("seven", {1: 0, 2: 0, 3: 0}, "[1, 2, 3, 6]"),
+    ],
+)
+def test_outcome_dicts_must_cover_exactly_the_measured_vertices(kind, outcomes, vertices):
+    message = f"outcomes must cover exactly vertices {vertices}"
+    for theta in (Fraction(1), Fraction(1, 3)):
+        for call in outcome_readers(tf.ResourceVariant(kind, theta), outcomes):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def test_linking_frames_raise_per_branch_in_single_call_order():
     linking = tf.LinkingByproducts((0, 1, 0))
-    six = tf.linking_frames(tf.ResourceVariant("six", Fraction(1, 3)), linking)
-    seven = tf.linking_frames(tf.ResourceVariant("seven", Fraction(1, 2)))
-    # The classifier applies the same checks, in the same order.
-    for check in (six, six.is_local):
+    six = tf.LinkingFrames(tf.ResourceVariant("six", Fraction(1, 3)), linking)
+    seven = tf.LinkingFrames(tf.ResourceVariant("seven", Fraction(1, 2)))
+    # The classifier applies the same checks to the same rows.
+    for check in (six, lambda outcomes: six.local_mask([mbqc.outcome_row((1, 2, 3), outcomes)])):
         with pytest.raises(tf.FrameUnavailable, match="s3 = 1"):
             check({1: 0, 2: 1, 3: 0})
         with pytest.raises(tf.FrameUnavailable, match="linking corrections"):
             check({1: 0, 2: 0, 3: 0})
-    for check in (seven, seven.is_local):
-        with pytest.raises(ValueError, match="outcomes must cover") as err:
-            check({1: 0, 2: 0, 3: 0})
-        assert not isinstance(err.value, tf.FrameUnavailable)
-        with pytest.raises(tf.FrameUnavailable, match="theta = pi only"):
-            check({1: 0, 2: 0, 3: 0, tf.GADGET_MID: 0})
+    with pytest.raises(ValueError, match="outcomes must cover") as err:
+        seven({1: 0, 2: 0, 3: 0})
+    assert not isinstance(err.value, tf.FrameUnavailable)
+    with pytest.raises(tf.FrameUnavailable, match="theta = pi only"):
+        seven({1: 0, 2: 0, 3: 0, tf.GADGET_MID: 0})
+    with pytest.raises(tf.FrameUnavailable, match="theta = pi only"):
+        seven.local_mask([0])
     with pytest.raises(tf.UnrecoverableLinkingError):
-        tf.linking_frames(tf.ResourceVariant("seven"), tf.LinkingByproducts((0, 0, 1)))
+        tf.LinkingFrames(tf.ResourceVariant("seven"), tf.LinkingByproducts((0, 0, 1)))
 
 
 def test_run_gate_falls_back_only_for_frame_unavailable(monkeypatch):

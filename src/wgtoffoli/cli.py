@@ -20,6 +20,7 @@ recipe postselection with zero support.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -109,11 +110,15 @@ def _load(path: str, parse):
 
 
 def _parse_input(text: str) -> StateVector:
-    if set(text) <= {"0", "1"} and len(text) == 3:
-        index = int(text, 2)  # written c1 c2 t
-        amps = np.zeros(8, dtype=complex)
-        amps[index] = 1.0
-        return StateVector(3, amps)
+    if set(text) <= {"0", "1"}:
+        if len(text) == 3:
+            index = int(text, 2)  # written c1 c2 t
+            amps = np.zeros(8, dtype=complex)
+            amps[index] = 1.0
+            return StateVector(3, amps)
+        # Bits of the wrong length, such as "11": a typo, not a file name.
+        if not os.path.exists(text):
+            raise _usage_error(f"--input must be 3 bits (c1 c2 t) or a JSON file, got {text!r}")
     return _load(text, lambda data: angles.read_json(data, ValueError, _input_state))
 
 

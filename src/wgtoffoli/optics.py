@@ -88,6 +88,14 @@ class RecipeStep:
         two = "modes" in keys
         if len(self.modes) != 1 + two:
             raise RecipeError(f"{self.op} needs {'two modes' if two else 'one mode'}")
+        # Plain ints, as the JSON reader yields (no bool, no float), so that
+        # steps_to_json reads back. A type test rather than an is_json_int
+        # call per field: every step built runs this, 64 per benchmark pass.
+        for k, mode in enumerate(self.modes):
+            if type(mode) is not int:
+                raise RecipeError(f"modes[{k}] must be an integer, got {mode!r}")
+        if self.h_on is not None and type(self.h_on) is not int:
+            raise RecipeError(f"h_on must be an integer, got {self.h_on!r}")
         for name in ("gamma", "h_on", "angle"):  # the fields without a default
             if name in keys and getattr(self, name) is None:
                 raise RecipeError(f"{self.op} needs {name}")

@@ -73,7 +73,6 @@ from .qstate import (
     PAULI_Z,
     StateVector,
     apply_cz_theta,
-    basis_state,
     kron_all,
     norms_sq,
     rz,
@@ -94,8 +93,33 @@ MAXIMAL = Fraction(1)  # pi
 # The two weighted-edge tokens of the spec table.
 PLUS_HALF, MINUS_HALF = "+theta/2", "-theta/2"
 
-# Seeded random logical inputs, besides |000>, in the branch-uniformity check.
+# The branch-uniformity inputs, one read-only row each: |000>, then
+# UNIFORMITY_RANDOM_INPUTS seeded random states. Those are the draws
+# ``a = rng.normal(size=8) + 1j * rng.normal(size=8)``, ``a / np.linalg.norm(a)``
+# of ``np.random.default_rng(20250810)``, written out as repr floats (which
+# round-trip bit for bit) so that the check runs no generator.
+# ``uniformity_draws`` in tests/reference.py draws them again, and a test
+# pins every bit.
 UNIFORMITY_RANDOM_INPUTS = 2
+UNIFORMITY_INPUTS = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [
+            0.3176498725666158-0.014012588288986712j, -0.11037603711722097+0.2957812955939738j,
+            -0.059453925574733446+0.20747743412764955j, 0.19962777291618833-0.4880784104474858j,
+            0.05739211479971105-0.13584172752293447j, -0.45779539261317476-0.238997195811895j,
+            -0.2748126200381812+0.32946230671154064j, 0.04399317497591151+0.011551018580421093j,
+        ],
+        [
+            0.014268707457367353+0.0667349176329392j, 0.23210148631132135-0.2167077932464727j,
+            0.19682344177287658-0.20488056171592728j, 0.010506548201655528+0.32786023584956747j,
+            -0.02577690065156813-0.013420096334295752j, -0.4609626158945517-0.6839876279419392j,
+            -0.128631405398935+0.05909739291832282j, 0.0611904866838794+0.035189225047854635j,
+        ],
+    ],
+    dtype=np.complex128,
+)
+UNIFORMITY_INPUTS.flags.writeable = False
 
 
 class ZeroProbabilityBranchError(ValueError):
@@ -856,19 +880,6 @@ class SuccessReport:
         return float(self.p_success)
 
 
-@lru_cache(maxsize=None)
-def _uniformity_inputs() -> np.ndarray:
-    """``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, as read-only rows."""
-    rng = np.random.default_rng(20250810)
-    inputs = [basis_state(3, 0).amplitudes]
-    for _ in range(UNIFORMITY_RANDOM_INPUTS):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        inputs.append(amps / np.linalg.norm(amps))
-    rows = np.stack(inputs)
-    rows.flags.writeable = False
-    return rows
-
-
 def verify_branch_uniformity(
     variant: ResourceVariant,
     linking: LinkingByproducts | Sequence[LinkingByproducts] = NO_LINKING,
@@ -876,8 +887,9 @@ def verify_branch_uniformity(
     """Max deviation of any branch probability from 2**-m over test inputs.
 
     ``linking`` is one linking case or a non-empty sequence of cases, in
-    any mix of sx. Each case embeds ``|000>`` and
-    ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, all in one
+    any mix of sx. Each case embeds the rows of ``UNIFORMITY_INPUTS``:
+    ``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` seeded random states, whose
+    draws are written out so no generator runs. All go in one
     ``_outcome_leaves`` build and walk, the walk
     ``mbqc.enumerate_branches`` makes for one state. Each probability is
     the leaf row's squared norm, taken before any reordering, over the
@@ -885,7 +897,7 @@ def verify_branch_uniformity(
     ``enumerate_branches`` reports for that input and case, and the
     result is the maximum of one call per case.
     """
-    embedded, _, leaves = _outcome_leaves(variant, _case_list(linking), _uniformity_inputs())
+    embedded, _, leaves = _outcome_leaves(variant, _case_list(linking), UNIFORMITY_INPUTS)
     m = len(variant.measured_vertices)
     probabilities = norms_sq(leaves.reshape(-1, 8)).reshape(2**m, -1) / norms_sq(embedded)
     return float(np.max(np.abs(probabilities - 0.5**m)))
@@ -902,7 +914,9 @@ def success_probability(
     x-corruption and all eight z-corruption patterns with weight 1/8 each.
     Branch probabilities are verified uniform by simulation: one
     ``verify_branch_uniformity`` call takes every accepted sx with its sz
-    probes, in one embedding and one walk. Branches are then
+    probes, in one embedding and one walk, on the fixed inputs of
+    ``UNIFORMITY_INPUTS`` (the seeded draws are written out, so the call
+    draws no random number and imports no ``numpy.random``). Branches are then
     counted from ``LinkingFrames.local_mask``, which applies the frame
     table's checks and builds no matrix. Its verdict reads sx and the
     outcomes, never sz, so each accepted sx is classified once and its

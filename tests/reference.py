@@ -20,7 +20,8 @@ The table's stack and rows must equal it byte for byte.
 ``composed_frame`` at a time, the way ``success_probability``
 counted before it classified branches without frames, and
 ``uniformity_by_enumeration`` is the branch-uniformity check as one
-``enumerate_branches`` call per input and linking case.
+``enumerate_branches`` call per input and linking case, on the inputs
+``uniformity_draws`` draws from the seeded generator.
 ``encoded_state_per_row`` embeds one logical input the way
 ``toffoli.encoded_state`` did before rows were built in batches: kernel
 calls on one state and the index-mask controlled phase per edge. The
@@ -84,6 +85,7 @@ __all__ = [
     "reconstruct_operator",
     "schmidt_values",
     "uniformity_by_enumeration",
+    "uniformity_draws",
     "unit_scale",
     "word_matrix",
     "word_mul",
@@ -238,17 +240,26 @@ def local_branch_counts(variant, linking_model):
     return counts
 
 
-def uniformity_by_enumeration(variant, linking):
-    """The uniformity maximum of one linking case, one ``enumerate_branches`` call per input."""
+def uniformity_draws() -> list[StateVector]:
+    """``|000>`` and ``UNIFORMITY_RANDOM_INPUTS`` states drawn from ``default_rng(20250810)``.
+
+    The draw ``toffoli.UNIFORMITY_INPUTS`` writes out as literals, which
+    must equal these rows byte for byte.
+    """
     rng = np.random.default_rng(20250810)
     inputs = [basis_state(3, 0)]
     for _ in range(UNIFORMITY_RANDOM_INPUTS):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         inputs.append(StateVector(3, amps / np.linalg.norm(amps)))
+    return inputs
+
+
+def uniformity_by_enumeration(variant, linking):
+    """The uniformity maximum of one linking case, one ``enumerate_branches`` call per input."""
     pattern = measurement_program(variant, linking)
     expected = 0.5 ** len(pattern.steps)
     worst = 0.0
-    for psi in inputs:
+    for psi in uniformity_draws():
         state = encoded_state(variant, psi, linking)
         for _, probability, _ in enumerate_branches(state, pattern):
             worst = max(worst, abs(probability - expected))

@@ -233,6 +233,8 @@ EXIT_CODE_FILES = {
         ("toffoli run --variant six", 0),
         ("toffoli run --variant six --theta 0", 1),
         ("toffoli run --variant six --input zero_input.json", 1),
+        ("toffoli run --variant six --input 11", 1),
+        ("toffoli run --variant six --input 1100", 1),
         ("toffoli run --variant six --outcomes 01", 1),
         ("toffoli run --variant six --sx 001", 2),
         ("toffoli enumerate --variant six", 0),
@@ -262,6 +264,26 @@ def test_exit_code_table(tmp_path, monkeypatch, capsys, argv, code):
         got = exc.code
     assert got == code
     assert ("error:" in capsys.readouterr().err) == (code != 0)
+
+
+@pytest.mark.parametrize("text", ["11", "1100", "0", ""])
+def test_input_bits_of_the_wrong_length_are_a_usage_error(tmp_path, monkeypatch, capsys, text):
+    # "11" was read as a file name and failed with a bare "No such file".
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["toffoli", "run", "--variant", "six", "--input", text])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --input must be 3 bits (c1 c2 t) or a JSON file, got {text!r}\n"
+
+
+def test_input_file_named_with_bits_is_read(tmp_path, monkeypatch, capsys):
+    # Only bits that name no file are taken for a typo.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "11").write_text(json.dumps([[0, 0]] * 6 + [[1, 0], [0, 0]]))  # |110>
+    code, out, _ = run_cli(["toffoli", "run", "--variant", "six", "--input", "11"], capsys)
+    assert code == 0
+    assert "1.00000000" in [l for l in out.splitlines() if l.startswith("|111>")][0]
 
 
 @pytest.mark.parametrize("theta,given", [("0", "0"), ("2", "2pi"), ("-4", "-4pi")])
@@ -441,6 +463,38 @@ def test_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert "= 1 =" in result.stdout
+
+
+# numpy imports numpy.random lazily, on first use; of the one-shot commands
+# only verify all draws random numbers, so none of these may pay for it.
+NO_RANDOM_COMMANDS = [
+    "toffoli run --variant eight",
+    "toffoli enumerate --variant eight",
+    "toffoli success --variant eight --linking uniform",
+    "optics run",
+]
+NO_RANDOM_SCRIPT = """
+import contextlib, io, sys
+from wgtoffoli import cli
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv.split())
+    if code != 0:
+        sys.exit(f"{argv!r} exited {code}")
+    if "numpy.random" in sys.modules:
+        sys.exit(f"{argv!r} imported numpy.random")
+"""
+
+
+def test_one_shot_commands_do_not_import_numpy_random():
+    # One fresh interpreter runs every command in turn and names the first
+    # that leaves numpy.random in sys.modules.
+    result = subprocess.run(
+        [sys.executable, "-c", NO_RANDOM_SCRIPT, *NO_RANDOM_COMMANDS],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 GOLDEN = Path(__file__).parent / "golden" / "records.txt"

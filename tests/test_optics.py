@@ -445,14 +445,22 @@ def test_recipe_json_rejects_fields_the_op_ignores(step, key):
         (lambda: optics.RecipeStep("measure", (1,), outcome=2), "outcome must be 0 or 1, got 2"),
         (lambda: optics.RecipeStep("measure", (1,), outcome=True), "outcome must be 0 or 1"),
         (lambda: optics.RecipeStep("measure", (1,), basis="computational"), "MeasurementBasis"),
+        (lambda: optics.RecipeStep("reset", ("a",)), r"modes\[0\] must be an integer, got 'a'"),
+        (lambda: optics.RecipeStep("reset", (True,)), r"modes\[0\] must be an integer, got True"),
+        (lambda: optics.RecipeStep("reset", (1.0,)), r"modes\[0\] must be an integer, got 1.0"),
+        (lambda: optics.RecipeStep("fuse", (1, "b"), h_on=1), r"modes\[1\] must be an integer"),
+        (lambda: optics.RecipeStep("fuse", (1, 2), h_on="2"), "h_on must be an integer, got '2'"),
+        (lambda: optics.RecipeStep("fuse", (1, 2), h_on=True), "h_on must be an integer, got True"),
     ],
     ids=["unknown-op", "reset-two-modes", "measure-no-mode", "fuse-one-mode", "source-gamma",
-         "fuse-h_on", "rotate-angle", "outcome-2", "outcome-bool", "basis-str"],
+         "fuse-h_on", "rotate-angle", "outcome-2", "outcome-bool", "basis-str", "mode-str",
+         "mode-bool", "mode-float", "second-mode-str", "h_on-str", "h_on-bool"],
 )
 def test_recipe_step_rejects_a_step_its_op_cannot_run(make, message):
     # These once failed later and badly: steps_to_json raised KeyError for
     # the unknown op, run_recipe a TypeError for the rotate, an IndexError
-    # for the outcome and a bare unpacking ValueError for the reset.
+    # for the outcome and a bare unpacking ValueError for the reset. A mode
+    # of "a" ran, and steps_to_json wrote a document steps_from_json rejects.
     with pytest.raises(optics.RecipeError, match=message):
         make()
 

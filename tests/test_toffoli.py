@@ -12,6 +12,7 @@ from reference import (
     local_branch_counts,
     reconstruct_operator,
     uniformity_by_enumeration,
+    uniformity_draws,
 )
 
 from wgtoffoli import mbqc
@@ -665,6 +666,15 @@ def test_branch_probabilities_uniform():
     for kind in ("six", "seven", "eight"):
         err = tf.verify_branch_uniformity(tf.ResourceVariant(kind))
         assert err < 1e-10
+
+
+def test_uniformity_inputs_are_the_seeded_draws_written_out():
+    # The literals stand in for the seeded generator: every bit must match
+    # its draw, or max_uniformity_error in the reports would change.
+    rows = tf.UNIFORMITY_INPUTS
+    assert rows.shape == (1 + tf.UNIFORMITY_RANDOM_INPUTS, 8) and rows.dtype == np.complex128
+    assert not rows.flags.writeable
+    assert rows.tobytes() == np.stack([psi.amplitudes for psi in uniformity_draws()]).tobytes()
 
 
 @pytest.mark.parametrize(

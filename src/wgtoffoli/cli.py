@@ -29,7 +29,7 @@ import numpy as np
 from . import angles, graphstate, optics
 from .acceptance import build_report, canonical_json, recipe_fidelity
 from .mbqc import outcome_prefixes
-from .qstate import StateVector, from_amplitudes, norms_sq
+from .qstate import StateVector, basis_state, from_amplitudes, norms_sq
 from .toffoli import (
     VARIANT_KINDS,
     LinkingByproducts,
@@ -112,10 +112,7 @@ def _load(path: str, parse):
 def _parse_input(text: str) -> StateVector:
     if set(text) <= {"0", "1"}:
         if len(text) == 3:
-            index = int(text, 2)  # written c1 c2 t
-            amps = np.zeros(8, dtype=complex)
-            amps[index] = 1.0
-            return StateVector(3, amps)
+            return basis_state(3, int(text, 2))  # written c1 c2 t
         # Bits of the wrong length, such as "11": a typo, not a file name.
         if not os.path.exists(text):
             raise _usage_error(f"--input must be 3 bits (c1 c2 t) or a JSON file, got {text!r}")

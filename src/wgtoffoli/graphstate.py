@@ -137,8 +137,17 @@ def embed_input_rows(graph: WeightedGraph, rows: np.ndarray, vertices) -> np.nda
     """
     n = graph.vertex_count
     k = len(vertices)
-    if len(set(vertices)) != k or rows.ndim != 2 or rows.shape[1] != 1 << k:
-        raise ValueError("need one distinct vertex per input qubit")
+    for v in vertices:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ValueError(f"input vertex {v!r} is not an integer")
+        if not 0 <= v < n:
+            raise ValueError(f"input vertex {v} out of range for {n} vertices")
+    if len(set(vertices)) != k:
+        raise ValueError(f"input vertices {tuple(vertices)} are not distinct")
+    if rows.ndim != 2 or rows.shape[1] != 1 << k:
+        raise ValueError(
+            f"input rows of shape {rows.shape} do not fit {k} vertices: need width {1 << k}"
+        )
     rest = [v for v in range(n) if v not in vertices]
     tensor = rows.reshape((len(rows),) + (2,) * k)
     for _ in rest:

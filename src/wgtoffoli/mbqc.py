@@ -163,14 +163,13 @@ def outcome_tree_leaves(pattern: Pattern | Sequence[Pattern], tensor: np.ndarray
     B >= 1; qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``.
     ``pattern`` may be a sequence of patterns over the same vertices in
     the same order, one per equal block of rows. The ``2**d`` nodes at
-    depth d are one ``(2**d, B) + (2,)*(n-d)`` array. An adaptive basis is
-    called once per node with the outcomes above it, once however many
-    blocks share it; the (node, block) pairs of a depth are grouped by the
-    identity of their basis, and each group costs one ``basis_states`` and
-    one ``qstate.project_axis`` call on its rows, gathered by fancy
-    indexing and scattered into the next level. A depth with one group
-    projects the whole level without a gather, so m fixed steps make m
-    kernel calls. The projection is elementwise, so every leaf row is
+    depth d are one ``(2**d, B) + (2,)*(n-d)`` array. ``_block_groups``
+    groups the (node, block) pairs of each depth by the identity of their
+    basis, and each group costs one ``basis_states`` and one
+    ``qstate.project_axis`` call. A depth with one group projects the whole
+    level, so m fixed steps make m kernel calls; a split depth gathers each
+    group's rows by fancy indexing on a (block, row) view and scatters them
+    into the next level. The projection is elementwise, so every leaf row is
     bitwise equal to ``run_branch`` on that register under its block's
     pattern. The result is the last level, ``(2**m, B) + (2,)*(n-m)``: leaf
     i holds the outcomes ``outcome_prefixes(pattern.vertices)[i]``, and the
@@ -187,63 +186,50 @@ def outcome_tree_leaves(pattern: Pattern | Sequence[Pattern], tensor: np.ndarray
         raise ValueError("block patterns must measure the same vertices in the same order")
     qubits, _ = measured_qubits(n, patterns[0])
     level = tensor[np.newaxis]
-    for depth, step in enumerate(patterns[0].steps):
+    for depth in range(len(vertices)):
         axis = 1 + n - depth - qubits[depth]
-        if blocks > 1:
-            bases = [p.steps[depth].basis for p in patterns]
-            groups = _block_groups(bases, vertices[:depth], len(level))
-        elif callable(step.basis):
-            groups = _node_groups(step.basis, outcome_prefixes(vertices[:depth]))
-        else:
-            groups = [(step.basis, None)]
+        bases = [p.steps[depth].basis for p in patterns]
+        groups = _block_groups(bases, vertices[:depth], len(level))
         child_shape = level.shape[1:axis] + level.shape[axis + 1 :]
         children = np.empty((len(level), 2) + child_shape, dtype=complex)
-        if blocks > 1 and len(groups) > 1:  # split the row axis into (block, row)
+        if len(groups) == 1:
+            children[:, 0], children[:, 1] = project_axis(level, axis, basis_states(groups[0][0]))
+        else:  # split the row axis into (block, row)
             source = level.reshape(level.shape[:1] + (blocks, -1) + level.shape[2:])
             target = children.reshape(children.shape[:2] + (blocks, -1) + child_shape[1:])
-        for basis, where in groups:
-            kets = basis_states(basis)
-            if len(groups) == 1:
-                children[:, 0], children[:, 1] = project_axis(level, axis, kets)
-            elif blocks == 1:
-                children[where, 0], children[where, 1] = project_axis(level[where], axis, kets)
-            else:
-                block, node = np.divmod(np.concatenate(where), len(level))
+            for basis, node, block in groups:
                 target[node, 0, block], target[node, 1, block] = project_axis(
-                    source[node, block], axis, kets
+                    source[node, block], axis, basis_states(basis)
                 )
         level = children.reshape((-1,) + child_shape)
     return level
 
 
-def _node_groups(basis, prefixes) -> list:
-    """``(returned basis, nodes)`` of each distinct basis an adaptive ``basis`` returns."""
-    # Each entry holds its basis, so no id is reused while grouping.
-    groups = {}
-    for node, seen in enumerate(prefixes):
-        chosen = basis(seen)
-        groups.setdefault(id(chosen), (chosen, []))[1].append(node)
-    return list(groups.values())
-
-
 def _block_groups(bases, prefix_vertices, count: int) -> list:
-    """Each distinct basis among the blocks' ``bases`` at a depth of ``count`` nodes, with
-    one array of ``block * count + node`` per block, or None for one fixed basis of all."""
+    """Each distinct basis the blocks' ``bases`` give at a depth of ``count`` nodes.
+
+    A group is ``(basis, nodes, blocks)``, the index arrays of its (node,
+    block) pairs, or ``(basis, None, None)`` for one fixed basis of every
+    block. An adaptive basis is called once per node with the outcomes
+    above it, once however many blocks share it.
+    """
     first = bases[0]
     if not callable(first) and all(basis is first for basis in bases):
-        return [(first, None)]
+        return [(first, None, None)]
     prefixes, resolved, groups = outcome_prefixes(prefix_vertices), {}, {}
     for block, basis in enumerate(bases):
-        if not callable(basis):
-            found = [(basis, None)]
-        elif id(basis) in resolved:
-            found = resolved[id(basis)]
-        else:
-            found = resolved[id(basis)] = _node_groups(basis, prefixes)
-        for chosen, nodes in found:
-            pairs = np.arange(count) if nodes is None else np.array(nodes)
-            groups.setdefault(id(chosen), (chosen, []))[1].append(block * count + pairs)
-    return list(groups.values())
+        if id(basis) not in resolved:
+            chosen = [basis(seen) for seen in prefixes] if callable(basis) else [basis] * count
+            # Each entry holds its basis, so no id is reused while grouping.
+            split = {}
+            for node, each in enumerate(chosen):
+                split.setdefault(id(each), (each, []))[1].append(node)
+            resolved[id(basis)] = split.values()
+        for each, found in resolved[id(basis)]:
+            _, group_nodes, group_blocks = groups.setdefault(id(each), (each, [], []))
+            group_nodes += found
+            group_blocks += [block] * len(found)
+    return [(each, np.array(nodes), np.array(blocks)) for each, nodes, blocks in groups.values()]
 
 
 def outcome_prefixes(vertices) -> list[OutcomeBits]:

@@ -99,6 +99,13 @@ class RecipeStep:
         for name in ("gamma", "h_on", "angle"):  # the fields without a default
             if name in keys and getattr(self, name) is None:
                 raise RecipeError(f"{self.op} needs {name}")
+        for name in ("gamma", "angle"):  # finite, as the JSON reader checks
+            if name in keys:
+                value = getattr(self, name)
+                try:
+                    angles._finite(value, name)
+                except (TypeError, ValueError):
+                    raise RecipeError(f"{name} must be a finite number, got {value!r}") from None
         if not angles.is_json_int(self.outcome) or self.outcome not in (0, 1):
             raise RecipeError(f"outcome must be 0 or 1, got {self.outcome!r}")
         if self.basis is not None and not isinstance(self.basis, MeasurementBasis):
@@ -112,11 +119,6 @@ def pdc_pair(gamma: Angle) -> StateVector:
     amps[0] = (1 + half) / 2
     amps[3] = (1 - half) / 2
     return StateVector(2, amps)
-
-
-def source_amplitudes(gamma: Angle) -> tuple[complex, complex]:
-    pair = pdc_pair(gamma)
-    return complex(pair.amplitudes[0]), complex(pair.amplitudes[3])
 
 
 def to_weighted_pair(pair: StateVector, gamma: Angle) -> StateVector:
@@ -215,11 +217,6 @@ def run_recipe(steps) -> PhotonRegister:
     for step in steps:
         register = apply_step(register, step)
     return register
-
-
-def coincidence_probability(steps) -> float:
-    """Probability that every postselection step of the recipe succeeds."""
-    return run_recipe(steps).cumulative_prob
 
 
 def sweep_measure_outcomes(steps) -> list[tuple[dict[int, int], float]]:

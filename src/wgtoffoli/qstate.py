@@ -11,6 +11,14 @@ Conventions used across the package:
 
 Multi-qubit matrices index their rows with ``targets[0]`` as the most
 significant bit.
+
+Three batch kernels do the array work: ``project_axis`` (projection),
+``_phase_both_set`` (controlled phase) and ``apply_matrix`` (a matrix on
+some qubits). Each takes a tensor whose last axes are the qubits, qubit 0
+last, and lets any leading batch axes pass through, so every register of
+a batch gets the bits it would get alone. ``apply_operator``,
+``apply_cz_theta`` and ``project`` are their calls on a batch of one
+``StateVector``.
 """
 
 from __future__ import annotations
@@ -148,10 +156,7 @@ def apply_operator(
     """Apply a ``2**k x 2**k`` matrix to ``k`` target qubits.
 
     ``targets[0]`` addresses the most significant bit of the matrix index.
-    The target axes are moved to the front by one ``transpose`` with
-    ``order = axes + the rest`` and moved back by its inverse. That is
-    the view ``np.moveaxis`` builds, so the ``matmul`` input and the bits
-    are the same, without ``moveaxis``'s per-call axis normalisation.
+    This is ``apply_matrix`` on the register's ``(2,)*n`` tensor.
     """
     n = state.num_qubits
     k = len(targets)
@@ -162,14 +167,33 @@ def apply_operator(
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {matrix.shape} does not fit {k} qubits")
-    order = [n - 1 - q for q in targets]
-    order += [axis for axis in range(n) if axis not in order]
-    inverse = [0] * n
-    for position, axis in enumerate(order):
-        inverse[axis] = position
-    tensor = state.amplitudes.reshape((2,) * n).transpose(order)
-    tensor = (matrix @ tensor.reshape(1 << k, -1)).reshape((2,) * n)
-    return StateVector(n, tensor.transpose(inverse).reshape(-1))
+    tensor = apply_matrix(state.amplitudes.reshape((2,) * n), n, targets, matrix)
+    return StateVector(n, tensor.reshape(-1))
+
+
+def apply_matrix(
+    tensor: np.ndarray, num_qubits: int, targets: Sequence[int], matrix: np.ndarray
+) -> np.ndarray:
+    """``matrix`` on qubits ``targets`` of each register of ``tensor``, as a new array.
+
+    The last ``num_qubits`` axes are the qubits. One ``transpose`` moves
+    the target axes in front of the other qubit axes, the view
+    ``np.moveaxis`` builds, and the product is written through the same
+    view of a C-ordered output. Without batch axes the ``matmul`` is one
+    2-D product, with them one 2-D product of the same shape per register,
+    so each register gets the bits of a call on it alone.
+    """
+    shape = tensor.shape
+    ndim, k = len(shape), len(targets)
+    lead = ndim - num_qubits
+    order = [ndim - 1 - q for q in targets]
+    order += [axis for axis in range(lead, ndim) if axis not in order]
+    if lead:
+        order[:0] = range(lead)
+    moved = tensor.transpose(order).reshape(shape[:lead] + (1 << k, 1 << (num_qubits - k)))
+    out = np.empty(shape, dtype=complex)
+    out.transpose(order)[...] = (matrix @ moved).reshape(shape)
+    return out
 
 
 def apply_cz_theta(
@@ -211,7 +235,7 @@ def project_axis(tensor: np.ndarray, axis: int, kets) -> list[np.ndarray]:
         ket = np.asarray(ket, dtype=complex)
         if ket.shape != (2,):
             raise ValueError("projection ket must be a single-qubit state")
-        if abs(np.vdot(ket, ket).real - 1.0) > 1e-10:
+        if not abs(np.vdot(ket, ket).real - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError("projection ket must be normalised")
         out.append(np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1)
     return out

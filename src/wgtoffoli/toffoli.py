@@ -72,7 +72,8 @@ from .qstate import (
     PAULI_X,
     PAULI_Z,
     StateVector,
-    apply_cz_theta,
+    _phase_both_set,
+    apply_matrix,
     kron_all,
     norms_sq,
     rz,
@@ -361,20 +362,15 @@ def toffoli_matrix() -> np.ndarray:
     return mat
 
 
-def ccz_theta_matrix(theta: float) -> np.ndarray:
-    mat = np.eye(8, dtype=complex)
-    mat[7, 7] = np.exp(1j * theta)
-    return mat
-
-
 def hadamard_on_target() -> np.ndarray:
     return kron_all(ID2, ID2, HADAMARD)
 
 
 def _pair_phase(wire_a: int, wire_b: int, theta: float) -> np.ndarray:
     """CZ(theta) between two of the three wires, as an 8x8 diagonal."""
-    ones = StateVector(3, np.ones(8, dtype=complex))
-    return np.diag(apply_cz_theta(ones, 2 - wire_a, 2 - wire_b, theta).amplitudes)
+    diagonal = np.ones((2, 2, 2), dtype=complex)
+    _phase_both_set(diagonal, 2 - wire_a, 2 - wire_b, np.exp(1j * theta))
+    return np.diag(diagonal.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -688,20 +684,6 @@ def encoded_state(
     return StateVector(variant.vertex_count, rows[0])
 
 
-def _on_wire(rows: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    """``apply_single(row, qubit, matrix)`` of each ``(B, 8)`` row.
-
-    Each row is laid out as ``apply_operator`` lays out a single state,
-    ``(2, 4)`` with the qubit first, so one stacked matmul gives every row
-    the bits of its own call.
-    """
-    axis = 3 - qubit
-    front = [0, axis] + [a for a in (1, 2, 3) if a != axis]
-    back = [front.index(a) for a in range(4)]
-    tensor = rows.reshape(-1, 2, 2, 2).transpose(front).reshape(-1, 2, 4)
-    return (matrix @ tensor).reshape(-1, 2, 2, 2).transpose(back).reshape(-1, 8)
-
-
 def _encode_rows(
     variant: ResourceVariant, cases: Sequence[LinkingByproducts], inputs: np.ndarray
 ) -> np.ndarray:
@@ -709,19 +691,21 @@ def _encode_rows(
 
     Returns ``(len(cases) * B, 2**n)`` rows, case by case, built as one
     batch: one H on the target of every row, the per-case Z and X
-    corruption on the rows of the cases that carry it, then one
+    corruption on the rows of the cases that carry it, each one
+    ``qstate.apply_matrix`` call on the ``(B, 2, 2, 2)`` rows, then one
     ``embed_input_rows`` call for the whole batch.
     """
-    encoded = np.tile(_on_wire(inputs, 0, HADAMARD), (len(cases), 1))
+    rows = apply_matrix(inputs.reshape(-1, 2, 2, 2), 3, (0,), HADAMARD)
+    encoded = np.tile(rows, (len(cases), 1, 1, 1))
     sz = np.repeat([linking.sz for linking in cases], len(inputs), axis=0) == 1
     sx = np.repeat([linking.sx for linking in cases], len(inputs), axis=0) == 1
     for wire_index, qubit in ((0, 2), (1, 1), (2, 0)):
         for flags, pauli in ((sz, PAULI_Z), (sx, PAULI_X)):
             hit = flags[:, wire_index]
             if hit.any():
-                encoded[hit] = _on_wire(encoded[hit], qubit, pauli)
+                encoded[hit] = apply_matrix(encoded[hit], 3, (qubit,), pauli)
     graph = _resource_graph(variant)
-    return embed_input_rows(graph, encoded, (C1_VERTEX, C2_VERTEX, T_IN_VERTEX))
+    return embed_input_rows(graph, encoded.reshape(-1, 8), (C1_VERTEX, C2_VERTEX, T_IN_VERTEX))
 
 
 def _case_list(linking) -> list[LinkingByproducts]:

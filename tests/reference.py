@@ -7,10 +7,12 @@ branch operator. ``toffoli.branch_outputs`` must equal both as values.
 ``apply_cz_theta_mask`` is the controlled phase in its index-mask form,
 which ``qstate.apply_cz_theta`` must match byte for byte, and
 ``apply_operator_moveaxis`` is ``qstate.apply_operator`` as two
-``np.moveaxis`` calls around the matmul, which it must match byte for byte. ``make_word``,
-``word_mul`` and ``word_matrix`` are the byproduct-word formulas computed
-afresh on every call, which the ``mbqc`` word algebra must match
-in the word, in every bit of the phase and in the matrix bytes.
+``np.moveaxis`` calls around the matmul, which it, and
+``qstate.apply_matrix`` on each register of a batch, must match byte
+for byte. ``make_word``, ``word_mul`` and ``word_matrix`` are the
+byproduct-word formulas computed afresh on every call, which the ``mbqc``
+word algebra must match in the word, in every bit of the phase and in
+the matrix bytes.
 ``composed_frame`` is one branch's frame as ``toffoli.LinkingFrames``
 composed it before it built every branch at once: the branch's words from
 its outcome bits, then ``(prefactor @ words) @ sz_frame`` by two

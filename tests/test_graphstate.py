@@ -91,6 +91,28 @@ def test_entangled_input_embedding():
     np.testing.assert_allclose(tensor[:, 1, :], tensor[:, 0, :], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "vertices,width,message",
+    [
+        ((0, 7), 4, "input vertex 7 out of range for 4 vertices"),
+        ((0, 4), 4, "input vertex 4 out of range for 4 vertices"),
+        ((-1, 0), 4, "input vertex -1 out of range for 4 vertices"),
+        ((0, 1.0), 4, "input vertex 1.0 is not an integer"),
+        ((0, True), 4, "input vertex True is not an integer"),
+        ((2, 2), 4, r"input vertices \(2, 2\) are not distinct"),
+        ((0, 1, 2), 4, r"input rows of shape \(1, 4\) do not fit 3 vertices: need width 8"),
+    ],
+)
+def test_input_vertices_are_checked(vertices, width, message):
+    # numpy raised for the first four ("repeated axis", "same number of
+    # elements", TypeError), and a width mismatch blamed the vertices.
+    rows = np.ones((1, width), dtype=complex) / np.sqrt(width)
+    with pytest.raises(ValueError, match=message):
+        gs.embed_input_rows(gs.WeightedGraph(4, [(0, 1, MAXIMAL)]), rows, vertices)
+    with pytest.raises(ValueError, match=message):
+        gs.build_state_with_input(gs.WeightedGraph(4), qs.StateVector(2, rows[0]), vertices)
+
+
 def test_json_round_trip_simple():
     doc = b'{"vertices": 2, "edges": [[0, 1, {"pi_num": 1, "pi_den": 1}]]}'
     graph = gs.from_json(doc)

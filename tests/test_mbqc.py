@@ -201,6 +201,15 @@ def test_enumerate_rejects_too_many_measurements():
         mbqc.enumerate_branches(qs.plus_state(2), mbqc.Pattern(steps))
 
 
+def test_non_finite_basis_angle_fails_the_projection_check():
+    # NaN compares false with the tolerance, so these returned probability nan.
+    pattern = mbqc.Pattern([mbqc.PatternStep(0, mbqc.MeasurementBasis(alpha=float("nan")))])
+    with pytest.raises(ValueError, match="projection ket must be normalised"):
+        mbqc.enumerate_branches(qs.plus_state(2), pattern)
+    with pytest.raises(ValueError, match="projection ket must be normalised"):
+        mbqc.run_branch(qs.plus_state(2), pattern, {0: 0})
+
+
 def test_adaptive_basis_sees_earlier_outcomes():
     seen = {}
 

@@ -40,7 +40,7 @@ def test_pdc_pair_at_pi():
 
 def test_source_amplitudes_normalised():
     for gamma in (Fraction(1, 3), Fraction(1, 2), 2.1717):
-        plus, minus_amp = optics.source_amplitudes(gamma)
+        plus, minus_amp = optics.pdc_pair(gamma).amplitudes[[0, 3]]
         assert abs(abs(plus) ** 2 + abs(minus_amp) ** 2 - 1) < 1e-14
 
 
@@ -120,7 +120,7 @@ def test_fuse_repeat_after_undoing_h_changes_nothing():
 
 def test_zero_fuse_recipe_probability_one():
     steps = [optics.RecipeStep("source", (1, 2), gamma=Fraction(1))]
-    assert abs(optics.coincidence_probability(steps) - 1) < 1e-15
+    assert abs(optics.run_recipe(steps).cumulative_prob - 1) < 1e-15
 
 
 def test_single_fuse_probability_half():
@@ -129,7 +129,7 @@ def test_single_fuse_probability_half():
         optics.RecipeStep("reset", (2,)),
         optics.RecipeStep("fuse", (1, 2), h_on=2),
     ]
-    assert abs(optics.coincidence_probability(steps) - 0.5) < 1e-12
+    assert abs(optics.run_recipe(steps).cumulative_prob - 0.5) < 1e-12
 
 
 def quoted_intermediate(prefix, terms):
@@ -211,7 +211,7 @@ def test_full_recipe_builds_the_six_qubit_resource():
 
 def test_stepwise_probability_matches_one_shot_oracle():
     steps = optics.six_qubit_recipe()
-    stepwise = optics.coincidence_probability(steps)
+    stepwise = optics.run_recipe(steps).cumulative_prob
     assert abs(stepwise - _one_shot_probability(steps)) < 1e-12
     # derived value for the default-outcome branch: nine postselections at 1/2
     assert abs(stepwise - 0.5**9) < 1e-12
@@ -451,10 +451,17 @@ def test_recipe_json_rejects_fields_the_op_ignores(step, key):
         (lambda: optics.RecipeStep("fuse", (1, "b"), h_on=1), r"modes\[1\] must be an integer"),
         (lambda: optics.RecipeStep("fuse", (1, 2), h_on="2"), "h_on must be an integer, got '2'"),
         (lambda: optics.RecipeStep("fuse", (1, 2), h_on=True), "h_on must be an integer, got True"),
+        (lambda: optics.RecipeStep("rotate", (1,), angle=float("inf")), "angle must be a finite"),
+        (lambda: optics.RecipeStep("rotate", (1,), angle=float("nan")), "angle must be a finite"),
+        (lambda: optics.RecipeStep("source", (1, 2), gamma=float("nan")), "gamma must be a finite"),
+        (lambda: optics.RecipeStep("source", (1, 2), gamma=Fraction(10**400)), "gamma must be a"),
+        (lambda: optics.RecipeStep("source", (1, 2), gamma="a"), "gamma must be a finite number"),
+        (lambda: optics.RecipeStep("source", (1, 2), gamma=[1]), r"got \[1\]"),
     ],
     ids=["unknown-op", "reset-two-modes", "measure-no-mode", "fuse-one-mode", "source-gamma",
          "fuse-h_on", "rotate-angle", "outcome-2", "outcome-bool", "basis-str", "mode-str",
-         "mode-bool", "mode-float", "second-mode-str", "h_on-str", "h_on-bool"],
+         "mode-bool", "mode-float", "second-mode-str", "h_on-str", "h_on-bool", "angle-inf",
+         "angle-nan", "gamma-nan", "gamma-overflows", "gamma-str", "gamma-list"],
 )
 def test_recipe_step_rejects_a_step_its_op_cannot_run(make, message):
     # These once failed later and badly: steps_to_json raised KeyError for

@@ -161,6 +161,33 @@ def test_apply_operator_bitwise_equals_moveaxis_reference():
                 out = qs.apply_operator(state, targets, matrix).amplitudes
                 expected = apply_operator_moveaxis(state, targets, matrix).amplitudes
                 assert out.tobytes() == expected.tobytes()
+    # The batch kernel on a (B,) + (2,)*n stack, as given and as a strided
+    # view: each register gets the bits of its own call and of the reference.
+    for n in range(1, 13):
+        rows = np.stack([random_state(rng, n).amplitudes for _ in range(3)])
+        rows[1, ::3] = complex(-0.0, 0.0)
+        rows[1, 1::3] = complex(0.0, -0.0)
+        wide = np.zeros((6, 1 << n), dtype=complex)
+        wide[::2] = rows
+        stacks = [rows.reshape((3,) + (2,) * n), wide[::2].reshape((3,) + (2,) * n)]
+        assert not stacks[1].flags.c_contiguous
+        if n <= 4:
+            choices = [t for k in (1, 2, 3) for t in itertools.permutations(range(n), k)]
+        else:
+            picks = [rng.permutation(n)[:k] for k in (1, 2, 3) for _ in range(4)]
+            choices = [tuple(int(q) for q in pick) for pick in picks]
+        for targets in choices:
+            k = len(targets)
+            matrix = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+            matrix[0, -1] = 0.0
+            for stack in stacks:
+                out = qs.apply_matrix(stack, n, targets, matrix)
+                assert out.shape == stack.shape
+                for row, register in zip(rows, out):
+                    state = qs.StateVector(n, row)
+                    alone = qs.apply_operator(state, targets, matrix).amplitudes
+                    expected = apply_operator_moveaxis(state, targets, matrix).amplitudes
+                    assert register.tobytes() == alone.tobytes() == expected.tobytes(), targets
 
 
 def test_reorder_qubits_permutation():

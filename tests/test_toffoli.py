@@ -115,20 +115,25 @@ def test_resource_matches_docstring_wiring(kind, theta):
 # --- reference gate ---
 
 
+def ccz_theta(theta: float) -> np.ndarray:
+    """CCZ(theta) on (c1, c2, t): e^{i*theta} on |111> alone."""
+    return np.diag([1] * 7 + [np.exp(1j * theta)]).astype(complex)
+
+
 def test_target_unitary_at_pi():
     mat = tf.target_unitary(Fraction(1))
     np.testing.assert_allclose(
         mat, tf.toffoli_matrix() @ tf.hadamard_on_target(), atol=1e-12
     )
     np.testing.assert_allclose(
-        mat, tf.hadamard_on_target() @ tf.ccz_theta_matrix(np.pi), atol=1e-12
+        mat, tf.hadamard_on_target() @ ccz_theta(np.pi), atol=1e-12
     )
 
 
 @pytest.mark.parametrize("frac", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 3)])
 def test_target_unitary_general_theta(frac):
     mat = tf.target_unitary(frac)
-    expected = tf.hadamard_on_target() @ tf.ccz_theta_matrix(float(frac) * np.pi)
+    expected = tf.hadamard_on_target() @ ccz_theta(float(frac) * np.pi)
     np.testing.assert_allclose(mat, expected, atol=1e-12)
 
 
@@ -793,7 +798,7 @@ def test_local_branches_equal_the_per_sz_recount(kind, theta, model):
 @pytest.mark.parametrize("frac", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
 def test_ccz_theta_local_branches(frac):
     variant = tf.ResourceVariant("six", theta=frac)
-    raw_target = tf.hadamard_on_target() @ tf.ccz_theta_matrix(float(frac) * np.pi)
+    raw_target = tf.hadamard_on_target() @ ccz_theta(float(frac) * np.pi)
     for s2, s4 in itertools.product((0, 1), repeat=2):
         outcomes = {1: s2, 2: 0, 3: s4}
         branch_op = reconstruct_operator(branch_map(variant, tf.NO_LINKING, outcomes), 3)

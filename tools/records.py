@@ -116,7 +116,7 @@ from pathlib import Path
 import numpy as np
 
 from wgtoffoli import cli, graphstate, mbqc, optics, toffoli
-from wgtoffoli.qstate import StateVector, basis_state
+from wgtoffoli.qstate import StateVector
 
 REPORT = "report.json"
 
@@ -349,12 +349,8 @@ def linking_cases(variant):
 
 
 def logical_inputs():
-    rng = np.random.default_rng(20250810)
-    out = [basis_state(3, 0)]
-    for _ in range(2):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        out.append(StateVector(3, amps / np.linalg.norm(amps)))
-    return out
+    """|000> and the seeded random states: the rows of ``toffoli.UNIFORMITY_INPUTS``."""
+    return [StateVector(3, row) for row in toffoli.UNIFORMITY_INPUTS]
 
 
 def branch_lines(case: str, branches):

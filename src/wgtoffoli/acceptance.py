@@ -32,7 +32,6 @@ from .qstate import (
     PAULI_Z,
     StateVector,
     apply_operator,
-    apply_single,
     kron_all,
     rz,
 )
@@ -280,7 +279,7 @@ def _one_shot_probability(steps) -> float:
     for kind, payload in ops:
         if kind == "ket":
             slot, ket = payload
-            state = apply_single(state, slot, np.outer(ket, [1, 0]).astype(complex))
+            state = apply_operator(state, (slot,), np.outer(ket, [1, 0]).astype(complex))
     for kind, payload in ops:
         if kind == "pair":
             a, b, amps = payload
@@ -296,7 +295,7 @@ def _one_shot_probability(steps) -> float:
             state = StateVector(n, np.where(keep, state.amplitudes, 0))
         elif kind == "gate":
             slot, mat = payload
-            state = apply_single(state, slot, mat)
+            state = apply_operator(state, (slot,), mat)
     return state.norm_sq
 
 

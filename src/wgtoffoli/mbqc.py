@@ -61,6 +61,10 @@ class MeasurementBasis:
     absorbed: np.ndarray | None = None
 
     def __post_init__(self):
+        try:  # NaN, +-inf, a Fraction whose radians overflow, or no number at all
+            angles._finite(self.alpha, "alpha")
+        except (TypeError, ValueError):
+            raise ValueError(f"basis alpha must be a finite number, got {self.alpha!r}") from None
         if self.absorbed is not None:
             object.__setattr__(self, "absorbed", np.asarray(self.absorbed, dtype=complex))
             if self.absorbed.shape != (2, 2):

@@ -2,8 +2,9 @@
 
 Photons carry polarisation qubits (|H> = |0>, |V> = |1>). The ``fuse``
 operation is the two-photon projector |HH><HH| + |VV><VV| followed by H
-on a designated photon; both photons stay in the register and the
-projection norm is folded into ``cumulative_prob``. Pair sources emit
+on a designated photon; both photons stay in the register. A fuse and a
+measurement share one postselection step, ``_postselect``, which folds
+the projection's norm ratio into ``cumulative_prob``. Pair sources emit
 ``gamma_+|HH> + gamma_-|VV>`` with ``gamma_pm = (1 pm e^{-i*gamma/2})/2``
 and are rotated into a two-vertex graph pair of edge weight gamma by
 ``Rz(gamma/2) H`` on each photon.
@@ -32,7 +33,7 @@ from .qstate import (
     KET_PLUS,
     MAX_QUBITS,
     StateVector,
-    apply_single,
+    apply_operator,
     kron_all,
     project,
     reorder_qubits,
@@ -71,7 +72,9 @@ class PhotonRegister:
 
 @dataclass(frozen=True)
 class RecipeStep:
-    """One recipe step; ``RecipeError`` if its op cannot run it. Ignored fields are allowed."""
+    """One recipe step; ``RecipeError`` if its op cannot run it. Ignored fields are allowed.
+    Every step rule lives here, for JSON steps too (``steps_from_json`` prefixes the step's
+    index); a message names a one-mode op's field ``mode``, as the document spells it."""
 
     op: str  # source | fuse | rotate | measure | reset
     modes: tuple[int, ...] = ()
@@ -82,9 +85,7 @@ class RecipeStep:
     outcome: int = 0
 
     def __post_init__(self):
-        keys = STEP_KEYS.get(self.op)  # the fields the op runs with
-        if keys is None:
-            raise RecipeError(f"unknown op {self.op!r}")
+        keys = _op_keys(self.op)  # the fields the op runs with
         two = "modes" in keys
         if len(self.modes) != 1 + two:
             raise RecipeError(f"{self.op} needs {'two modes' if two else 'one mode'}")
@@ -93,13 +94,14 @@ class RecipeStep:
         # call per field: every step built runs this, 64 per benchmark pass.
         for k, mode in enumerate(self.modes):
             if type(mode) is not int:
-                raise RecipeError(f"modes[{k}] must be an integer, got {mode!r}")
+                name = f"modes[{k}]" if two else "mode"  # as the document spells it
+                raise RecipeError(f"{name} must be an integer, got {mode!r}")
         if self.h_on is not None and type(self.h_on) is not int:
             raise RecipeError(f"h_on must be an integer, got {self.h_on!r}")
         for name in ("gamma", "h_on", "angle"):  # the fields without a default
             if name in keys and getattr(self, name) is None:
                 raise RecipeError(f"{self.op} needs {name}")
-        for name in ("gamma", "angle"):  # finite, as the JSON reader checks
+        for name in ("gamma", "angle"):
             if name in keys:
                 value = getattr(self, name)
                 try:
@@ -124,8 +126,7 @@ def pdc_pair(gamma: Angle) -> StateVector:
 def to_weighted_pair(pair: StateVector, gamma: Angle) -> StateVector:
     """Rotate a source pair into the two-vertex graph with edge weight gamma."""
     turn = rz(angles.radians(gamma) / 2) @ HADAMARD
-    out = apply_single(pair, 0, turn)
-    return apply_single(out, 1, turn)
+    return apply_operator(apply_operator(pair, (0,), turn), (1,), turn)
 
 
 def _append_modes(register: PhotonRegister, labels, state: StateVector) -> PhotonRegister:
@@ -146,6 +147,14 @@ def _append_modes(register: PhotonRegister, labels, state: StateVector) -> Photo
     )
 
 
+def _postselect(register: PhotonRegister, projected: StateVector, failure: str):
+    """``projected`` renormalised and ``cumulative_prob`` times its norm ratio to ``register``."""
+    ratio = projected.norm_sq / register.state.norm_sq
+    if ratio < 1e-15:
+        raise PostselectionError(failure)
+    return projected.normalized(), register.cumulative_prob * ratio
+
+
 def fuse(register: PhotonRegister, a: int, b: int, h_on: int) -> PhotonRegister:
     """Project modes (a, b) onto equal polarisation, then H on ``h_on``."""
     if a == b:
@@ -155,26 +164,18 @@ def fuse(register: PhotonRegister, a: int, b: int, h_on: int) -> PhotonRegister:
     qa, qb = register.qubit_of(a), register.qubit_of(b)
     idx = np.arange(register.state.amplitudes.size)
     keep = (((idx >> qa) ^ (idx >> qb)) & 1) == 0
-    amps = np.where(keep, register.state.amplitudes, 0)
-    before = register.state.norm_sq
-    projected = StateVector(register.state.num_qubits, amps)
-    ratio = projected.norm_sq / before
-    if ratio < 1e-15:
-        raise PostselectionError(f"fusing modes {a} and {b} has zero success probability")
-    out = apply_single(projected.normalized(), register.qubit_of(h_on), HADAMARD)
-    return PhotonRegister(list(register.labels), out, register.cumulative_prob * ratio)
+    projected = StateVector(register.state.num_qubits, np.where(keep, register.state.amplitudes, 0))
+    failure = f"fusing modes {a} and {b} has zero success probability"
+    state, prob = _postselect(register, projected, failure)
+    out = apply_operator(state, (qa if h_on == a else qb,), HADAMARD)
+    return PhotonRegister(list(register.labels), out, prob)
 
 
 def _measure_out(register: PhotonRegister, mode: int, basis, outcome: int) -> PhotonRegister:
-    kets = basis_states(basis)
-    q = register.qubit_of(mode)
-    before = register.state.norm_sq
-    projected = project(register.state, q, kets[outcome])
-    ratio = projected.norm_sq / before
-    if ratio < 1e-15:
-        raise PostselectionError(f"measuring mode {mode} with outcome {outcome} cannot occur")
+    projected = project(register.state, register.qubit_of(mode), basis_states(basis)[outcome])
+    failure = f"measuring mode {mode} with outcome {outcome} cannot occur"
     labels = [m for m in register.labels if m != mode]
-    return PhotonRegister(labels, projected.normalized(), register.cumulative_prob * ratio)
+    return PhotonRegister(labels, *_postselect(register, projected, failure))
 
 
 def apply_step(
@@ -197,13 +198,10 @@ def apply_step(
         return fuse(register, a, b, step.h_on)
     if step.op == "rotate":
         (mode,) = step.modes
+        turn = rz(angles.radians(step.angle))
         return PhotonRegister(
             list(register.labels),
-            apply_single(
-                register.state,
-                register.qubit_of(mode),
-                rz(angles.radians(step.angle)),
-            ),
+            apply_operator(register.state, (register.qubit_of(mode),), turn),
             register.cumulative_prob,
         )
     (mode,) = step.modes  # a measure step
@@ -343,10 +341,12 @@ def steps_to_json(steps) -> bytes:
     return (json.dumps({"steps": out}, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _int_field(value, where: str) -> int:
-    if not angles.is_json_int(value):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _op_keys(op) -> frozenset:
+    """``STEP_KEYS[op]``, or ``RecipeError`` for anything that is not one of its ops."""
+    keys = STEP_KEYS.get(op) if isinstance(op, str) else None
+    if keys is None:
+        raise RecipeError(f"unknown op {op!r}")
+    return keys
 
 
 def steps_from_json(text) -> list[RecipeStep]:
@@ -366,47 +366,31 @@ def _steps_from_doc(doc) -> list[RecipeStep]:
         where = f"steps[{pos}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where}: expected an object")
-        op = entry.get("op")
-        if op in ("source", "fuse"):
-            modes = entry.get("modes", [])
-            if not isinstance(modes, list) or len(modes) != 2:
-                raise ValueError(f"{where}: {op} needs two modes")
-            modes = tuple(_int_field(m, f"{where}.modes[{k}]") for k, m in enumerate(modes))
-        elif op in ("rotate", "measure", "reset"):
-            if "mode" not in entry:
-                raise ValueError(f"{where}: {op} needs a mode")
-            modes = (_int_field(entry["mode"], f"{where}.mode"),)
-        else:
-            raise ValueError(f"{where}: unknown op {op!r}")
-        angles.known_keys(entry, STEP_KEYS[op], where)
-        gamma = angles.from_json(entry["gamma"], f"{where}.gamma") if "gamma" in entry else None
-        angle = angles.from_json(entry["angle"], f"{where}.angle") if "angle" in entry else None
-        if op == "rotate" and angle is None:
-            raise ValueError(f"{where}: rotate needs an angle")
-        h_on = entry.get("h_on")
-        if h_on is not None:
-            h_on = _int_field(h_on, f"{where}.h_on")
-        basis = None
-        outcome = entry.get("outcome", 0)
-        if not angles.is_json_int(outcome) or outcome not in (0, 1):
-            raise ValueError(f"{where}.outcome: expected 0 or 1, got {outcome!r}")
-        if op == "measure":
-            raw = entry.get("basis", "computational")
-            if raw == "computational":
-                basis = COMPUTATIONAL
-            elif not isinstance(raw, dict):
-                raise ValueError(f"{where}.basis: expected \"computational\" or an object")
-            else:
-                angles.known_keys(raw, BASIS_KEYS, f"{where}.basis")
-                hadamard = raw.get("hadamard", False)
-                if not isinstance(hadamard, bool):
-                    raise ValueError(f"{where}.basis.hadamard: expected true or false")
-                basis = MeasurementBasis(
-                    alpha=angles.from_json(raw.get("alpha", 0), f"{where}.basis.alpha"),
-                    hadamard=hadamard,
-                )
         try:
-            steps.append(RecipeStep(op, modes, gamma, h_on, angle, basis, outcome))
-        except RecipeError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            angles.known_keys(entry, _op_keys(entry.get("op")), where)
+            modes = [entry["mode"]] if "mode" in entry else entry.get("modes", [])
+            if not isinstance(modes, list):
+                raise ValueError(f"{where}.modes: expected a list")
+            angle_keys = [key for key in ("gamma", "angle") if key in entry]
+            fields = {key: angles.from_json(entry[key], f"{where}.{key}") for key in angle_keys}
+            if "basis" in entry:
+                fields["basis"] = _basis_from_doc(entry["basis"], f"{where}.basis")
+            h_on, outcome = entry.get("h_on"), entry.get("outcome", 0)
+            steps.append(RecipeStep(entry["op"], tuple(modes), h_on=h_on, outcome=outcome, **fields))
+        except RecipeError as exc:  # a step rule, in RecipeStep's words
+            raise RecipeError(f"{where}: {exc}") from None
     return steps
+
+
+def _basis_from_doc(raw, where: str) -> MeasurementBasis:
+    if raw == "computational":
+        return COMPUTATIONAL
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: expected \"computational\" or an object")
+    angles.known_keys(raw, BASIS_KEYS, where)
+    hadamard = raw.get("hadamard", False)
+    if not isinstance(hadamard, bool):
+        raise ValueError(f"{where}.hadamard: expected true or false")
+    return MeasurementBasis(
+        alpha=angles.from_json(raw.get("alpha", 0), f"{where}.alpha"), hadamard=hadamard
+    )

@@ -145,11 +145,6 @@ def _check_qubit(state: StateVector, qubit: int):
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
 
 
-def apply_single(state: StateVector, qubit: int, matrix: np.ndarray) -> StateVector:
-    """Apply a 2x2 matrix to one qubit."""
-    return apply_operator(state, (qubit,), matrix)
-
-
 def apply_operator(
     state: StateVector, targets: Sequence[int], matrix: np.ndarray
 ) -> StateVector:

@@ -32,15 +32,15 @@ pinned by the end-to-end branch-equivalence tests.
 
 Each resource is one ``VariantSpec`` record in ``VARIANT_SPECS``: its
 edges, its measurement schedule with the adaptive rules, its byproduct
-parities and its linking prefactors. The functions below read that
-table and never branch on the variant's name, so a new resource is a
-new record.
+parities, its non-local words and its linking prefactors. The functions
+below read that table and never branch on the variant's name, so a new
+resource is a new record.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
@@ -135,6 +135,9 @@ class FrameUnavailable(ValueError):
     """The frame table has no entry for this angle."""
 
 
+_BIT_TRIPLES = frozenset(itertools.product((0, 1), repeat=3))
+
+
 @dataclass(frozen=True)
 class LinkingByproducts:
     """Inherited corruption bits per wire, in (c1, c2, t) order."""
@@ -143,9 +146,17 @@ class LinkingByproducts:
     sz: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        for bits in (self.sx, self.sz):
-            if len(bits) != 3 or any(b not in (0, 1) for b in bits):
-                raise ValueError("linking byproducts are three bits per kind")
+        # Stored as tuples, so the record hashes (a list did not). A bit is the
+        # int 0 or 1: 1.0 and True equal 1, and a float 1.0 then fails at ``^``.
+        # No generator: success_probability builds about 80 per benchmark pass.
+        for name in ("sx", "sz"):
+            value = getattr(self, name)
+            bits = tuple(value) if isinstance(value, (tuple, list)) else ()
+            ints = len(bits) == 3 and type(bits[0]) is type(bits[1]) is type(bits[2]) is int
+            if not ints or bits not in _BIT_TRIPLES:
+                raise ValueError(f"{name} must be three bits, each the int 0 or 1, got {value!r}")
+            if bits is not value:
+                object.__setattr__(self, name, bits)
 
 
 NO_LINKING = LinkingByproducts()
@@ -201,8 +212,11 @@ class VariantSpec:
     accepted sx, in sorted order, to its linking prefactor: per wire
     ``(x, z, k)`` with k in units of theta/2, the identity where a wire is
     left out. Outcome 1 on ``nonlocal_vertex`` leaves the non-local
-    residual of the mid-circuit phase flip. With ``pi_only`` the frame
-    table covers theta = pi alone.
+    residual of the mid-circuit phase flip; on those branches
+    ``nonlocal_words`` replaces the sigma word of each wire it names, per
+    wire ``(x, z, k)`` with k in units of theta/2, the sign of k flipped
+    when the inherited sx bits of c2 and t differ. With ``pi_only`` the
+    frame table covers theta = pi alone.
     """
 
     vertex_count: int
@@ -211,7 +225,19 @@ class VariantSpec:
     sigma: dict[str, Word]
     prefactors: dict[tuple[int, int, int], dict[str, tuple[int, int, int]]]
     nonlocal_vertex: int | None = None
+    nonlocal_words: dict[str, tuple[int, int, int]] = field(default_factory=dict)
     pi_only: bool = False
+
+    def __post_init__(self):
+        if (self.nonlocal_vertex is None) != (not self.nonlocal_words):
+            raise ValueError("nonlocal_vertex and nonlocal_words come together")
+        # A replaced word is read on local branches only, where the bit is 0.
+        for wire in self.nonlocal_words:
+            if self.nonlocal_vertex in self.sigma[wire].x + self.sigma[wire].z:
+                raise ValueError(
+                    f"sigma[{wire!r}] reads nonlocal_vertex {self.nonlocal_vertex}, "
+                    "whose branches replace that word"
+                )
 
     @cached_property
     def measured_vertices(self) -> tuple[int, ...]:
@@ -260,6 +286,7 @@ VARIANT_SPECS = {
             (1, 1, 1): {"c1": (1, 0, -1), "c2": (1, 0, -1)},
         },
         nonlocal_vertex=2,
+        nonlocal_words={"c2": (0, 0, -1)},
     ),
     "seven": VariantSpec(
         vertex_count=7,
@@ -597,7 +624,9 @@ class LinkingFrames:
         """Every row's word codes, in ``WIRES`` order, and global phase."""
         branch = self._spec.branch_words[0].copy()
         if self._h8 is not None:  # else the non-local rows are uncovered
-            branch[self._nonlocal, 1] = make_word(k=-self._flip * self._h8).code
+            for wire, (x, z, k) in self._spec.nonlocal_words.items():
+                word = make_word(x, z, self._flip * k * self._h8)
+                branch[self._nonlocal, WIRES.index(wire)] = word.code
         # Python complex products (object arrays), in frame_compose's order:
         # each wire's phase, then the sz frame's unit phase, then each sz wire's.
         products, phases, _ = word_tables()

@@ -51,7 +51,7 @@ from wgtoffoli.qstate import (
     PAULI_X,
     PAULI_Z,
     StateVector,
-    apply_single,
+    apply_operator,
     basis_state,
     kron_all,
     reconstruct_operator,
@@ -270,12 +270,12 @@ def uniformity_by_enumeration(variant, linking):
 
 def encoded_state_per_row(variant, psi: StateVector, linking) -> StateVector:
     """H on the target, Z then X corruption per wire, ``|+>`` elsewhere, one CZ per edge."""
-    psi = apply_single(psi, 0, HADAMARD)
+    psi = apply_operator(psi, (0,), HADAMARD)
     for wire_index, qubit in ((0, 2), (1, 1), (2, 0)):
         if linking.sz[wire_index]:
-            psi = apply_single(psi, qubit, PAULI_Z)
+            psi = apply_operator(psi, (qubit,), PAULI_Z)
         if linking.sx[wire_index]:
-            psi = apply_single(psi, qubit, PAULI_X)
+            psi = apply_operator(psi, (qubit,), PAULI_X)
     graph = build_resource(variant)
     n = graph.vertex_count
     order = [C1_VERTEX, C2_VERTEX, T_IN_VERTEX]

@@ -132,9 +132,7 @@ def test_correction_absorption():
         pattern_a = mbqc.Pattern([mbqc.PatternStep(1, absorbed)])
         _, out_a = mbqc.run_branch(state, pattern_a, {1: outcome})
         pattern_b = mbqc.Pattern([mbqc.PatternStep(1, basis)])
-        _, out_b = mbqc.run_branch(
-            qs.apply_single(state, 1, correction), pattern_b, {1: outcome}
-        )
+        _, out_b = mbqc.run_branch(qs.apply_operator(state, (1,), correction), pattern_b, {1: outcome})
         np.testing.assert_allclose(out_a.amplitudes, out_b.amplitudes, atol=1e-12)
 
 
@@ -203,11 +201,30 @@ def test_enumerate_rejects_too_many_measurements():
 
 def test_non_finite_basis_angle_fails_the_projection_check():
     # NaN compares false with the tolerance, so these returned probability nan.
-    pattern = mbqc.Pattern([mbqc.PatternStep(0, mbqc.MeasurementBasis(alpha=float("nan")))])
+    # A basis refuses a NaN angle when it is made; the projection check stays
+    # the second guard, here for a basis whose angle was set around that.
+    with pytest.raises(ValueError, match="basis alpha must be a finite number, got nan"):
+        mbqc.MeasurementBasis(alpha=float("nan"))
+    basis = mbqc.MeasurementBasis()
+    object.__setattr__(basis, "alpha", float("nan"))
+    pattern = mbqc.Pattern([mbqc.PatternStep(0, basis)])
     with pytest.raises(ValueError, match="projection ket must be normalised"):
         mbqc.enumerate_branches(qs.plus_state(2), pattern)
     with pytest.raises(ValueError, match="projection ket must be normalised"):
         mbqc.run_branch(qs.plus_state(2), pattern, {0: 0})
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    ["x", [1], float("nan"), float("inf"), float("-inf"), Fraction(10**400)],
+    ids=["str", "list", "nan", "inf", "minus-inf", "fraction-overflows"],
+)
+def test_basis_rejects_an_angle_that_is_not_a_finite_number(alpha):
+    # A string angle built, and a walk then failed inside basis_states with
+    # "could not convert string to float"; NaN reached the projection check.
+    with pytest.raises(ValueError) as err:
+        mbqc.MeasurementBasis(alpha=alpha, hadamard=True)
+    assert str(err.value) == f"basis alpha must be a finite number, got {alpha!r}"
 
 
 def test_adaptive_basis_sees_earlier_outcomes():

@@ -107,7 +107,7 @@ def test_fuse_repeat_after_undoing_h_changes_nothing():
     once = optics.fuse(register, 1, 2, h_on=2)
     undone = optics.PhotonRegister(
         list(once.labels),
-        qs.apply_single(once.state, once.qubit_of(2), qs.HADAMARD),
+        qs.apply_operator(once.state, (once.qubit_of(2),), qs.HADAMARD),
         once.cumulative_prob,
     )
     twice = optics.fuse(undone, 1, 2, h_on=2)
@@ -354,32 +354,60 @@ def test_recipe_repeated_json_keys_are_rejected(doc, key):
 
 
 @pytest.mark.parametrize(
-    "doc,fragment",
+    "doc,message",
     [
         ([], "top level must be an object"),
         ({"steps": {"op": "reset"}}, "'steps' must be a list"),
         ({"steps": ["reset"]}, "steps[0]: expected an object"),
-        ({"steps": [{"op": "reset", "mode": "a"}]}, "steps[0].mode: expected an integer"),
-        ({"steps": [{"op": "reset", "mode": True}]}, "steps[0].mode: expected an integer"),
-        ({"steps": [{"op": "source", "modes": [1, 2.0], "gamma": 1.0}]}, "steps[0].modes[1]"),
-        ({"steps": [{"op": "source", "modes": "ab", "gamma": 1.0}]}, "needs two modes"),
-        ({"steps": [{"op": "fuse", "modes": [1, 2], "h_on": "2"}]}, "steps[0].h_on"),
-        ({"steps": [{"op": "measure", "mode": 1, "outcome": 2}]}, "steps[0].outcome"),
-        ({"steps": [{"op": "measure", "mode": 1, "outcome": True}]}, "steps[0].outcome"),
-        ({"steps": [{"op": "measure", "mode": 1, "basis": 3}]}, "steps[0].basis"),
+        ({"steps": [{"op": "reset", "mode": "a"}]}, "steps[0]: mode must be an integer, got 'a'"),
+        ({"steps": [{"op": "reset", "mode": True}]}, "steps[0]: mode must be an integer, got True"),
+        (
+            {"steps": [{"op": "source", "modes": [1, 2.0], "gamma": 1.0}]},
+            "steps[0]: modes[1] must be an integer, got 2.0",
+        ),
+        ({"steps": [{"op": "source", "modes": "ab", "gamma": 1.0}]}, "steps[0].modes: expected a list"),
+        ({"steps": [{"op": "fuse", "modes": 3, "h_on": 3}]}, "steps[0].modes: expected a list"),
+        ({"steps": [{"op": "fuse", "modes": [1, 2], "h_on": "2"}]}, "steps[0]: h_on must be an integer, got '2'"),
+        ({"steps": [{"op": "measure", "mode": 1, "outcome": 2}]}, "steps[0]: outcome must be 0 or 1, got 2"),
+        (
+            {"steps": [{"op": "measure", "mode": 1, "outcome": True}]},
+            "steps[0]: outcome must be 0 or 1, got True",
+        ),
+        (
+            {"steps": [{"op": "measure", "mode": 1, "basis": 3}]},
+            'steps[0].basis: expected "computational" or an object',
+        ),
         (
             {"steps": [{"op": "measure", "mode": 1, "basis": {"hadamard": 1}}]},
-            "steps[0].basis.hadamard",
+            "steps[0].basis.hadamard: expected true or false",
         ),
-        ({"steps": [{"op": "rotate", "mode": 1}]}, "steps[0]: rotate needs an angle"),
-        ({"steps": [{"op": "rotate", "mode": 1, "angle": "x"}]}, "steps[0].angle"),
-        ({"steps": [{"op": "source", "modes": [1, 2], "gamma": [1]}]}, "steps[0].gamma"),
+        ({"steps": [{"op": "rotate", "mode": 1}]}, "steps[0]: rotate needs angle"),
+        ({"steps": [{"op": "rotate", "angle": 1.0}]}, "steps[0]: rotate needs one mode"),
+        (
+            {"steps": [{"op": "rotate", "mode": 1, "angle": "x"}]},
+            "steps[0].angle: expected {pi_num, pi_den} or a number",
+        ),
+        (
+            {"steps": [{"op": "source", "modes": [1, 2], "gamma": [1]}]},
+            "steps[0].gamma: expected {pi_num, pi_den} or a number",
+        ),
+        ({"steps": [{"op": ["reset"], "mode": 1}]}, "steps[0]: unknown op ['reset']"),
     ],
+    # The docN ids are the ones pytest generated when each case asserted a fragment.
+    ids=["doc0-top level must be an object", "doc1-'steps' must be a list",
+         "doc2-steps[0]: expected an object", "doc3-steps[0].mode: expected an integer",
+         "doc4-steps[0].mode: expected an integer", "doc5-steps[0].modes[1]",
+         "doc6-needs two modes", "modes-int", "doc7-steps[0].h_on", "doc8-steps[0].outcome",
+         "doc9-steps[0].outcome", "doc10-steps[0].basis", "doc11-steps[0].basis.hadamard",
+         "doc12-steps[0]: rotate needs an angle", "rotate-no-mode", "doc13-steps[0].angle",
+         "doc14-steps[0].gamma", "op-list"],
 )
-def test_recipe_json_field_errors(doc, fragment):
+def test_recipe_json_field_errors(doc, message):
+    # Each message is RecipeStep's own, after the step index, or the reader's
+    # for a JSON shape; an op that is not a string once reached a dict lookup.
     with pytest.raises(optics.RecipeError) as err:
         optics.steps_from_json(json.dumps(doc))
-    assert fragment in str(err.value)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -445,9 +473,9 @@ def test_recipe_json_rejects_fields_the_op_ignores(step, key):
         (lambda: optics.RecipeStep("measure", (1,), outcome=2), "outcome must be 0 or 1, got 2"),
         (lambda: optics.RecipeStep("measure", (1,), outcome=True), "outcome must be 0 or 1"),
         (lambda: optics.RecipeStep("measure", (1,), basis="computational"), "MeasurementBasis"),
-        (lambda: optics.RecipeStep("reset", ("a",)), r"modes\[0\] must be an integer, got 'a'"),
-        (lambda: optics.RecipeStep("reset", (True,)), r"modes\[0\] must be an integer, got True"),
-        (lambda: optics.RecipeStep("reset", (1.0,)), r"modes\[0\] must be an integer, got 1.0"),
+        (lambda: optics.RecipeStep("reset", ("a",)), "mode must be an integer, got 'a'"),
+        (lambda: optics.RecipeStep("reset", (True,)), "mode must be an integer, got True"),
+        (lambda: optics.RecipeStep("reset", (1.0,)), "^mode must be an integer, got 1.0"),
         (lambda: optics.RecipeStep("fuse", (1, "b"), h_on=1), r"modes\[1\] must be an integer"),
         (lambda: optics.RecipeStep("fuse", (1, 2), h_on="2"), "h_on must be an integer, got '2'"),
         (lambda: optics.RecipeStep("fuse", (1, 2), h_on=True), "h_on must be an integer, got True"),

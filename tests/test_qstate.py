@@ -28,25 +28,25 @@ def test_plus_state_range(n):
 
 
 def test_apply_single_hadamard():
-    out = qs.apply_single(qs.basis_state(1, 0), 0, qs.HADAMARD)
+    out = qs.apply_operator(qs.basis_state(1, 0), (0,), qs.HADAMARD)
     np.testing.assert_allclose(out.amplitudes, qs.KET_PLUS, atol=1e-15)
 
 
 def test_apply_single_rz_phase():
     # diag(1, e^{-i a}) on |1> for a = pi/2 gives amplitude -i
-    out = qs.apply_single(qs.basis_state(1, 1), 0, qs.rz(-np.pi / 2))
+    out = qs.apply_operator(qs.basis_state(1, 1), (0,), qs.rz(-np.pi / 2))
     np.testing.assert_allclose(out.amplitudes, [0, -1j], atol=1e-15)
 
 
 def test_apply_single_x_fixes_plus():
     plus = qs.plus_state(1)
-    out = qs.apply_single(plus, 0, qs.PAULI_X)
+    out = qs.apply_operator(plus, (0,), qs.PAULI_X)
     np.testing.assert_allclose(out.amplitudes, plus.amplitudes, atol=1e-15)
 
 
 def test_qubit_zero_is_least_significant():
     # X on qubit 0 of a 2-qubit register maps |00> to |01> (index 1)
-    out = qs.apply_single(qs.basis_state(2, 0), 0, qs.PAULI_X)
+    out = qs.apply_operator(qs.basis_state(2, 0), (0,), qs.PAULI_X)
     np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
 
 
@@ -139,7 +139,7 @@ def test_unitaries_preserve_norm():
     for _ in range(20):
         mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         unitary, _ = np.linalg.qr(mat)
-        state = qs.apply_single(state, int(rng.integers(4)), unitary)
+        state = qs.apply_operator(state, (int(rng.integers(4)),), unitary)
         state = qs.apply_cz_theta(state, 0, 3, float(rng.uniform(0, 6)))
     assert abs(state.norm_sq - 1) < 1e-12
 
@@ -197,7 +197,7 @@ def test_reorder_qubits_permutation():
 
 
 def test_reconstruct_hadamard():
-    op = qs.reconstruct_operator(lambda s: qs.apply_single(s, 0, qs.HADAMARD), 1)
+    op = qs.reconstruct_operator(lambda s: qs.apply_operator(s, (0,), qs.HADAMARD), 1)
     np.testing.assert_allclose(op, qs.HADAMARD, atol=1e-15)
 
 

@@ -1159,3 +1159,54 @@ def test_variant_validation():
         tf.ResourceVariant("six", theta=Fraction(0))
     with pytest.raises(ValueError, match="theta: expected a finite number"):
         tf.ResourceVariant("six", theta=Fraction(10**400, 3))  # radians overflow a float
+
+
+def test_linking_byproducts_are_stored_as_tuples():
+    # A list once built and then failed in LinkingFrames: unhashable type.
+    linking = tf.LinkingByproducts(sx=[0, 1, 0], sz=[1, 0, 0])
+    assert (linking.sx, linking.sz) == ((0, 1, 0), (1, 0, 0))
+    assert linking == tf.LinkingByproducts((0, 1, 0), (1, 0, 0))
+    frames = tf.LinkingFrames(tf.ResourceVariant("six"), linking)
+    assert frames.local_mask().shape == (8,)
+
+
+@pytest.mark.parametrize(
+    "name,bits",
+    [
+        ("sx", (0, 1.0, 0)),
+        ("sz", (True, 0, 0)),
+        ("sx", (0, 2, 0)),
+        ("sz", (0, 1)),
+        ("sx", "010"),
+        ("sz", 5),
+    ],
+    ids=["float", "bool", "two", "short", "str", "int"],
+)
+def test_linking_byproducts_reject_bits_that_are_not_int_zero_or_one(name, bits):
+    # (0, 1.0, 0) passed the ``in (0, 1)`` test and failed at ``^`` later.
+    with pytest.raises(ValueError) as err:
+        tf.LinkingByproducts(**{name: bits})
+    assert str(err.value) == f"{name} must be three bits, each the int 0 or 1, got {bits!r}"
+
+
+@pytest.mark.parametrize("part", ["x", "z"])
+def test_spec_rejects_a_sigma_word_that_its_nonlocal_word_replaces(part):
+    # On six's non-local rows the c2 word is nonlocal_words["c2"], and on its
+    # local rows the bit of vertex 2 is 0, so either toggle changed nothing.
+    six = tf.VARIANT_SPECS["six"]
+    word = dataclasses.replace(six.sigma["c2"], **{part: (six.nonlocal_vertex,)})
+    with pytest.raises(ValueError, match=r"sigma\['c2'\] reads nonlocal_vertex 2"):
+        dataclasses.replace(six, sigma={**six.sigma, "c2": word})
+    with pytest.raises(ValueError, match="nonlocal_vertex and nonlocal_words come together"):
+        dataclasses.replace(six, nonlocal_words={})
+
+
+def test_nonlocal_rows_read_the_nonlocal_word_from_the_spec(monkeypatch):
+    # Without linking, a non-local row's c2 word is nonlocal_words["c2"] with
+    # k in units of theta/2: Rz(-theta/2) for six, k = -1 at theta = pi/2.
+    variant = tf.ResourceVariant("six", Fraction(1, 2))
+    outcomes = {1: 0, 2: 1, 3: 0}
+    assert tf.predicted_sigma(variant, outcomes).words["c2"] == mbqc.make_word(k=-1)
+    six = tf.VARIANT_SPECS["six"]
+    monkeypatch.setitem(tf.VARIANT_SPECS, "six", dataclasses.replace(six, nonlocal_words={"c2": (1, 0, 3)}))
+    assert tf.predicted_sigma(variant, outcomes).words["c2"] == mbqc.make_word(1, 0, 3)

@@ -30,6 +30,9 @@ documented exit code:
   measure and fuse recipes, recipes that use a mode they never created or
   create one twice, too many live modes, unparsable recipes and a
   missing file;
+* ``optics run --recipe`` on recipes with one bad field: a ``rotate``
+  without an angle, a string ``mode``, ``modes`` that is not a list and
+  an ``op`` that is not a string (these cases come last);
 * a ``--json`` path that cannot be written (a missing directory, a
   directory).
 
@@ -195,6 +198,15 @@ RECIPES = {
     "bad_outcome.json": {"steps": [{"op": "reset", "mode": 1}, {"op": "measure", "mode": 1, "outcome": 2}]},
 }
 
+# Recipes with one bad field. Their cases come after all the others, so
+# the earlier records keep their places.
+FIELD_RECIPES = {
+    "rotate_no_angle.json": {"steps": [{"op": "reset", "mode": 1}, {"op": "rotate", "mode": 1}]},
+    "mode_string.json": {"steps": [{"op": "reset", "mode": "1"}]},
+    "modes_not_list.json": {"steps": [{"op": "source", "modes": 12, "gamma": 1.0}]},
+    "op_not_string.json": {"steps": [{"op": ["reset"], "mode": 1}]},
+}
+
 RAW_FILES = {
     "broken.json": b'{"vertices": 2,',
     "latin1.json": b'{"vertices": 2, "edges": [], "note": "\xe9"}',
@@ -202,7 +214,7 @@ RAW_FILES = {
 
 
 def write_fixtures():
-    for name, doc in {**GRAPHS, **INPUTS, **RECIPES}.items():
+    for name, doc in {**GRAPHS, **INPUTS, **RECIPES, **FIELD_RECIPES}.items():
         with open(name, "w") as handle:
             json.dump(doc, handle)
     for name, data in RAW_FILES.items():
@@ -274,6 +286,7 @@ CASES = [
     ["optics", "run", "--recipe", "missing.json"],
     ["toffoli", "success", "--variant", "six", "--json", "no_such_dir/report.json"],
     ["toffoli", "run", "--variant", "six", "--json", "."],
+    *(["optics", "run", "--recipe", name] for name in FIELD_RECIPES),
 ]
 
 

@@ -38,9 +38,10 @@ def normalized(angle: Angle) -> Angle:
 
 
 def is_zero(angle: Angle, tol: float = 1e-15) -> bool:
+    """Whether ``angle`` is 0 modulo 2*pi; a rational one is read exactly, not reduced."""
+    if isinstance(angle, Fraction):
+        return angle.denominator == 1 and angle.numerator % 2 == 0
     norm = normalized(angle)
-    if isinstance(norm, Fraction):
-        return norm == 0
     return norm < tol or TWO_PI - norm < tol
 
 

@@ -7,7 +7,10 @@ Measurement bases
 (``+``) ket. With ``hadamard=True`` the kets are pushed through H, which
 is the variant used by the three-qubit phase-gate gadget. An ``absorbed``
 correction R turns the kets into ``R^dagger |.>``, i.e. measuring is then
-equivalent to applying R to the qubit first.
+equivalent to applying R to the qubit first. ``basis_states`` computes a
+basis object's two kets on first use and keeps them on that object, read
+only, so equal bases built apart keep their own kets; ``absorbed`` is
+stored as a private read-only copy, which keeps them from going stale.
 
 Byproduct frames
 ----------------
@@ -25,10 +28,9 @@ always returns a fresh array.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -65,26 +67,33 @@ class MeasurementBasis:
             angles._finite(self.alpha, "alpha")
         except (TypeError, ValueError):
             raise ValueError(f"basis alpha must be a finite number, got {self.alpha!r}") from None
+        if type(self.hadamard) is not bool:
+            raise ValueError(f"basis hadamard must be True or False, got {self.hadamard!r}")
         if self.absorbed is not None:
-            object.__setattr__(self, "absorbed", np.asarray(self.absorbed, dtype=complex))
-            if self.absorbed.shape != (2, 2):
+            absorbed = np.array(self.absorbed, dtype=complex)
+            if absorbed.shape != (2, 2):
                 raise ValueError("absorbed correction must be a 2x2 matrix")
+            object.__setattr__(self, "absorbed", _read_only(absorbed))
+
+    @cached_property
+    def _kets(self) -> tuple[np.ndarray, np.ndarray]:
+        phase = np.exp(1j * angles.radians(self.alpha))
+        plus = np.array([1, phase], dtype=complex) / np.sqrt(2)
+        minus = np.array([1, -phase], dtype=complex) / np.sqrt(2)
+        if self.hadamard:
+            plus, minus = HADAMARD @ plus, HADAMARD @ minus
+        if self.absorbed is not None:
+            rdag = self.absorbed.conj().T
+            plus, minus = rdag @ plus, rdag @ minus
+        return _read_only(plus), _read_only(minus)
 
 
 COMPUTATIONAL = MeasurementBasis(alpha=Fraction(0), hadamard=True)
 
 
 def basis_states(basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Projection kets for outcomes 0 and 1."""
-    phase = np.exp(1j * angles.radians(basis.alpha))
-    plus = np.array([1, phase], dtype=complex) / np.sqrt(2)
-    minus = np.array([1, -phase], dtype=complex) / np.sqrt(2)
-    if basis.hadamard:
-        plus, minus = HADAMARD @ plus, HADAMARD @ minus
-    if basis.absorbed is not None:
-        rdag = basis.absorbed.conj().T
-        plus, minus = rdag @ plus, rdag @ minus
-    return plus, minus
+    """Projection kets for outcomes 0 and 1, the same read-only pair at every call."""
+    return basis._kets
 
 
 BasisLike = Union[MeasurementBasis, Callable[[OutcomeBits], MeasurementBasis]]
@@ -240,9 +249,17 @@ def outcome_prefixes(vertices) -> list[OutcomeBits]:
     """Outcome dicts over ``vertices`` in ``itertools.product`` order.
 
     This is the one outcome order: dict i spells i in binary, its first
-    vertex on the most significant bit.
+    vertex on the most significant bit. Every call returns new dicts.
     """
-    return [dict(zip(vertices, bits)) for bits in itertools.product((0, 1), repeat=len(vertices))]
+    prefixes = [{}]
+    for vertex in vertices:  # each dict is new, so it serves as its own 0 child
+        level = []
+        for zero in prefixes:
+            one = zero.copy()
+            zero[vertex], one[vertex] = 0, 1
+            level += (zero, one)
+        prefixes = level
+    return prefixes
 
 
 def outcome_row(vertices, outcomes: OutcomeBits) -> int:

@@ -87,6 +87,9 @@ class RecipeStep:
     def __post_init__(self):
         keys = _op_keys(self.op)  # the fields the op runs with
         two = "modes" in keys
+        if not isinstance(self.modes, (list, tuple)):
+            raise RecipeError(f"modes must be a list or tuple, got {self.modes!r}")
+        object.__setattr__(self, "modes", tuple(self.modes))  # hashable, equal to its JSON read
         if len(self.modes) != 1 + two:
             raise RecipeError(f"{self.op} needs {'two modes' if two else 'one mode'}")
         # Plain ints, as the JSON reader yields (no bool, no float), so that

@@ -523,8 +523,7 @@ def _step_bases(variant: ResourceVariant) -> tuple[tuple[BasisLike, BasisLike], 
             if names not in made:
                 absorbed = None
                 if names:
-                    absorbed = np.array(reduce(np.matmul, map(corrections.get, names)))
-                    absorbed.flags.writeable = False
+                    absorbed = reduce(np.matmul, map(corrections.get, names))
                 made[names] = MeasurementBasis(step.quarters * theta / 4, step.hadamard, absorbed)
         if step.trigger is None:
             table.append((made[()], made[odd]))

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +204,15 @@ def test_theta_normalised_mod_two_pi():
     assert graph.edges[(0, 1)] == Fraction(1, 4)
     with pytest.raises(gs.GraphFormatError):
         gs.WeightedGraph(2, [(0, 1, Fraction(2))])
+
+
+@pytest.mark.parametrize(
+    "theta", [Fraction(-2), Fraction(0), Fraction(4), Fraction(6, 3), 2 * math.pi, -4 * math.pi]
+)
+def test_edge_weight_zero_modulo_two_pi_is_rejected(theta):
+    # A rational angle is tested for 0 mod 2 from its numerator and denominator.
+    with pytest.raises(gs.GraphFormatError, match="weight 0"):
+        gs.WeightedGraph(2, [(0, 1, theta)])
 
 
 def test_input_assignment_roles():

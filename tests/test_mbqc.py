@@ -46,6 +46,48 @@ def test_basis_orthonormal():
         assert abs(np.vdot(plus, minus)) < 1e-12
 
 
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        mbqc.MeasurementBasis(0.7),
+        mbqc.MeasurementBasis(Fraction(-1, 3)),
+        mbqc.MeasurementBasis(Fraction(1, 4), hadamard=True),
+        mbqc.MeasurementBasis(Fraction(1, 4), True, np.array([[0, 1j], [1, 0]])),
+    ],
+    ids=["float", "fraction", "hadamard", "absorbed"],
+)
+def test_basis_kets_are_computed_once_and_read_only(basis):
+    kets = mbqc.basis_states(basis)
+    assert mbqc.basis_states(basis) is kets
+    twin = mbqc.MeasurementBasis(basis.alpha, basis.hadamard, basis.absorbed)
+    for ket, fresh in zip(kets, mbqc.basis_states(twin)):
+        assert ket is not fresh  # cached per object, not by value
+        assert ket.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            ket[0] = 0
+
+
+def test_basis_keeps_its_own_copy_of_the_absorbed_correction():
+    source = np.array([[0, 1], [1, 0]], dtype=complex)
+    basis = mbqc.MeasurementBasis(Fraction(1, 4), absorbed=source)
+    kets = [ket.copy() for ket in mbqc.basis_states(basis)]
+    source[:] = np.eye(2)
+    assert basis.absorbed is not source and not basis.absorbed.flags.writeable
+    assert np.array_equal(basis.absorbed, [[0, 1], [1, 0]])
+    for ket, now in zip(kets, mbqc.basis_states(basis)):
+        assert ket.tobytes() == now.tobytes()
+
+
+@pytest.mark.parametrize("hadamard", ["yes", 1, None])
+def test_basis_rejects_a_hadamard_that_is_not_a_bool(hadamard):
+    # "yes" measured as True, and steps_to_json then wrote a document that
+    # steps_from_json rejects.
+    with pytest.raises(ValueError) as err:
+        mbqc.MeasurementBasis(Fraction(1, 4), hadamard=hadamard)
+    assert str(err.value) == f"basis hadamard must be True or False, got {hadamard!r}"
+
+
 # --- single-wire teleportation ---
 
 
@@ -146,6 +188,27 @@ def test_outcome_row_inverts_outcome_prefixes():
     assert rows == list(range(8))
     assert mbqc.outcome_row(vertices, {7: 1, 3: 1, 1: 0}) == 0b101
 
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_outcome_prefixes_follow_the_product_order(m):
+    vertices = random.Random(m).sample(range(20), m)
+    expected = [dict(zip(vertices, bits)) for bits in itertools.product((0, 1), repeat=m)]
+    prefixes = mbqc.outcome_prefixes(vertices)
+    assert prefixes == expected
+    assert [list(outcomes) for outcomes in prefixes] == [list(outcomes) for outcomes in expected]
+
+
+def test_outcome_prefixes_are_new_dicts_at_every_call():
+    vertices = (3, 1, 7)
+    first = mbqc.outcome_prefixes(vertices)
+    for outcomes in first:
+        outcomes[3] = 5
+        outcomes[9] = 1
+    assert len({id(outcomes) for outcomes in first}) == 8
+    again = mbqc.outcome_prefixes(vertices)
+    assert again == [dict(zip(vertices, bits)) for bits in itertools.product((0, 1), repeat=3)]
+    assert mbqc.outcome_prefixes(()) == [{}] and mbqc.outcome_prefixes(()) is not first
 
 def test_enumerate_keeps_zero_branches():
     pattern = mbqc.Pattern([mbqc.PatternStep(0, mbqc.MeasurementBasis())])

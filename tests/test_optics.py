@@ -500,6 +500,21 @@ def test_recipe_step_rejects_a_step_its_op_cannot_run(make, message):
         make()
 
 
+def test_recipe_step_stores_its_modes_as_a_tuple():
+    # A list was kept as given: the step could not be hashed and compared
+    # unequal to the step its own document reads back as.
+    step = optics.RecipeStep("reset", [1])
+    assert step.modes == (1,) and type(step.modes) is tuple
+    assert hash(step) == hash(optics.RecipeStep("reset", (1,)))
+    assert optics.steps_from_json(optics.steps_to_json([step])) == [step]
+
+
+@pytest.mark.parametrize("modes", [5, "12", {1, 2}, None], ids=["int", "str", "set", "none"])
+def test_recipe_step_rejects_modes_that_are_not_a_list_or_tuple(modes):
+    with pytest.raises(optics.RecipeError) as err:
+        optics.RecipeStep("reset", modes)
+    assert str(err.value) == f"modes must be a list or tuple, got {modes!r}"
+
 @pytest.mark.parametrize(
     "step,message",
     [

@@ -5,12 +5,14 @@ Measurement bases
 ``MeasurementBasis(alpha)`` measures in ``{(|0> + e^{i*alpha}|1>)/sqrt(2),
 (|0> - e^{i*alpha}|1>)/sqrt(2)}``; outcome 0 always refers to the first
 (``+``) ket. With ``hadamard=True`` the kets are pushed through H, which
-is the variant used by the three-qubit phase-gate gadget. An ``absorbed``
-correction R turns the kets into ``R^dagger |.>``, i.e. measuring is then
-equivalent to applying R to the qubit first. ``basis_states`` computes a
+is the variant used by the three-qubit phase-gate gadget. A basis is the
+value ``(alpha, hadamard)``: it compares and hashes by value. A
+correction applied just before a measurement folds into its angle
+instead (``toffoli._step_bases``): X on a plain basis, or Z on an H
+basis, negates alpha; Z on a plain basis, or X on an H basis, adds pi;
+Rz(beta) on a plain basis subtracts beta. ``basis_states`` computes a
 basis object's two kets on first use and keeps them on that object, read
-only, so equal bases built apart keep their own kets; ``absorbed`` is
-stored as a private read-only copy, which keeps them from going stale.
+only, so equal bases built apart keep their own kets.
 
 Byproduct frames
 ----------------
@@ -56,11 +58,10 @@ MAX_PATTERN_QUBITS = 16
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Frozen, since programs share their bases (``toffoli._step_bases``)."""
+    """The basis ``B(alpha)``, through H with ``hadamard``; a frozen, hashable value."""
 
     alpha: Angle = Fraction(0)
     hadamard: bool = False
-    absorbed: np.ndarray | None = None
 
     def __post_init__(self):
         try:  # NaN, +-inf, a Fraction whose radians overflow, or no number at all
@@ -69,11 +70,6 @@ class MeasurementBasis:
             raise ValueError(f"basis alpha must be a finite number, got {self.alpha!r}") from None
         if type(self.hadamard) is not bool:
             raise ValueError(f"basis hadamard must be True or False, got {self.hadamard!r}")
-        if self.absorbed is not None:
-            absorbed = np.array(self.absorbed, dtype=complex)
-            if absorbed.shape != (2, 2):
-                raise ValueError("absorbed correction must be a 2x2 matrix")
-            object.__setattr__(self, "absorbed", _read_only(absorbed))
 
     @cached_property
     def _kets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -82,9 +78,6 @@ class MeasurementBasis:
         minus = np.array([1, -phase], dtype=complex) / np.sqrt(2)
         if self.hadamard:
             plus, minus = HADAMARD @ plus, HADAMARD @ minus
-        if self.absorbed is not None:
-            rdag = self.absorbed.conj().T
-            plus, minus = rdag @ plus, rdag @ minus
         return _read_only(plus), _read_only(minus)
 
 

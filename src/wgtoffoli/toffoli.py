@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +76,6 @@ from .qstate import (
     apply_matrix,
     kron_all,
     norms_sq,
-    rz,
 )
 from .verify import is_local, unit_scale
 
@@ -161,16 +160,24 @@ class LinkingByproducts:
 
 NO_LINKING = LinkingByproducts()
 
+# What applying each correction before a plain B(alpha) makes of alpha, in units of pi. On an
+# H step X and Z trade (X H = H Z); an Rz does not fold. Danos, Kashefi & Panangaden, J. ACM 2007.
+CORRECTIONS = {"X": lambda alpha, theta: -alpha, "Z": lambda alpha, theta: alpha + 1,
+               "Rz(theta/2)": lambda alpha, theta: alpha - theta / 2,
+               "Rz(-theta/2)": lambda alpha, theta: alpha + theta / 2}
+_H_CORRECTIONS = {"X": CORRECTIONS["Z"], "Z": CORRECTIONS["X"]}
+
 
 @dataclass(frozen=True)
 class Step:
     """One measurement of a schedule.
 
     The basis is ``B(quarters * theta/4)``, pushed through H when
-    ``hadamard`` is set. The correction named ``static`` is absorbed when
-    the inherited sx bits of the wires in ``when`` have odd parity. With a
-    ``trigger`` vertex the basis adapts: outcome 1 there multiplies the
-    correction named ``conditional`` onto the static one.
+    ``hadamard`` is set. The correction named ``static`` folds into the
+    angle when the inherited sx bits of the wires in ``when`` have odd
+    parity. With a ``trigger`` vertex the basis adapts: outcome 1 there
+    folds the correction named ``conditional`` in after the static one.
+    Both name a ``CORRECTIONS`` entry; an Rz does not fold on an H step.
     """
 
     vertex: int
@@ -187,6 +194,12 @@ class Step:
             raise ValueError(f"step on vertex {self.vertex}: static and when come together")
         if (self.trigger is None) != (self.conditional is None):
             raise ValueError(f"step on vertex {self.vertex}: trigger and conditional come together")
+        folds = _H_CORRECTIONS if self.hadamard else CORRECTIONS
+        for name in (self.static, self.conditional):
+            if name is not None and name not in folds:
+                kind = "an H" if self.hadamard else "a plain"
+                where = f"step on vertex {self.vertex}: correction {name!r}"
+                raise ValueError(f"{where} does not fold into {kind} basis")
 
 
 @dataclass(frozen=True)
@@ -480,7 +493,7 @@ def _check_recoverable(variant: ResourceVariant, linking: LinkingByproducts):
 def measurement_program(
     variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING
 ) -> Pattern:
-    """Measurement order, angles and absorbed corrections for one run.
+    """Measurement order and angles, with their corrections folded in, for one run.
 
     Each step picks one of its two bases in ``_step_bases`` by the parity
     of its ``when`` bits of sx, so programs for different sx share their
@@ -498,40 +511,33 @@ def measurement_program(
 def _step_bases(variant: ResourceVariant) -> tuple[tuple[BasisLike, BasisLike], ...]:
     """Each schedule step's basis for an even and an odd ``when`` parity.
 
-    One ``MeasurementBasis`` is built per step and product of absorbed
-    corrections, its ``absorbed`` array read-only, and a step with a
-    trigger adapts between two of them (``_adaptive``), its conditional
-    correction multiplied after the static one. Where both are set they
-    are the same Pauli, so their product is the identity; it stays a
-    computed product because the kets it yields differ from unabsorbed
-    kets in the signs of their zeros. Equal products share one basis, so
-    seven's untriggered odd-parity X basis is its triggered even one.
+    Each basis folds the step's corrections into its exact angle through
+    ``CORRECTIONS``, the static one first and then the conditional one,
+    as applying ``static @ conditional`` before the measurement would. A
+    step with a trigger adapts between two bases (``_adaptive``). Equal
+    bases of a step are one object, so seven's X.X basis is its bare one.
     """
-    theta = variant.theta
-    corrections = {
-        "X": PAULI_X,
-        "Z": PAULI_Z,
-        "Rz(-theta/2)": rz(angles.radians(-theta / 2)),
-        "Rz(theta/2)": rz(angles.radians(theta / 2)),
-    }
     table = []
     for step in variant.spec.schedule:
         odd = (step.static,) if step.static else ()
         extra = (step.conditional,) if step.trigger is not None else ()
-        made = {}
-        for names in ((), odd, extra, odd + extra):
-            if names not in made:
-                absorbed = None
-                if names:
-                    absorbed = reduce(np.matmul, map(corrections.get, names))
-                made[names] = MeasurementBasis(step.quarters * theta / 4, step.hadamard, absorbed)
+        made = [_folded(step, variant.theta, names) for names in ((), odd, extra, odd + extra)]
+        bare, static, met, both = [made[made.index(basis)] for basis in made]
         if step.trigger is None:
-            table.append((made[()], made[odd]))
+            table.append((bare, static))
         else:
-            even = _adaptive(step.trigger, made[()], made[extra])
-            odd_basis = _adaptive(step.trigger, made[odd], made[odd + extra]) if odd else even
-            table.append((even, odd_basis))
+            even = _adaptive(step.trigger, bare, met)
+            table.append((even, _adaptive(step.trigger, static, both) if odd else even))
     return tuple(table)
+
+
+def _folded(step: Step, theta: Fraction, names: tuple[str, ...]) -> MeasurementBasis:
+    """``step``'s basis with the corrections ``names`` folded into its angle, first to last."""
+    folds = _H_CORRECTIONS if step.hadamard else CORRECTIONS
+    alpha = step.quarters * theta / 4
+    for name in names:
+        alpha = folds[name](alpha, theta)
+    return MeasurementBasis(alpha, step.hadamard)
 
 
 def _adaptive(trigger_vertex: int, untriggered: MeasurementBasis, triggered: MeasurementBasis):

@@ -53,30 +53,18 @@ def test_basis_orthonormal():
         mbqc.MeasurementBasis(0.7),
         mbqc.MeasurementBasis(Fraction(-1, 3)),
         mbqc.MeasurementBasis(Fraction(1, 4), hadamard=True),
-        mbqc.MeasurementBasis(Fraction(1, 4), True, np.array([[0, 1j], [1, 0]])),
     ],
-    ids=["float", "fraction", "hadamard", "absorbed"],
+    ids=["float", "fraction", "hadamard"],
 )
 def test_basis_kets_are_computed_once_and_read_only(basis):
     kets = mbqc.basis_states(basis)
     assert mbqc.basis_states(basis) is kets
-    twin = mbqc.MeasurementBasis(basis.alpha, basis.hadamard, basis.absorbed)
+    twin = mbqc.MeasurementBasis(basis.alpha, basis.hadamard)
     for ket, fresh in zip(kets, mbqc.basis_states(twin)):
         assert ket is not fresh  # cached per object, not by value
         assert ket.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
             ket[0] = 0
-
-
-def test_basis_keeps_its_own_copy_of_the_absorbed_correction():
-    source = np.array([[0, 1], [1, 0]], dtype=complex)
-    basis = mbqc.MeasurementBasis(Fraction(1, 4), absorbed=source)
-    kets = [ket.copy() for ket in mbqc.basis_states(basis)]
-    source[:] = np.eye(2)
-    assert basis.absorbed is not source and not basis.absorbed.flags.writeable
-    assert np.array_equal(basis.absorbed, [[0, 1], [1, 0]])
-    for ket, now in zip(kets, mbqc.basis_states(basis)):
-        assert ket.tobytes() == now.tobytes()
 
 
 @pytest.mark.parametrize("hadamard", ["yes", 1, None])
@@ -162,20 +150,37 @@ def test_gadget_needs_hadamard_composed_kets():
 
 
 def test_correction_absorption():
-    # measuring with absorbed R equals applying R first, branch by branch
+    # For each fold rule, on a plain and an H step: measuring in B(fold(alpha))
+    # equals applying the correction and then measuring in B(alpha), branch
+    # by branch, up to one global phase per outcome.
     rng = np.random.default_rng(43)
-    correction, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    theta = rng.uniform(-2, 2)  # in units of pi, as the Rz rules read it
+    matrices = {
+        "X": qs.PAULI_X,
+        "Z": qs.PAULI_Z,
+        "Rz(theta/2)": qs.rz(theta * np.pi / 2),
+        "Rz(-theta/2)": qs.rz(-theta * np.pi / 2),
+    }
     psi = random_state(rng, 2)
     chain = WeightedGraph(3, [(0, 1, MAXIMAL), (1, 2, MAXIMAL)])
     state = build_state_with_input(chain, psi, (2, 0))
-    basis = mbqc.MeasurementBasis(Fraction(1, 4), hadamard=True)
-    absorbed = mbqc.MeasurementBasis(Fraction(1, 4), hadamard=True, absorbed=correction)
-    for outcome in (0, 1):
-        pattern_a = mbqc.Pattern([mbqc.PatternStep(1, absorbed)])
-        _, out_a = mbqc.run_branch(state, pattern_a, {1: outcome})
-        pattern_b = mbqc.Pattern([mbqc.PatternStep(1, basis)])
-        _, out_b = mbqc.run_branch(qs.apply_operator(state, (1,), correction), pattern_b, {1: outcome})
-        np.testing.assert_allclose(out_a.amplitudes, out_b.amplitudes, atol=1e-12)
+    checked = 0
+    for hadamard, folds in ((False, toffoli.CORRECTIONS), (True, toffoli._H_CORRECTIONS)):
+        for name, fold in folds.items():
+            corrected = qs.apply_operator(state, (1,), matrices[name])
+            for alpha in rng.uniform(-2, 2, size=3):
+                folded = fold(alpha, theta) * np.pi
+                pattern_a = mbqc.Pattern([mbqc.PatternStep(1, mbqc.MeasurementBasis(folded, hadamard))])
+                pattern_b = mbqc.Pattern([mbqc.PatternStep(1, mbqc.MeasurementBasis(alpha * np.pi, hadamard))])
+                for outcome in (0, 1):
+                    _, out_a = mbqc.run_branch(state, pattern_a, {1: outcome})
+                    _, out_b = mbqc.run_branch(corrected, pattern_b, {1: outcome})
+                    a, b = out_a.amplitudes, out_b.amplitudes
+                    phase = np.vdot(a, b) / np.vdot(a, a)
+                    assert abs(abs(phase) - 1) < 1e-12, (name, hadamard)
+                    np.testing.assert_allclose(phase * a, b, atol=1e-12, err_msg=f"{name} {hadamard}")
+            checked += 1
+    assert checked == 6  # four rules on a plain step, X and Z on an H step
 
 
 # --- branch enumeration ---
@@ -325,7 +330,6 @@ def mixed_pattern_state():
         ],
     )
     state = build_state_with_input(graph, random_state(rng, 2), (4, 1))
-    correction, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
 
     def adaptive(seen):
         assert list(seen) == [4, 1, 5]
@@ -335,7 +339,7 @@ def mixed_pattern_state():
     pattern = mbqc.Pattern(
         [
             mbqc.PatternStep(4, mbqc.MeasurementBasis(Fraction(1, 4), hadamard=True)),
-            mbqc.PatternStep(1, mbqc.MeasurementBasis(0.7, absorbed=correction)),
+            mbqc.PatternStep(1, mbqc.MeasurementBasis(-2.3)),
             mbqc.PatternStep(5, mbqc.MeasurementBasis()),
             mbqc.PatternStep(0, adaptive),
         ]
@@ -425,7 +429,7 @@ def block_patterns():
     callable's calls.
     """
     shared_fixed = mbqc.MeasurementBasis(Fraction(1, 4), True)
-    own_fixed = mbqc.MeasurementBasis(Fraction(-1, 3), False, qs.PAULI_X)
+    own_fixed = mbqc.MeasurementBasis(Fraction(1, 3))
     calls = []
     flipped, plain = mbqc.MeasurementBasis(Fraction(1, 2)), mbqc.MeasurementBasis(Fraction(-1, 2))
 

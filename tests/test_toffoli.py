@@ -15,7 +15,7 @@ from reference import (
     uniformity_draws,
 )
 
-from wgtoffoli import mbqc
+from wgtoffoli import mbqc, optics
 from wgtoffoli import qstate as qs
 from wgtoffoli import toffoli as tf
 from wgtoffoli import verify
@@ -176,22 +176,44 @@ def test_schedule_step_rejects_a_field_without_its_partner(fields, message):
     tf.Step(3, static="Z", when=("c1",), trigger=2, conditional="X")
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"static": "Y", "when": ("c1",)}, "Y"),
+        ({"trigger": 2, "conditional": "H"}, "H"),
+        ({"static": "Rz(theta/4)", "when": ("c2",)}, "Rz(theta/4)"),
+        ({"hadamard": True, "static": "Rz(theta/2)", "when": ("c2",)}, "Rz(theta/2)"),
+        ({"hadamard": True, "trigger": 2, "conditional": "Rz(-theta/2)"}, "Rz(-theta/2)"),
+    ],
+    ids=["static-Y", "conditional-H", "static-Rz-quarter", "static-Rz-on-H", "conditional-Rz-on-H"],
+)
+def test_schedule_step_rejects_a_correction_that_does_not_fold(fields, name):
+    # A name outside the table used to build and then measure with no
+    # correction at all; an Rz on an H step is an Rx on the plain basis.
+    with pytest.raises(ValueError) as err:
+        tf.Step(3, **fields)
+    assert str(err.value).startswith(f"step on vertex 3: correction {name!r} does not fold into ")
+    for name in tf.CORRECTIONS:
+        tf.Step(3, static=name, when=("c1",), trigger=2, conditional=name)
+    tf.Step(3, hadamard=True, static="X", when=("c1",), trigger=2, conditional="Z")
+
 
 def test_six_program_plain_bases():
     pattern = tf.measurement_program(tf.ResourceVariant("six"))
     assert pattern.vertices == [1, 2, 3]
     for step in pattern.steps:
-        assert step.basis.alpha == 0 and not step.basis.hadamard
-        assert step.basis.absorbed is None
+        assert step.basis == mbqc.MeasurementBasis(Fraction(0), hadamard=False)
 
 
 def test_six_program_absorbs_rz_for_sx_010():
+    # Rz(-theta/2) on vertex 1 and Rz(theta/2) on vertex 3 fold in as
+    # alpha - beta; vertex 2's Z waits for an odd c1 bit.
     linking = tf.LinkingByproducts(sx=(0, 1, 0))
     pattern = tf.measurement_program(tf.ResourceVariant("six"), linking)
-    absorbed = {s.vertex: s.basis.absorbed for s in pattern.steps}
-    np.testing.assert_allclose(absorbed[1], qs.rz(-np.pi / 2), atol=1e-12)
-    np.testing.assert_allclose(absorbed[3], qs.rz(np.pi / 2), atol=1e-12)
-    assert absorbed[2] is None
+    bases = {s.vertex: s.basis for s in pattern.steps}
+    assert bases[1] == mbqc.MeasurementBasis(Fraction(1, 2))
+    assert bases[3] == mbqc.MeasurementBasis(Fraction(-1, 2))
+    assert bases[2] == mbqc.MeasurementBasis(Fraction(0))
 
 
 def test_gadget_programs_measure_vertex_two_first():
@@ -204,31 +226,27 @@ def test_gadget_bases_adapt_on_first_outcome():
     for kind in ("seven", "eight"):
         pattern = tf.measurement_program(tf.ResourceVariant(kind))
         by_vertex = {s.vertex: s.basis for s in pattern.steps}
-        plain4 = by_vertex[3]({2: 0})
-        flipped4 = by_vertex[3]({2: 1})
-        assert plain4.alpha == Fraction(1, 4) and plain4.absorbed is None
-        np.testing.assert_allclose(flipped4.absorbed, qs.PAULI_X, atol=1e-15)
-        plain7 = by_vertex[tf.GADGET_MID]({2: 0})
-        flipped7 = by_vertex[tf.GADGET_MID]({2: 1})
-        assert plain7.alpha == Fraction(-1, 4) and plain7.hadamard
-        assert plain7.absorbed is None
-        np.testing.assert_allclose(flipped7.absorbed, qs.PAULI_Z, atol=1e-15)
-    top = by_vertex[tf.GADGET_TOP]
-    assert top.alpha == Fraction(1, 4) and top.hadamard and top.absorbed is None
-    # Eight-qubit, sx = (0,1,0): vertex 4 absorbs a static X, and outcome 1
-    # on vertex 3 adds the adaptive X; their product, the identity, is
-    # absorbed as computed.
+        # Outcome 1 on vertex 3 folds X into the plain basis of vertex 4
+        # (alpha -> -alpha) and Z into the H basis of vertex 7 (the same).
+        assert by_vertex[3]({2: 0}) == mbqc.MeasurementBasis(Fraction(1, 4))
+        assert by_vertex[3]({2: 1}) == mbqc.MeasurementBasis(Fraction(-1, 4))
+        assert by_vertex[tf.GADGET_MID]({2: 0}) == mbqc.MeasurementBasis(Fraction(-1, 4), True)
+        assert by_vertex[tf.GADGET_MID]({2: 1}) == mbqc.MeasurementBasis(Fraction(1, 4), True)
+    assert by_vertex[tf.GADGET_TOP] == mbqc.MeasurementBasis(Fraction(1, 4), True)
+    # Eight-qubit, sx = (0,1,0): vertex 4 folds in a static X, and outcome 1
+    # on vertex 3 folds in the adaptive X after it, back to the bare basis,
+    # which is then the bare basis object itself.
+    bare = by_vertex[3]({2: 0})
     pattern = tf.measurement_program(tf.ResourceVariant("eight"), tf.LinkingByproducts((0, 1, 0)))
     by_vertex = {s.vertex: s.basis for s in pattern.steps}
-    assert by_vertex[2].absorbed is None
-    np.testing.assert_allclose(by_vertex[1].absorbed, qs.rz(-np.pi / 2), atol=1e-15)
-    np.testing.assert_allclose(by_vertex[3]({2: 0}).absorbed, qs.PAULI_X, atol=1e-15)
-    met = by_vertex[3]({2: 1}).absorbed
-    assert met is not None
-    np.testing.assert_array_equal(met, qs.PAULI_X @ qs.PAULI_X)
-    assert by_vertex[tf.GADGET_MID]({2: 0}).absorbed is None
-    np.testing.assert_allclose(by_vertex[tf.GADGET_MID]({2: 1}).absorbed, qs.PAULI_Z, atol=1e-15)
-    assert by_vertex[tf.GADGET_TOP].absorbed is None
+    assert by_vertex[3]({2: 1}) is bare
+    assert by_vertex[2] == mbqc.MeasurementBasis(Fraction(0))
+    assert by_vertex[1] == mbqc.MeasurementBasis(Fraction(1, 2))
+    assert by_vertex[3]({2: 0}) == mbqc.MeasurementBasis(Fraction(-1, 4))
+    assert by_vertex[3]({2: 1}) == mbqc.MeasurementBasis(Fraction(1, 4))
+    assert by_vertex[tf.GADGET_MID]({2: 0}) == mbqc.MeasurementBasis(Fraction(-1, 4), True)
+    assert by_vertex[tf.GADGET_MID]({2: 1}) == mbqc.MeasurementBasis(Fraction(1, 4), True)
+    assert by_vertex[tf.GADGET_TOP] == mbqc.MeasurementBasis(Fraction(1, 4), True)
 
 
 def step_parity(step, sx):
@@ -249,7 +267,7 @@ def test_programs_share_basis_objects_where_the_parities_agree(kind, theta):
     last = accepted_sx(variant)[-1]
     again = tf.measurement_program(variant, tf.LinkingByproducts(last, (1, 1, 1)))
     assert all(x.basis is y.basis for x, y in zip(again.steps, programs[last].steps))
-    # Every shared basis is frozen and its absorbed correction read-only.
+    # Every shared basis is frozen.
     for program in programs.values():
         for step, spec_step in zip(program.steps, variant.spec.schedule):
             bases = [step.basis]
@@ -258,10 +276,70 @@ def test_programs_share_basis_objects_where_the_parities_agree(kind, theta):
             for basis in bases:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     basis.alpha = Fraction(0)
-                if basis.absorbed is not None:
-                    assert not basis.absorbed.flags.writeable
-                    with pytest.raises(ValueError):
-                        basis.absorbed[0, 0] = 0
+
+
+def resolved_bases(variant, table):
+    """Each accepted sx's basis per step and trigger outcome, from a ``_step_bases`` table."""
+    out = []
+    for sx in accepted_sx(variant):
+        for step, pair in zip(variant.spec.schedule, table):
+            basis = pair[step_parity(step, sx)]
+            out += [basis({step.trigger: bit}) for bit in (0, 1)] if callable(basis) else [basis]
+    return out
+
+
+def test_static_then_conditional_fold_as_their_matrix_product():
+    # Folding static and then conditional measures as applying static @
+    # conditional (the conditional first) before the bare basis: each folded
+    # ket is R^dagger times a bare ket, up to a phase. Rz and X do not
+    # commute, so the order shows.
+    theta = Fraction(1, 3)
+    matrices = {
+        "X": qs.PAULI_X,
+        "Z": qs.PAULI_Z,
+        "Rz(theta/2)": qs.rz(np.pi * theta / 2),
+        "Rz(-theta/2)": qs.rz(-np.pi * theta / 2),
+    }
+    for hadamard, folds in ((False, tf.CORRECTIONS), (True, tf._H_CORRECTIONS)):
+        for static, conditional in itertools.product(folds, repeat=2):
+            step = tf.Step(3, 1, hadamard, static, ("c1",), 2, conditional)
+            adjoint = (matrices[static] @ matrices[conditional]).conj().T
+            bare = mbqc.basis_states(tf._folded(step, theta, ()))
+            folded = mbqc.basis_states(tf._folded(step, theta, (static, conditional)))
+            for ket, bare_ket in zip(folded, bare):
+                assert abs(abs(np.vdot(ket, adjoint @ bare_ket)) - 1) < 1e-12, (static, conditional)
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", ["seven", "eight"])
+def test_vertex_three_rz_mutant_measures_in_the_spec_bases(kind, theta, monkeypatch):
+    # The spec mutant, on seven and on eight, that no physics check tells
+    # apart: vertex 3 measures at theta/4, and a static X folds that to
+    # -theta/4, as Rz(theta/2) does, since -theta/4 = theta/4 - theta/2.
+    # The conditional X then negates both alike.
+    variant = tf.ResourceVariant(kind, theta)
+    expected = resolved_bases(variant, tf._step_bases(variant))
+    spec = tf.VARIANT_SPECS[kind]
+    schedule = tuple(
+        dataclasses.replace(step, static="Rz(theta/2)") if step.vertex == 3 else step
+        for step in spec.schedule
+    )
+    assert schedule != spec.schedule
+    monkeypatch.setitem(tf.VARIANT_SPECS, kind, dataclasses.replace(spec, schedule=schedule))
+    mutant = resolved_bases(variant, tf._step_bases.__wrapped__(variant))
+    assert mutant == expected
+
+
+@pytest.mark.parametrize("theta", [Fraction(1), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", ["six", "seven", "eight"])
+def test_every_program_basis_is_a_hashable_value(kind, theta):
+    # An absorbed matrix made a basis, and a recipe step holding it,
+    # unhashable and uncomparable.
+    variant = tf.ResourceVariant(kind, theta)
+    for basis in resolved_bases(variant, tf._step_bases(variant)):
+        hash(basis)
+        assert basis == mbqc.MeasurementBasis(basis.alpha, basis.hadamard)
+        hash(optics.RecipeStep("measure", (1,), basis=basis))
 
 
 @pytest.mark.parametrize("kind", ["six", "seven"])

@@ -2,14 +2,24 @@
 
 Each check returns a dict with a stable id, a pass flag and a details
 payload; ``build_report`` assembles them into a canonical, byte-stable
-JSON document. Everything is exhaustive and seeded, so two runs of the
-same build produce identical reports.
+JSON document. Every check is exhaustive or replays recorded seeded
+draws, so two runs of the same build produce identical reports.
+
+Checks 3, 5, 6 and 9 test random data. Each draws it from a
+``RecordedDraws``, which replays that check's slice of
+``data/acceptance_draws.npy``: the 7,480 numbers that
+``np.random.default_rng(SEED + check)`` gives for the check's calls, in
+the order it makes them (``tests/reference.py``'s ``acceptance_draws``
+records them afresh). Reading the record instead of drawing keeps
+``numpy.random`` out of the process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +61,42 @@ from .verify import equal_up_to_phase, is_local, process_fidelity, unit_scale
 
 SEED = 20250810
 MAXIMAL = Fraction(1)
+
+# How many numbers each seeded check draws; the record holds them in this order.
+DRAW_COUNTS = {3: 80, 5: 180, 6: 20, 9: 7200}
+DRAWS_PATH = os.path.join(os.path.dirname(__file__), "data", "acceptance_draws.npy")
+
+
+@lru_cache(maxsize=None)
+def _record() -> np.ndarray:
+    values = np.load(DRAWS_PATH)
+    values.flags.writeable = False
+    return values
+
+
+class RecordedDraws:
+    """Stands in for ``np.random.default_rng(SEED + check)`` in one check.
+
+    ``normal`` and ``uniform`` return the check's next recorded numbers,
+    shaped as asked; ``uniform``'s bounds were applied when the record was
+    drawn. Drawing past the check's slice raises ``RuntimeError``.
+    """
+
+    def __init__(self, check: int):
+        start = sum(count for k, count in DRAW_COUNTS.items() if k < check)
+        self.values = _record()[start : start + DRAW_COUNTS[check]]
+        self.drawn = 0
+
+    def normal(self, size):
+        stop = self.drawn + int(np.prod(size))
+        if stop > len(self.values):
+            raise RuntimeError(f"drew past the {len(self.values)} recorded numbers of this check")
+        out = self.values[self.drawn : stop].reshape(size)
+        self.drawn = stop
+        return out
+
+    def uniform(self, low, high, size):
+        return self.normal(size)
 
 
 def _random_states(rng, count, num_qubits=3):
@@ -101,7 +147,7 @@ def check_seven_eight_success() -> dict:
 
 def check_gate_correctness() -> dict:
     """Each local branch, frame removed, is the Toffoli; one walk and comparison per resource."""
-    rng = np.random.default_rng(SEED + 3)
+    rng = RecordedDraws(3)
     inputs = _random_states(rng, 5)
     psis = np.stack([psi.amplitudes for psi in inputs], axis=1)
     # Basis columns give the branch operator; the random states are
@@ -168,7 +214,7 @@ def check_sigma_formulas() -> dict:
 
 
 def check_gadget_identity() -> dict:
-    rng = np.random.default_rng(SEED + 5)
+    rng = RecordedDraws(5)
     chain = WeightedGraph(3, [(0, 1, MAXIMAL), (1, 2, MAXIMAL)])
     all_match = True
     for theta in rng.uniform(0.1, 2 * np.pi - 0.1, size=20):
@@ -194,7 +240,7 @@ def check_gadget_identity() -> dict:
 
 
 def check_x_propagation() -> dict:
-    rng = np.random.default_rng(SEED + 6)
+    rng = RecordedDraws(6)
     worst = 0.0
     for theta in rng.uniform(0, 2 * np.pi, size=20):
         cz_pos = np.diag([1, 1, 1, np.exp(1j * theta)])
@@ -450,7 +496,7 @@ def _random_operators(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_locality_classifier() -> dict:
-    rng = np.random.default_rng(SEED + 9)
+    rng = RecordedDraws(9)
     ground_truth_ok = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)

@@ -56,9 +56,13 @@ OutcomeBits = dict[int, int]
 MAX_PATTERN_QUBITS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """The basis ``B(alpha)``, through H with ``hadamard``; a frozen, hashable value."""
+    """The basis ``B(alpha)``, through H with ``hadamard``; a frozen, hashable value.
+
+    A ``Fraction`` alpha counts multiples of pi and any other number
+    radians, so ``B(Fraction(1))`` and ``B(1.0)`` are different values.
+    """
 
     alpha: Angle = Fraction(0)
     hadamard: bool = False
@@ -70,6 +74,17 @@ class MeasurementBasis:
             raise ValueError(f"basis alpha must be a finite number, got {self.alpha!r}") from None
         if type(self.hadamard) is not bool:
             raise ValueError(f"basis hadamard must be True or False, got {self.hadamard!r}")
+
+    def _key(self) -> tuple:
+        return self.alpha, isinstance(self.alpha, Fraction), self.hadamard
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def _kets(self) -> tuple[np.ndarray, np.ndarray]:

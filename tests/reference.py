@@ -24,6 +24,10 @@ counted before it classified branches without frames, and
 ``uniformity_by_enumeration`` is the branch-uniformity check as one
 ``enumerate_branches`` call per input and linking case, on the inputs
 ``uniformity_draws`` draws from the seeded generator.
+``acceptance_draws`` runs the seeded acceptance checks on
+``np.random.default_rng`` through ``RecordingGenerator`` and keeps every
+number they draw, which ``data/acceptance_draws.npy`` must hold byte for
+byte.
 ``encoded_state_per_row`` embeds one logical input the way
 ``toffoli.encoded_state`` did before rows were built in batches: kernel
 calls on one state and the index-mask controlled phase per edge. The
@@ -34,10 +38,11 @@ took stacks.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 
-from wgtoffoli import angles
+from wgtoffoli import acceptance, angles
 from wgtoffoli.mbqc import (
     ByproductOperator,
     WireWord,
@@ -75,6 +80,8 @@ from wgtoffoli.toffoli import (
 )
 
 __all__ = [
+    "RecordingGenerator",
+    "acceptance_draws",
     "apply_cz_theta_mask",
     "apply_operator_moveaxis",
     "branch_map",
@@ -254,6 +261,44 @@ def uniformity_draws() -> list[StateVector]:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         inputs.append(StateVector(3, amps / np.linalg.norm(amps)))
     return inputs
+
+
+class RecordingGenerator:
+    """``np.random.default_rng(acceptance.SEED + check)``, keeping every number it gives."""
+
+    def __init__(self, check: int):
+        self.rng = np.random.default_rng(acceptance.SEED + check)
+        self.drawn = []
+
+    def normal(self, size):
+        return self._keep(self.rng.normal(size=size))
+
+    def uniform(self, low, high, size):
+        return self._keep(self.rng.uniform(low, high, size))
+
+    def _keep(self, values):
+        self.drawn.append(values.ravel())
+        return values
+
+
+def acceptance_draws() -> dict[int, np.ndarray]:
+    """Each seeded acceptance check's numbers, in its draw order, keyed by check id.
+
+    Every check runs once, each seeded one on a ``RecordingGenerator`` in
+    place of its ``acceptance.RecordedDraws``. Rewrite the record from the
+    repo root with this one line (the checks' draws in ascending check id)::
+
+        PYTHONPATH=src:tests python -c "import numpy as np, reference as r; np.save(r.acceptance.DRAWS_PATH, np.concatenate([*r.acceptance_draws().values()]))"
+    """
+    generators = {}
+
+    def record(check):
+        generators[check] = RecordingGenerator(check)
+        return generators[check]
+
+    with mock.patch.object(acceptance, "RecordedDraws", record):
+        acceptance.run_checks()
+    return {k: np.concatenate(gen.drawn) for k, gen in sorted(generators.items())}
 
 
 def uniformity_by_enumeration(variant, linking):

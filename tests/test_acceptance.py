@@ -5,8 +5,10 @@ line per criterion; the same checks back ``wgtoffoli verify all``.
 """
 
 import hashlib
+import io
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,8 @@ import reference
 from wgtoffoli import acceptance, toffoli
 from wgtoffoli.qstate import kron_all
 
-GOLDEN = Path(__file__).parent / "golden" / "records.txt"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "records.txt"
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +150,54 @@ def test_criterion_9_stacked_factorisation_equals_per_matrix_form():
     expected = [reference.factorisation_local(op) for op in pair]
     assert expected == [True, False]
     assert acceptance._factorisation_local(pair).tolist() == expected
+
+
+def test_record_holds_the_seeded_generator_stream():
+    # The checks, run on default_rng(SEED + check), draw exactly the record's
+    # numbers: a change to a check's draw sizes, order or arguments fails here.
+    recorded = reference.acceptance_draws()
+    assert {check: len(values) for check, values in recorded.items()} == acceptance.DRAW_COUNTS
+    stream = io.BytesIO()
+    np.save(stream, np.concatenate(list(recorded.values())))
+    assert stream.getvalue() == Path(acceptance.DRAWS_PATH).read_bytes()
+    for check, values in recorded.items():
+        replay = acceptance.RecordedDraws(check)
+        assert replay.normal(size=len(values)).tobytes() == values.tobytes()
+
+
+def test_each_seeded_check_replays_exactly_its_slice(monkeypatch):
+    replays = []
+
+    class Counted(acceptance.RecordedDraws):
+        def __init__(self, check):
+            super().__init__(check)
+            replays.append((check, self))
+
+    monkeypatch.setattr(acceptance, "RecordedDraws", Counted)
+    acceptance.run_checks()
+    assert [check for check, _ in replays] == list(acceptance.DRAW_COUNTS)
+    for check, replay in replays:
+        assert replay.drawn == len(replay.values) == acceptance.DRAW_COUNTS[check]
+
+
+def test_replay_raises_on_an_overdraw():
+    replay = acceptance.RecordedDraws(6)
+    assert replay.uniform(0, 2 * np.pi, size=(4, 5)).shape == (4, 5)
+    with pytest.raises(RuntimeError, match="drew past the 20 recorded numbers"):
+        replay.normal(size=1)
+    with pytest.raises(ValueError):  # the record is read-only
+        replay.values[0] = 0
+
+
+def test_every_data_file_is_package_data():
+    # An installed wheel holds only the data files a package-data glob names.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"]["wgtoffoli"]
+    package = ROOT / "src" / "wgtoffoli"
+    files = [path.relative_to(package).as_posix() for path in (package / "data").rglob("*") if path.is_file()]
+    assert files
+    assert [name for name in files if not any(fnmatch(name, glob) for glob in globs)] == []
 
 
 @pytest.fixture(scope="module")

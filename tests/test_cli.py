@@ -465,13 +465,14 @@ def test_entry_point_subprocess():
     assert "= 1 =" in result.stdout
 
 
-# numpy imports numpy.random lazily, on first use; of the one-shot commands
-# only verify all draws random numbers, so none of these may pay for it.
+# numpy imports numpy.random lazily, on first use. No command draws random
+# numbers (verify all replays recorded draws), so none of them may pay for it.
 NO_RANDOM_COMMANDS = [
     "toffoli run --variant eight",
     "toffoli enumerate --variant eight",
     "toffoli success --variant eight --linking uniform",
     "optics run",
+    "verify all",
 ]
 NO_RANDOM_SCRIPT = """
 import contextlib, io, sys

@@ -14,6 +14,7 @@ from wgtoffoli import graphstate, mbqc
 from wgtoffoli import qstate as qs
 from wgtoffoli import toffoli
 from wgtoffoli.graphstate import WeightedGraph, build_state_with_input
+from wgtoffoli.optics import RecipeStep, steps_to_json
 
 MAXIMAL = Fraction(1)
 
@@ -65,6 +66,22 @@ def test_basis_kets_are_computed_once_and_read_only(basis):
         assert ket.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
             ket[0] = 0
+
+
+def test_basis_value_tells_multiples_of_pi_from_radians():
+    # B(Fraction(1)) measures at pi and B(1.0) at 1 rad: they compared and
+    # hashed equal while their kets differ.
+    at_pi, one_rad, int_rad = (mbqc.MeasurementBasis(a) for a in (Fraction(1), 1.0, 1))
+    assert not np.allclose(mbqc.basis_states(at_pi)[0], mbqc.basis_states(one_rad)[0])
+    assert at_pi != one_rad and at_pi != int_rad
+    assert one_rad == int_rad and hash(one_rad) == hash(int_rad)  # both radians
+    assert len({at_pi, one_rad, int_rad}) == 2
+    assert mbqc.MeasurementBasis(Fraction(2, 4), True) == mbqc.MeasurementBasis(Fraction(1, 2), True)
+    assert mbqc.MeasurementBasis(Fraction(1, 2), True) != mbqc.MeasurementBasis(Fraction(1, 2))
+    assert at_pi != (Fraction(1), False)
+    steps = [RecipeStep("measure", (1,), basis=basis) for basis in (at_pi, one_rad)]
+    assert steps[0] != steps[1] and len(set(steps)) == 2
+    assert steps_to_json(steps[:1]) != steps_to_json(steps[1:])
 
 
 @pytest.mark.parametrize("hadamard", ["yes", 1, None])

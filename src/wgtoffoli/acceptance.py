@@ -12,6 +12,15 @@ Checks 3, 5, 6 and 9 test random data. Each draws it from a
 the order it makes them (``tests/reference.py``'s ``acceptance_draws``
 records them afresh). Reading the record instead of drawing keeps
 ``numpy.random`` out of the process.
+
+Checks 3 and 4 share one table per ``run_checks`` pass. Check 3 walks
+the basis columns and its five random inputs for each resource's
+accepted sx at sz = 000 at theta = pi and builds those cases'
+``LinkingFrames`` stacks; it keeps the basis-column outputs and the
+stacks in ``_pass_table``, and check 4 reads them there and walks only
+its sz = 110 cases. ``run_checks`` empties the table before and after
+the checks, so each pass (criterion 10's second one too) simulates
+afresh, and a check called on its own walks everything it reads.
 """
 
 from __future__ import annotations
@@ -24,14 +33,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import angles, optics
-from .graphstate import WeightedGraph, build_state, build_state_with_input
+from .graphstate import WeightedGraph, build_state, embed_input_rows
 from .mbqc import (
     MeasurementBasis,
     Pattern,
     PatternStep,
     basis_states,
-    enumerate_branches,
     outcome_prefixes,
+    outcome_tree_leaves,
 )
 from .qstate import (
     CNOT,
@@ -43,6 +52,7 @@ from .qstate import (
     StateVector,
     apply_operator,
     kron_all,
+    norms_sq,
     rz,
 )
 from .toffoli import (
@@ -65,6 +75,10 @@ MAXIMAL = Fraction(1)
 # How many numbers each seeded check draws; the record holds them in this order.
 DRAW_COUNTS = {3: 80, 5: 180, 6: 20, 9: 7200}
 DRAWS_PATH = os.path.join(os.path.dirname(__file__), "data", "acceptance_draws.npy")
+
+# Check 3's theta = pi table for check 4, per resource kind, within one
+# ``run_checks`` pass; None outside a pass, so a lone check stores nothing.
+_pass_table: dict | None = None
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +160,11 @@ def check_seven_eight_success() -> dict:
 
 
 def check_gate_correctness() -> dict:
-    """Each local branch, frame removed, is the Toffoli; one walk and comparison per resource."""
+    """Each local branch, frame removed, is the Toffoli; one walk and comparison per resource.
+
+    Within a ``run_checks`` pass, each resource's basis-column outputs and
+    frame stacks stay in ``_pass_table`` for check 4.
+    """
     rng = RecordedDraws(3)
     inputs = _random_states(rng, 5)
     psis = np.stack([psi.amplitudes for psi in inputs], axis=1)
@@ -160,13 +178,13 @@ def check_gate_correctness() -> dict:
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
         cases = [LinkingByproducts(sx=sx) for sx in variant.spec.prefactors]
-        outs, sigma_ops = [], []
-        for linking, outputs in zip(cases, branch_outputs(variant, cases, columns)):
-            frames = LinkingFrames(variant, linking)
-            local = frames.local_mask()
-            outs.append(outputs[local])
-            sigma_ops.append(frames.operators()[local])
-        outs, sigma_ops = np.concatenate(outs), np.concatenate(sigma_ops)
+        frames = [LinkingFrames(variant, linking) for linking in cases]
+        outputs = np.concatenate(branch_outputs(variant, cases, columns))
+        sigma_ops = np.concatenate([f.operators() for f in frames])
+        if _pass_table is not None:
+            _pass_table[kind] = outputs[:, :, :8].copy(), sigma_ops
+        local = np.concatenate([f.local_mask() for f in frames])
+        outs, sigma_ops = outputs[local], sigma_ops[local]
         corrected = unit_scale(np.linalg.inv(sigma_ops) @ outs[:, :, :8])
         all_match &= bool(equal_up_to_phase(corrected, tof, 1e-10).all())
         worst_fidelity = min(worst_fidelity, float(process_fidelity(corrected, tof).min()))
@@ -191,20 +209,28 @@ def check_gate_correctness() -> dict:
 
 
 def check_sigma_formulas() -> dict:
-    """Every branch residual equals its predicted frame; one walk and comparison per resource."""
+    """Every branch residual equals its predicted frame; one comparison per resource and sz.
+
+    Within a ``run_checks`` pass the sz = 000 outputs and frames are check
+    3's, read from ``_pass_table``, and only sz = 110 is walked; called on
+    its own, the check walks both sz cases of a resource in one walk.
+    """
     tof_inv = toffoli_matrix().conj().T
     checked = 0
     all_match = True
     for kind in VARIANT_KINDS:
         variant = ResourceVariant(kind)
-        sz_cases = ((0, 0, 0), (1, 1, 0))
+        shared = (_pass_table or {}).pop(kind, None)
+        sz_cases = ((1, 1, 0),) if shared else ((0, 0, 0), (1, 1, 0))
         cases = [LinkingByproducts(sx, sz) for sx in variant.spec.prefactors for sz in sz_cases]
-        residual = [ops @ tof_inv for ops in branch_outputs(variant, cases, np.eye(8))]
-        predicted = [LinkingFrames(variant, linking).operators() for linking in cases]
-        residual = unit_scale(np.concatenate(residual))
-        predicted = unit_scale(np.concatenate(predicted))
-        all_match &= bool(equal_up_to_phase(residual, predicted, 1e-10).all())
-        checked += len(residual)
+        walked = (
+            np.concatenate(branch_outputs(variant, cases, np.eye(8))),
+            np.concatenate([LinkingFrames(variant, linking).operators() for linking in cases]),
+        )
+        for outputs, predicted in ([shared] if shared else []) + [walked]:
+            residual = unit_scale(outputs @ tof_inv)
+            all_match &= bool(equal_up_to_phase(residual, unit_scale(predicted), 1e-10).all())
+            checked += len(residual)
     return {
         "id": 4,
         "name": "predicted residual formulas match every extracted branch residual",
@@ -213,29 +239,48 @@ def check_sigma_formulas() -> dict:
     }
 
 
+GADGET_CHAIN = WeightedGraph(3, [(0, 1, MAXIMAL), (1, 2, MAXIMAL)])
+
+
+def _gadget_branches(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check 5's 20 angles and inputs, and every branch of the gadget chain on them.
+
+    Returns the angles, the ``(20, 4)`` two-wire inputs (vertex 2 on the
+    most significant qubit), the ``(2, 20, 4)`` branch outputs indexed by
+    outcome and input, and their ``(2, 20)`` probabilities. The inputs are
+    embedded in one ``embed_input_rows`` call and walked as 20 one-row
+    blocks, each under its own angle's pattern, in one
+    ``outcome_tree_leaves`` call; each row is projected on its own, so
+    every output and probability has the bits ``build_state_with_input``
+    and ``enumerate_branches`` give that input alone.
+    """
+    thetas = rng.uniform(0.1, 2 * np.pi - 0.1, size=20)
+    psis = np.stack([psi.amplitudes for psi in _random_states(rng, len(thetas), num_qubits=2)])
+    rows = embed_input_rows(GADGET_CHAIN, psis, (2, 0))
+    patterns = [
+        Pattern([PatternStep(1, MeasurementBasis(theta / 2, hadamard=True))]) for theta in thetas
+    ]
+    leaves = outcome_tree_leaves(patterns, rows.reshape(-1, 2, 2, 2)).reshape(2, -1, 4)
+    probabilities = norms_sq(leaves.reshape(-1, 4)).reshape(2, -1) / norms_sq(rows)
+    return thetas, psis, leaves, probabilities
+
+
 def check_gadget_identity() -> dict:
-    rng = RecordedDraws(5)
-    chain = WeightedGraph(3, [(0, 1, MAXIMAL), (1, 2, MAXIMAL)])
-    all_match = True
-    for theta in rng.uniform(0.1, 2 * np.pi - 0.1, size=20):
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = StateVector(2, amps / np.linalg.norm(amps))
-        state = build_state_with_input(chain, psi, (2, 0))
-        gate = kron_all(rz(-theta / 2), rz(-theta / 2)) @ np.diag(
-            [1, 1, 1, np.exp(1j * theta)]
-        )
-        pattern = Pattern([PatternStep(1, MeasurementBasis(theta / 2, hadamard=True))])
-        for outcomes, probability, out in enumerate_branches(state, pattern):
-            outcome = outcomes[1]
-            byproduct = kron_all(PAULI_Z, PAULI_Z) if outcome else np.eye(4)
-            expected = byproduct @ gate @ psi.amplitudes / np.sqrt(2)
-            all_match &= bool(np.max(np.abs(out.amplitudes - expected)) <= 1e-10)
-            all_match &= abs(probability - 0.5) <= 1e-10
+    thetas, psis, outputs, probabilities = _gadget_branches(RecordedDraws(5))
+    # Diagonals, one row per angle: Rz(-theta/2) x Rz(-theta/2) . CZ(theta).
+    rz_half = np.stack([np.ones_like(thetas), np.exp(-0.5j * thetas)], axis=1)
+    cz = np.stack([np.ones_like(thetas)] * 3 + [np.exp(1j * thetas)], axis=1)
+    gate = (rz_half[:, :, None] * rz_half[:, None, :]).reshape(-1, 4) * cz
+    # Outcome 1 leaves Z x Z behind.
+    byproducts = np.stack([np.ones(4), np.diag(kron_all(PAULI_Z, PAULI_Z))])
+    expected = byproducts[:, None, :] * (gate * psis) / np.sqrt(2)
+    all_match = bool(np.max(np.abs(outputs - expected)) <= 1e-10)
+    all_match &= bool(np.all(np.abs(probabilities - 0.5) <= 1e-10))
     return {
         "id": 5,
         "name": "three-qubit gadget implements the two-wire phase gate",
         "passed": all_match,
-        "details": {"angles": 20, "outcomes": 2},
+        "details": {"angles": len(thetas), "outcomes": 2},
     }
 
 
@@ -548,7 +593,13 @@ def _json_safe(value):
 
 
 def run_checks() -> list[dict]:
-    return [_json_safe(check()) for check in CHECKS]
+    """One pass of every check, in order; checks 3 and 4 share ``_pass_table`` within it."""
+    global _pass_table
+    _pass_table = {}
+    try:
+        return [_json_safe(check()) for check in CHECKS]
+    finally:
+        _pass_table = None
 
 
 def canonical_json(payload) -> bytes:

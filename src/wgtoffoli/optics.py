@@ -70,11 +70,13 @@ class PhotonRegister:
             raise RecipeError(f"mode {mode} is not in the register") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecipeStep:
     """One recipe step; ``RecipeError`` if its op cannot run it. Ignored fields are allowed.
     Every step rule lives here, for JSON steps too (``steps_from_json`` prefixes the step's
-    index); a message names a one-mode op's field ``mode``, as the document spells it."""
+    index); a message names a one-mode op's field ``mode``, as the document spells it.
+    A step is a hashable value; as in ``MeasurementBasis``, a ``Fraction`` gamma or angle
+    counts multiples of pi and any other number radians, so the two never compare equal."""
 
     op: str  # source | fuse | rotate | measure | reset
     modes: tuple[int, ...] = ()
@@ -115,6 +117,19 @@ class RecipeStep:
             raise RecipeError(f"outcome must be 0 or 1, got {self.outcome!r}")
         if self.basis is not None and not isinstance(self.basis, MeasurementBasis):
             raise RecipeError(f"basis must be a MeasurementBasis, got {self.basis!r}")
+
+    def _key(self) -> tuple:
+        pi_units = tuple(isinstance(value, Fraction) for value in (self.gamma, self.angle))
+        fields = self.op, self.modes, self.gamma, self.h_on, self.angle, self.basis, self.outcome
+        return fields + pi_units
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def pdc_pair(gamma: Angle) -> StateVector:

@@ -8,7 +8,9 @@ import hashlib
 import io
 import subprocess
 import sys
+from collections import Counter
 from fnmatch import fnmatch
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,9 @@ import pytest
 import reference
 
 from wgtoffoli import acceptance, toffoli
-from wgtoffoli.qstate import kron_all
+from wgtoffoli.graphstate import build_state_with_input
+from wgtoffoli.mbqc import MeasurementBasis, Pattern, PatternStep, enumerate_branches
+from wgtoffoli.qstate import StateVector, kron_all
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "records.txt"
@@ -69,6 +73,7 @@ def test_criterion_4_sigma_formula_fidelity(checks):
     ids=["criterion_3", "criterion_4"],
 )
 def test_criteria_3_and_4_walk_once_per_resource(monkeypatch, check, cases_per_sx, rows_per_case):
+    # Called on its own, outside a run_checks pass, each check walks everything it reads.
     walks = []
     original = toffoli.outcome_tree_leaves
 
@@ -81,6 +86,69 @@ def test_criteria_3_and_4_walk_once_per_resource(monkeypatch, check, cases_per_s
     # One walk per resource, with one block of rows per linking case.
     cases = [len(spec.prefactors) * cases_per_sx for spec in toffoli.VARIANT_SPECS.values()]
     assert walks == [(count, count * rows_per_case) for count in cases]
+    assert acceptance._pass_table is None
+
+
+def test_one_pass_walks_each_pi_resource_once_per_sz(monkeypatch):
+    # Within run_checks, check 4 reads check 3's sz = 000 walk and walks only sz = 110.
+    walks, cases, running = [], [], [None]
+    walk, encode = toffoli.outcome_tree_leaves, toffoli._encode_rows
+
+    def spy_encode(variant, linking_cases, inputs):
+        cases.append((variant, [linking.sz for linking in linking_cases]))
+        return encode(variant, linking_cases, inputs)
+
+    def spy_walk(patterns, tensor):
+        variant, sz = cases[-1]  # each walk embeds its rows just before it starts
+        assert len(sz) == len(patterns)
+        walks.append((running[0], variant.kind, variant.theta, sz, tensor.shape[0] // len(sz)))
+        return walk(patterns, tensor)
+
+    def during(index, check):
+        def run():
+            running[0] = index
+            return check()
+
+        return run
+
+    monkeypatch.setattr(toffoli, "_encode_rows", spy_encode)
+    monkeypatch.setattr(toffoli, "outcome_tree_leaves", spy_walk)
+    monkeypatch.setattr(
+        acceptance, "CHECKS", [during(i, check) for i, check in enumerate(acceptance.CHECKS, 1)]
+    )
+    acceptance.run_checks()
+    assert acceptance._pass_table is None
+    pi = Fraction(1)
+    sx_count = {kind: len(spec.prefactors) for kind, spec in toffoli.VARIANT_SPECS.items()}
+    assert [w for w in walks if w[0] == 3] == [
+        (3, kind, pi, [(0, 0, 0)] * sx_count[kind], 8 + 5) for kind in toffoli.VARIANT_KINDS
+    ]
+    assert [w for w in walks if w[0] == 4] == [
+        (4, kind, pi, [(1, 1, 0)] * sx_count[kind], 8) for kind in toffoli.VARIANT_KINDS
+    ]
+    # Every walk of the pass, by check: success accounting (1, 2) and check 7's off-pi thetas.
+    assert Counter(w[0] for w in walks) == {1: 2, 2: 4, 3: 3, 4: 3, 7: 4}
+    one_pass = list(walks)
+    walks.clear()
+    acceptance.build_report()
+    assert walks == one_pass * 2
+    assert acceptance._pass_table is None
+
+
+def test_criterion_5_batch_equals_one_state_per_angle():
+    # The per-state path check 5 used before its 20 angles were walked as one batch.
+    thetas, psis, leaves, probabilities = acceptance._gadget_branches(acceptance.RecordedDraws(5))
+    assert len(thetas) == 20 and leaves.shape == (2, 20, 4) and probabilities.shape == (2, 20)
+    for index, theta in enumerate(thetas):
+        state = build_state_with_input(acceptance.GADGET_CHAIN, StateVector(2, psis[index]), (2, 0))
+        pattern = Pattern([PatternStep(1, MeasurementBasis(theta / 2, hadamard=True))])
+        branches = enumerate_branches(state, pattern)
+        assert [outcomes for outcomes, _, _ in branches] == [{1: 0}, {1: 1}]
+        for (_, probability, out), leaf, batched in zip(
+            branches, leaves[:, index], probabilities[:, index]
+        ):
+            assert out.amplitudes.tobytes() == leaf.tobytes()
+            assert np.float64(probability).tobytes() == batched.tobytes()
 
 
 def test_criterion_5_gadget_identity(checks):

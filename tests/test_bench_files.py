@@ -1,9 +1,10 @@
 """Checked-in ``BENCH_*.json`` files, and the names the benchmark's tracer wraps.
 
 Each file is the ``--out`` document of ``tools/paired_bench.py``; it must
-parse and name only a workload and metrics the benchmark defines. The
-names ``perfbench/tracer.py`` wraps must exist in ``wgtoffoli``: its
-constants are read from the source, which is neither run nor changed.
+parse, name only a workload and metrics the benchmark defines, and have
+an entry in the README's "Performance" list. The names
+``perfbench/tracer.py`` wraps must exist in ``wgtoffoli``: its constants
+are read from the source, which is neither run nor changed.
 """
 
 import ast
@@ -11,6 +12,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import re
 import typing
 from argparse import Namespace
 from pathlib import Path
@@ -45,6 +47,13 @@ def test_bench_file_names_only_benchmark_workloads_and_metrics(path):
     for side in SIDES:
         assert len(doc["runs"][side]) == len(doc["seeds"])
         assert doc["trees"][side]["src_lines"] > 0
+
+
+def test_readme_performance_lists_every_bench_file():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Performance\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^- `(BENCH_\w+\.json)`", section, flags=re.MULTILINE))
+    assert listed == {path.name for path in ROOT.glob("BENCH_*.json")}
 
 
 def test_paired_bench_record_passes_the_file_check():

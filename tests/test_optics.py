@@ -325,6 +325,24 @@ def test_recipe_json_round_trip():
     assert steps == again
 
 
+@pytest.mark.parametrize("op,field", [("rotate", "angle"), ("source", "gamma")])
+def test_step_value_tells_multiples_of_pi_from_radians(op, field):
+    # angle=Fraction(1) is pi and angle=1.0 one radian: the steps compared and
+    # hashed equal, though steps_to_json writes them differently.
+    modes = (1,) if op == "rotate" else (1, 2)
+    at_pi, one_rad, int_rad = (
+        optics.RecipeStep(op, modes, **{field: value}) for value in (Fraction(1), 1.0, 1)
+    )
+    assert at_pi != one_rad and at_pi != int_rad
+    assert optics.steps_to_json([at_pi]) != optics.steps_to_json([one_rad])
+    assert one_rad == int_rad and hash(one_rad) == hash(int_rad)  # both radians
+    assert len({at_pi, one_rad, int_rad}) == 2
+    assert at_pi == optics.RecipeStep(op, list(modes), **{field: Fraction(2, 2)})
+    assert at_pi != (op, modes)
+    steps = optics.six_qubit_recipe()
+    assert optics.steps_from_json(optics.steps_to_json(steps)) == steps
+
+
 def test_shipped_fixture_matches_builtin():
     from importlib import resources
 

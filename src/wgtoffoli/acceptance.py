@@ -20,7 +20,11 @@ accepted sx at sz = 000 at theta = pi and builds those cases'
 stacks in ``_pass_table``, and check 4 reads them there and walks only
 its sz = 110 cases. ``run_checks`` empties the table before and after
 the checks, so each pass (criterion 10's second one too) simulates
-afresh, and a check called on its own walks everything it reads.
+afresh, and a check called on its own walks everything it reads. The
+passes share only what ``toffoli`` builds once per process from the
+resource specs (step bases, measurement programs, frame tables, target
+matrices) and the basis kets; each pass replays its draws, walks and
+compares again.
 """
 
 from __future__ import annotations

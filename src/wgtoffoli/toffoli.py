@@ -35,6 +35,14 @@ edges, its measurement schedule with the adaptive rules, its byproduct
 parities, its non-local words and its linking prefactors. The functions
 below read that table and never branch on the variant's name, so a new
 resource is a new record.
+
+What depends on that table, theta and the linking bits alone is built
+once per process and shared read-only: each resource's graph, step bases
+and per-sx measurement programs, each linking case's frame table
+(``_frame_table``) and the target matrices. Each such cache holds at most
+``CACHE_SIZE`` keys, and the public matrix builders return fresh, writable
+copies. So criterion 10's two acceptance passes share these tables, while
+every walk, draw and comparison runs again in each pass.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +65,7 @@ from .mbqc import (
     Pattern,
     PatternStep,
     WORDS,
+    _read_only,
     frame_to_operator,
     make_word,
     measured_qubits,
@@ -90,6 +99,12 @@ GADGET_MID = 6  # seven-qubit gadget between c2 and the t wire
 GADGET_TOP = 7  # eight-qubit gadget between c2 and c1
 
 MAXIMAL = Fraction(1)  # pi
+
+# Tables read from VARIANT_SPECS, theta and the linking bits are built once per process and
+# shared read-only. Each cache keyed by a variant, an angle or a linking case holds at most
+# CACHE_SIZE keys, so a long theta scan does not grow memory without limit.
+CACHE_SIZE = 256
+
 # The two weighted-edge tokens of the spec table.
 PLUS_HALF, MINUS_HALF = "+theta/2", "-theta/2"
 
@@ -215,7 +230,7 @@ class Word:
     k: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariantSpec:
     """One resource as data.
 
@@ -229,7 +244,8 @@ class VariantSpec:
     ``nonlocal_words`` replaces the sigma word of each wire it names, per
     wire ``(x, z, k)`` with k in units of theta/2, the sign of k flipped
     when the inherited sx bits of c2 and t differ. With ``pi_only`` the
-    frame table covers theta = pi alone.
+    frame table covers theta = pi alone. A record compares and hashes by
+    identity, so it can key the frame-table cache.
     """
 
     vertex_count: int
@@ -267,7 +283,8 @@ class VariantSpec:
             return sum((bits[v] for v in vertices), zero) & 1
         words = map(self.sigma.get, WIRES)
         codes = np.stack([make_word(k=w.k).code ^ 8 * parity(w.x) ^ 4 * parity(w.z) for w in words], 1)
-        return codes, zero == 1 if self.nonlocal_vertex is None else bits[self.nonlocal_vertex] == 1
+        flags = zero == 1 if self.nonlocal_vertex is None else bits[self.nonlocal_vertex] == 1
+        return _read_only(codes), _read_only(flags)
 
 
 # Edges every resource shares: the maximal spine and the (c2, t-in) weight.
@@ -388,7 +405,7 @@ def build_resource(variant: ResourceVariant) -> WeightedGraph:
     return WeightedGraph(variant.vertex_count, edges, inputs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _resource_graph(variant: ResourceVariant) -> WeightedGraph:
     return build_resource(variant)
 
@@ -396,12 +413,35 @@ def _resource_graph(variant: ResourceVariant) -> WeightedGraph:
 # --- reference matrices (wire order c1, c2, t; c1 most significant) ---
 
 
+def _shared_copies(builder):
+    """Build ``builder``'s matrix once per argument and keep it read-only in ``.shared``.
+
+    Each call of the result returns a fresh, writable copy of that matrix.
+    The cache is typed, so a ``Fraction`` angle (a multiple of pi) never
+    shares an entry with an equal float one (radians).
+    """
+
+    @lru_cache(maxsize=CACHE_SIZE, typed=True)
+    @wraps(builder)
+    def shared(*args, **kwargs):
+        return _read_only(builder(*args, **kwargs))
+
+    @wraps(builder)
+    def fresh(*args, **kwargs):
+        return shared(*args, **kwargs).copy()
+
+    fresh.shared = shared
+    return fresh
+
+
+@_shared_copies
 def toffoli_matrix() -> np.ndarray:
     mat = np.eye(8, dtype=complex)
     mat[[6, 7]] = mat[[7, 6]]
     return mat
 
 
+@_shared_copies
 def hadamard_on_target() -> np.ndarray:
     return kron_all(ID2, ID2, HADAMARD)
 
@@ -451,6 +491,7 @@ def _gate_matrix(gate: CircuitGate) -> np.ndarray:
     return _pair_phase(wire_a, wire_b, angle)
 
 
+@_shared_copies
 def target_unitary(theta: Angle) -> np.ndarray:
     """Time-ordered product of ``induced_circuit((0, 0, 0), theta)`` (8x8).
 
@@ -464,6 +505,7 @@ def target_unitary(theta: Angle) -> np.ndarray:
     return mat
 
 
+@_shared_copies
 def logical_target(variant: ResourceVariant) -> np.ndarray:
     """Gate the resource performs on the logical input.
 
@@ -471,7 +513,7 @@ def logical_target(variant: ResourceVariant) -> np.ndarray:
     ``encoded_state``. At theta = pi it is the Toffoli up to float
     rounding: its entries differ from ``toffoli_matrix()`` by about 5e-16.
     """
-    return target_unitary(variant.theta) @ hadamard_on_target()
+    return target_unitary.shared(variant.theta) @ hadamard_on_target.shared()
 
 
 # --- measurement programs ---
@@ -498,16 +540,24 @@ def measurement_program(
     Each step picks one of its two bases in ``_step_bases`` by the parity
     of its ``when`` bits of sx, so programs for different sx share their
     basis objects, adaptive callables included, where corrections agree.
+    The choice is made once per variant and sx (``_program``; sz never
+    enters a program), and each call returns a fresh ``Pattern``.
     """
     _check_recoverable(variant, linking)
-    sx = dict(zip(WIRES, linking.sx))
-    steps = []
-    for step, bases in zip(variant.spec.schedule, _step_bases(variant)):
-        steps.append(PatternStep(step.vertex, bases[sum(sx[w] for w in step.when) & 1]))
-    return Pattern(steps)
+    return Pattern([PatternStep(vertex, basis) for vertex, basis in _program(variant, linking.sx)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
+def _program(variant: ResourceVariant, sx: tuple[int, int, int]) -> tuple[tuple[int, BasisLike], ...]:
+    """Each schedule step's vertex and basis under the inherited x bits ``sx``."""
+    bits = dict(zip(WIRES, sx))
+    return tuple(
+        (step.vertex, bases[sum(bits[w] for w in step.when) & 1])
+        for step, bases in zip(variant.spec.schedule, _step_bases(variant))
+    )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _step_bases(variant: ResourceVariant) -> tuple[tuple[BasisLike, BasisLike], ...]:
     """Each schedule step's basis for an even and an odd ``when`` parity.
 
@@ -555,18 +605,88 @@ def _adaptive(trigger_vertex: int, untriggered: MeasurementBasis, triggered: Mea
 # --- predicted byproduct frames ---
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _nonlocal_factor(theta: Fraction, flip: int) -> tuple[np.ndarray, str]:
-    """Residual of the mid-circuit phase flip, pushed to the end of the run."""
+    """Residual of the mid-circuit phase flip, pushed to the end of the run (read-only)."""
     if theta % 2 in (Fraction(1), Fraction(-1)):
-        return kron_all(ID2, CNOT) @ kron_all(CZ, ID2), "CNOT(c2,t).CZ(c1,c2)"
+        return _read_only(kron_all(ID2, CNOT) @ kron_all(CZ, ID2)), "CNOT(c2,t).CZ(c1,c2)"
     rad = angles.radians(theta) * flip
     tail = (
         _pair_phase(0, 1, angles.radians(theta / 2) * flip)
         @ _pair_phase(0, 2, np.pi)
-        @ hadamard_on_target()
+        @ hadamard_on_target.shared()
     )
     factor = tail @ _pair_phase(1, 2, rad) @ tail.conj().T
-    return factor, f"conjugated CZ({angles.describe(theta)}) on (c2,t)"
+    return _read_only(factor), f"conjugated CZ({angles.describe(theta)}) on (c2,t)"
+
+
+class _FrameTable:
+    """What ``LinkingFrames`` reads of one linking case, built once per process.
+
+    ``_frame_table`` keeps one per case, keyed by the variant, the linking
+    bits and the variant's spec record, so a record replaced in
+    ``VARIANT_SPECS`` gets a table of its own. Every array is read-only;
+    ``rows`` and ``tail`` are built on first use.
+    """
+
+    def __init__(self, variant: ResourceVariant, linking: LinkingByproducts, spec: VariantSpec):
+        _check_recoverable(variant, linking)
+        self.spec = spec
+        self.kind = variant.kind
+        self.theta = theta = variant.theta
+        self.h8 = h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
+        self.flip = -1 if (linking.sx[1] ^ linking.sx[2]) else 1
+        entries = spec.prefactors[linking.sx]
+        self.unavailable = None
+        if spec.pi_only and theta != 1:
+            self.unavailable = (
+                f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
+                f"not theta = {angles.describe(theta)}"
+            )
+        elif h8 is None and any(k for _, _, k in entries.values()):
+            self.unavailable = (
+                f"{variant.kind}-qubit linking corrections are tabulated for theta a "
+                "multiple of pi/2 only"
+            )
+        else:
+            words = (entries.get(wire, (0, 0, 0)) for wire in WIRES)
+            self.prefactor = _read_only(
+                np.array([make_word(x, z, k * h8 if k else 0).code for x, z, k in words])
+            )
+        self.sz = _read_only(np.array([4 * linking.sz[0], 4 * linking.sz[1], 8 * linking.sz[2]]))
+        self.nonlocal_rows = spec.branch_words[1]
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's word codes, in ``WIRES`` order, and global phase."""
+        branch = self.spec.branch_words[0].copy()
+        if self.h8 is not None:  # else the non-local rows are uncovered
+            for wire, (x, z, k) in self.spec.nonlocal_words.items():
+                word = make_word(x, z, self.flip * k * self.h8)
+                branch[self.nonlocal_rows, WIRES.index(wire)] = word.code
+        # Python complex products (object arrays), in frame_compose's order:
+        # each wire's phase, then the sz frame's unit phase, then each sz wire's.
+        products, phases, _ = word_tables()
+        codes = products[self.prefactor, branch]
+        phase = np.full(len(branch), 1.0 + 0.0j, dtype=object)
+        for extra in [*phases[self.prefactor, branch].T, 1.0 + 0.0j]:
+            phase = phase * extra
+        local_codes, local_phase = products[codes, self.sz], phase
+        for extra in phases[codes, self.sz].T:
+            local_phase = local_phase * extra
+        local = ~self.nonlocal_rows
+        local_phase = np.where(local, local_phase, phase).astype(complex)
+        return _read_only(np.where(local[:, None], local_codes, codes)), _read_only(local_phase)
+
+    @cached_property
+    def tail(self) -> tuple[np.ndarray, str]:
+        """The non-local factor with the sz frame folded in, and its label."""
+        factor, label = _nonlocal_factor(self.theta, self.flip)
+        sz_frame = ByproductOperator(WIRES, {w: WORDS[c] for w, c in zip(WIRES, self.sz)})
+        return _read_only(factor @ frame_to_operator(sz_frame)), label
+
+
+_frame_table = lru_cache(maxsize=CACHE_SIZE)(_FrameTable)
 
 
 class LinkingFrames:
@@ -583,74 +703,28 @@ class LinkingFrames:
     row's frame (``mbqc.outcome_row``). An sx the resource cannot absorb
     raises ``UnrecoverableLinkingError`` here; a row without a table entry
     raises ``FrameUnavailable``, the first such given row deciding which.
+    The tables are built once per process and case (``_FrameTable``) and
+    shared read-only: ``local_mask`` and ``operators`` return fresh arrays,
+    and a non-local frame holds the shared, read-only factor.
     """
 
     def __init__(self, variant: ResourceVariant, linking: LinkingByproducts = NO_LINKING):
-        _check_recoverable(variant, linking)
-        self._spec = spec = variant.spec
-        self._kind = variant.kind
-        self._theta = theta = variant.theta
-        self._h8 = h8 = angles.eighths(theta / 2)  # theta/2 in units of pi/4
-        self._flip = -1 if (linking.sx[1] ^ linking.sx[2]) else 1
-        entries = spec.prefactors[linking.sx]
-        self._unavailable = None
-        if spec.pi_only and theta != 1:
-            self._unavailable = (
-                f"{variant.kind}-qubit frames are tabulated for theta = pi only, "
-                f"not theta = {angles.describe(theta)}"
-            )
-        elif h8 is None and any(k for _, _, k in entries.values()):
-            self._unavailable = (
-                f"{variant.kind}-qubit linking corrections are tabulated for theta a "
-                "multiple of pi/2 only"
-            )
-        else:
-            words = (entries.get(wire, (0, 0, 0)) for wire in WIRES)
-            self._prefactor = np.array([make_word(x, z, k * h8 if k else 0).code for x, z, k in words])
-        self._sz = np.array([4 * linking.sz[0], 4 * linking.sz[1], 8 * linking.sz[2]])
-        self._nonlocal = spec.branch_words[1]
+        self._frames = _frame_table(variant, linking, variant.spec)
 
     def _check(self, rows) -> np.ndarray:
         """Each given row's non-local flag, or what the first uncovered row raises."""
-        nonlocal_rows = self._nonlocal[rows]
-        uncovered = nonlocal_rows & (self._h8 is None)
-        if self._unavailable and nonlocal_rows.size and not uncovered[0]:
-            raise FrameUnavailable(self._unavailable)
+        frames = self._frames
+        nonlocal_rows = frames.nonlocal_rows[rows]
+        uncovered = nonlocal_rows & (frames.h8 is None)
+        if frames.unavailable and nonlocal_rows.size and not uncovered[0]:
+            raise FrameUnavailable(frames.unavailable)
         if uncovered.any():
             raise FrameUnavailable(
-                f"{self._kind}-qubit frames with s{self._spec.nonlocal_vertex + 1} = 1 are "
+                f"{frames.kind}-qubit frames with s{frames.spec.nonlocal_vertex + 1} = 1 are "
                 "tabulated for theta a multiple of pi/2 only, not theta = "
-                f"{angles.describe(self._theta)}"
+                f"{angles.describe(frames.theta)}"
             )
         return nonlocal_rows
-
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's word codes, in ``WIRES`` order, and global phase."""
-        branch = self._spec.branch_words[0].copy()
-        if self._h8 is not None:  # else the non-local rows are uncovered
-            for wire, (x, z, k) in self._spec.nonlocal_words.items():
-                word = make_word(x, z, self._flip * k * self._h8)
-                branch[self._nonlocal, WIRES.index(wire)] = word.code
-        # Python complex products (object arrays), in frame_compose's order:
-        # each wire's phase, then the sz frame's unit phase, then each sz wire's.
-        products, phases, _ = word_tables()
-        codes = products[self._prefactor, branch]
-        phase = np.full(len(branch), 1.0 + 0.0j, dtype=object)
-        for extra in [*phases[self._prefactor, branch].T, 1.0 + 0.0j]:
-            phase = phase * extra
-        local_codes, local_phase = products[codes, self._sz], phase
-        for extra in phases[codes, self._sz].T:
-            local_phase = local_phase * extra
-        local = ~self._nonlocal
-        local_phase = np.where(local, local_phase, phase).astype(complex)
-        return np.where(local[:, None], local_codes, codes), local_phase
-
-    def _nonlocal_tail(self) -> tuple[np.ndarray, str]:
-        """The non-local factor with the sz frame folded in, and its label."""
-        factor, label = _nonlocal_factor(self._theta, self._flip)
-        sz_frame = ByproductOperator(WIRES, {w: WORDS[c] for w, c in zip(WIRES, self._sz)})
-        return factor @ frame_to_operator(sz_frame), label
 
     def local_mask(self, rows=slice(None)) -> np.ndarray:
         """Whether each row's frame is a tensor product, without building it."""
@@ -661,20 +735,20 @@ class LinkingFrames:
         nonlocal_rows = self._check(rows)
         if not nonlocal_rows.size:
             return np.empty((0, 8, 8), dtype=complex)
-        codes, phases = (column[rows] for column in self._table)
+        codes, phases = (column[rows] for column in self._frames.rows)
         entries = word_tables()[2]
         out = entries[0][codes[:, 0]] * entries[1][codes[:, 1]] * entries[2][codes[:, 2]]
         out = out.reshape(-1, 8, 8)
         if nonlocal_rows.any():
-            out[nonlocal_rows] = out[nonlocal_rows] @ self._nonlocal_tail()[0]
+            out[nonlocal_rows] = out[nonlocal_rows] @ self._frames.tail[0]
         return phases[:, None, None] * out
 
     def __call__(self, outcomes) -> ByproductOperator:
-        row = outcome_row(self._spec.measured_vertices, outcomes)
+        row = outcome_row(self._frames.spec.measured_vertices, outcomes)
         [nonlocal_branch] = self._check([row])
-        codes, phase = (column[row] for column in self._table)
+        codes, phase = (column[row] for column in self._frames.rows)
         words = {wire: WORDS[code] for wire, code in zip(WIRES, codes)}
-        factor, label = self._nonlocal_tail() if nonlocal_branch else (None, None)
+        factor, label = self._frames.tail if nonlocal_branch else (None, None)
         return ByproductOperator(WIRES, words, factor, label, complex(phase))
 
 
@@ -863,7 +937,7 @@ def run_gate(
         # extracted from the simulated branch operator instead.
         sigma = None
         operator = branch_outputs(variant, linking, np.eye(8))[row]
-        target_inv = np.linalg.inv(logical_target(variant))
+        target_inv = np.linalg.inv(logical_target.shared(variant))
         success = is_local(unit_scale(operator @ target_inv)).is_local
     else:
         success = sigma.is_local

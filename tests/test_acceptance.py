@@ -135,6 +135,30 @@ def test_one_pass_walks_each_pi_resource_once_per_sz(monkeypatch):
     assert acceptance._pass_table is None
 
 
+
+def test_a_report_builds_each_frame_table_and_program_once(monkeypatch):
+    # Frame tables and programs depend on the spec, theta and the linking bits
+    # alone, so both passes of a report share them and a second report builds
+    # none; the walks above still run in every pass. Clearing the caches puts
+    # them in the state of a fresh process.
+    built = Counter()
+    init = toffoli._FrameTable.__init__
+
+    def counted(self, variant, linking, spec):
+        built[variant, linking] += 1
+        init(self, variant, linking, spec)
+
+    monkeypatch.setattr(toffoli._FrameTable, "__init__", counted)
+    for cache in (toffoli._frame_table, toffoli._program):
+        cache.cache_clear()
+    acceptance.build_report()
+    assert len(built) == 36 and set(built.values()) == {1}
+    programs = toffoli._program.cache_info()
+    assert programs.misses == programs.currsize == 20
+    acceptance.build_report()
+    assert sum(built.values()) == 36
+    assert toffoli._program.cache_info().misses == 20
+
 def test_criterion_5_batch_equals_one_state_per_angle():
     # The per-state path check 5 used before its 20 angles were walked as one batch.
     thetas, psis, leaves, probabilities = acceptance._gadget_branches(acceptance.RecordedDraws(5))

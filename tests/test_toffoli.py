@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -735,14 +737,17 @@ def test_success_probability_composes_no_frame(monkeypatch):
     for theta in (Fraction(1), Fraction(1, 2), Fraction(3, 2)):
         tf.success_probability(tf.ResourceVariant("six", theta), "uniform")
     assert frames_built == [] and matrices == [[], []] and factors == []
-    # The non-local factor is built for non-local frames alone, once per call.
+    # The non-local factor is built for non-local frames alone, once per
+    # table: a fresh table builds it on its first non-local row and every
+    # later table of the case shares it.
+    tf._frame_table.cache_clear()
     frames = tf.LinkingFrames(tf.ResourceVariant("six"))
     frames({1: 0, 2: 0, 3: 0})
     frames.operators([0b101])
     assert factors == []
     frames({1: 0, 2: 1, 3: 0})
-    frames.operators()
-    assert len(factors) == 2
+    tf.LinkingFrames(tf.ResourceVariant("six")).operators()
+    assert len(factors) == 1
 
 
 def test_branch_probabilities_uniform():
@@ -1288,3 +1293,122 @@ def test_nonlocal_rows_read_the_nonlocal_word_from_the_spec(monkeypatch):
     six = tf.VARIANT_SPECS["six"]
     monkeypatch.setitem(tf.VARIANT_SPECS, "six", dataclasses.replace(six, nonlocal_words={"c2": (1, 0, 3)}))
     assert tf.predicted_sigma(variant, outcomes).words["c2"] == mbqc.make_word(1, 0, 3)
+
+
+def toffoli_caches():
+    """Every cache defined in the toffoli module, by name: its lru caches and the builders' ``shared``."""
+    own = {name: value for name, value in vars(tf).items() if getattr(value, "__module__", None) == tf.__name__}
+    caches = {name: value for name, value in own.items() if hasattr(value, "cache_info")}
+    caches.update({name: value.shared for name, value in own.items() if hasattr(value, "shared")})
+    return caches
+
+
+SCAN_THETAS = [Fraction(k, 2) for k in range(1, 401) if k % 4][:300]
+SCAN_SCRIPT = """
+import sys
+from fractions import Fraction
+from wgtoffoli import toffoli as tf
+for text in sys.argv[1:]:
+    report = tf.success_probability(tf.ResourceVariant("six", Fraction(text)), "none")
+    print(report.p_success, report.max_uniformity_error.hex())
+"""
+
+
+def test_a_theta_scan_keeps_every_cache_within_its_bound():
+    # 300 distinct theta overflow the 256 keys of every per-variant cache;
+    # evicted tables are rebuilt with the bits a fresh process gives.
+    caches = toffoli_caches()
+    assert {"_frame_table", "_program", "_step_bases", "_resource_graph", "_nonlocal_factor"} <= set(caches)
+    assert {"toffoli_matrix", "hadamard_on_target", "target_unitary", "logical_target"} <= set(caches)
+    assert {name: cache.cache_info().maxsize for name, cache in caches.items()} == dict.fromkeys(
+        caches, tf.CACHE_SIZE
+    )
+    got = []
+    for theta in SCAN_THETAS + SCAN_THETAS[:20]:
+        report = tf.success_probability(tf.ResourceVariant("six", theta), "none")
+        got.append(f"{report.p_success} {report.max_uniformity_error.hex()}")
+        assert all(cache.cache_info().currsize <= tf.CACHE_SIZE for cache in caches.values())
+    assert tf._frame_table.cache_info().currsize == tf.CACHE_SIZE
+    fresh = subprocess.run(
+        [sys.executable, "-c", SCAN_SCRIPT, *map(str, SCAN_THETAS)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert got == fresh.stdout.splitlines() + got[:20]
+
+
+def test_cached_tables_are_read_only():
+    six = tf.ResourceVariant("six")
+    frames = tf._frame_table(six, tf.LinkingByproducts((1, 1, 1), (1, 0, 1)), six.spec)
+    arrays = [
+        tf.toffoli_matrix.shared(),
+        tf.hadamard_on_target.shared(),
+        tf.target_unitary.shared(Fraction(1, 3)),
+        tf.logical_target.shared(six),
+        tf._nonlocal_factor(Fraction(1, 2), -1)[0],
+        frames.prefactor,
+        frames.sz,
+        frames.nonlocal_rows,
+        *frames.rows,
+        frames.tail[0],
+        *six.spec.branch_words,
+    ]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_mutating_a_result_changes_no_later_result():
+    six = tf.ResourceVariant("six", Fraction(1, 2))
+    linking = tf.LinkingByproducts((0, 1, 0), (1, 0, 1))
+    builders = [
+        tf.toffoli_matrix,
+        tf.hadamard_on_target,
+        lambda: tf.target_unitary(Fraction(1, 2)),
+        lambda: tf.logical_target(six),
+        lambda: tf.LinkingFrames(six, linking).operators(),
+    ]
+    for build in builders:
+        first = build()
+        expected = first.copy()
+        first[...] = 7
+        assert build().tobytes() == expected.tobytes()
+    program = tf.measurement_program(six, linking)
+    expected = [(step.vertex, step.basis) for step in program.steps]
+    program.steps[0].basis = mbqc.MeasurementBasis(Fraction(1, 7))
+    program.steps.reverse()
+    program.steps.append(program.steps[0])
+    assert [(s.vertex, s.basis) for s in tf.measurement_program(six, linking).steps] == expected
+
+
+def test_a_fraction_angle_and_an_equal_float_get_their_own_target():
+    # Fraction(1, 2) is pi/2 and 0.5 is half a radian; they are equal and hash alike.
+    for first, second in ((Fraction(1, 2), 0.5), (0.5, Fraction(1, 2))):
+        tf.target_unitary.shared.cache_clear()
+        tf.target_unitary(first)
+        got = tf.target_unitary(second)
+        expected = tf.target_unitary.__wrapped__(second)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_cached_tables_raise_the_same_errors_every_time():
+    off_pi = tf.ResourceVariant("six", Fraction(1, 3))
+    message = "six-qubit frames with s3 = 1 are tabulated for theta a multiple of pi/2 only"
+    frames = tf.LinkingFrames(off_pi)
+    for attempt in (frames, frames, tf.LinkingFrames(off_pi)):
+        with pytest.raises(tf.FrameUnavailable, match=message):
+            attempt.operators()
+        with pytest.raises(tf.FrameUnavailable, match=message):
+            attempt({1: 0, 2: 1, 3: 0})
+        assert attempt.local_mask([0, 1]).all()
+    seven = tf.ResourceVariant("seven", Fraction(1, 2))
+    for _ in range(3):
+        with pytest.raises(tf.FrameUnavailable, match="seven-qubit frames are tabulated for theta = pi only"):
+            tf.LinkingFrames(seven).local_mask()
+    for _ in range(3):
+        with pytest.raises(tf.UnrecoverableLinkingError, match=r"x-corruption \(0, 0, 1\)"):
+            tf.LinkingFrames(tf.ResourceVariant("six"), tf.LinkingByproducts((0, 0, 1)))
+        with pytest.raises(tf.UnrecoverableLinkingError, match=r"x-corruption \(0, 0, 1\)"):
+            tf.measurement_program(tf.ResourceVariant("six"), tf.LinkingByproducts((0, 0, 1)))

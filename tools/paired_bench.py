@@ -1,33 +1,36 @@
 """Paired-seed benchmark of two source trees, parent against change.
 
-    python tools/paired_bench.py BASE_TREE CHANGE_TREE --workload W --seeds A-B \
+    python tools/paired_bench.py BASE_TREE CHANGE_TREE --workload W[,W2...] --seeds A-B \
         [--seconds S] [--out BENCH_<label>.json]
 
 For each seed from A to B the script runs ``perfbench/run.py --workload W
 --seed N --seconds S`` once in each tree, each tree with its own copy of
 the benchmark, and alternates which tree runs first (the base tree goes
-first on even-numbered pairs). It prints one line per run as it finishes,
-then one row per end-to-end metric of the change tree's
-``BENCHMARK.json``: the median and quartiles of each side, the change in
-the median as a percentage of the base median, the number of pairs the
-change won (ties count for neither side), the base's quartile spread,
-whether the gain rule holds (the change wins at least nine tenths of the
-pairs and the medians differ by more than the base's quartile spread) and
-whether the metric is within its bound (the change's median is worse than
-the base's by no more than the metric's ``bound``, a fraction of the base
-median). The last line counts the failed operations of each side.
+first on even-numbered pairs). ``--workload`` may name several workloads,
+comma-separated; each workload's pairs then run in turn, on the same
+seeds, and each gets its own summary block. It prints one line per run
+as it finishes, then, per workload, one row per end-to-end metric of the
+change tree's ``BENCHMARK.json``: the median and quartiles of each side,
+the change in the median as a percentage of the base median, the number
+of pairs the change won (ties count for neither side), the base's
+quartile spread, whether the gain rule holds (the change wins at least
+nine tenths of the pairs and the medians differ by more than the base's
+quartile spread) and whether the metric is within its bound (the
+change's median is worse than the base's by no more than the metric's
+``bound``, a fraction of the base median). The block's last line counts
+the failed operations of each side.
 
 Both trees must be source checkouts; nothing is installed. ``S`` defaults
 to ``run_seconds`` of the change tree's ``BENCHMARK.json``.
 
-With ``--out BENCH_<label>.json`` the script also writes the comparison
-as JSON: each tree's commit id (and whether its tracked files differ from
-that commit), the workload, the seeds and the seconds per run, per
-end-to-end metric each side's median and quartiles, the change, the pairs
-won, the base spread and the gain and bound verdicts, every run's metric
-values, the failed and attempted operations of each side, the host (CPU
-count, load average before and after, Python and numpy versions) and
-each tree's ``src/`` line count. ``tests/test_bench_files.py`` checks
+With ``--out BENCH_<label>.json``, which takes a single workload, the
+script also writes the comparison as JSON: each tree's commit id (and
+whether its tracked files differ from that commit), the workload, the
+seeds and the seconds per run, per end-to-end metric each side's median
+and quartiles, the change, the pairs won, the base spread and the gain
+and bound verdicts, every run's metric values, the failed and attempted
+operations of each side, the host (CPU count, load average before and
+after, Python and numpy versions) and each tree's ``src/`` line count. ``tests/test_bench_files.py`` checks
 that every checked-in ``BENCH_*.json`` names only workloads and metrics
 that ``BENCHMARK.json`` defines.
 """
@@ -172,39 +175,48 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="source tree of the parent")
     parser.add_argument("change", type=Path, help="source tree of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="W, or W1,W2,... run in turn")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="A-B, inclusive")
     parser.add_argument("--seconds", type=float, help="per run (default: run_seconds)")
     parser.add_argument("--out", type=Path, help="also write the comparison as JSON here")
     args = parser.parse_args()
+    workloads = args.workload.split(",")
+    if args.out and len(workloads) > 1:
+        parser.error("--out takes a single workload")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    unknown = sorted(set(workloads) - {w["name"] for w in spec["workloads"]})
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}")
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     trees = dict(zip(SIDES, (args.base.resolve(), args.change.resolve())))
 
-    load_before = list(os.getloadavg())
-    results = {side: [] for side in SIDES}
-    for pair, seed in enumerate(args.seeds):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            result = run_once(trees[side], args.workload, seed, seconds)
-            results[side].append(result)
-            shown = " ".join(
-                f"{name}={entry['value']:.6g}" for name, entry in result["metrics"].items()
-            )
-            print(f"pair {pair + 1} seed {seed} {side} failed {result['failed']} {shown}", flush=True)
-    record = bench_record(
-        spec, args, seconds, trees, results, (load_before, list(os.getloadavg()))
-    )
+    for workload in workloads:
+        load_before = list(os.getloadavg())
+        results = {side: [] for side in SIDES}
+        for pair, seed in enumerate(args.seeds):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_once(trees[side], workload, seed, seconds)
+                results[side].append(result)
+                shown = " ".join(
+                    f"{name}={entry['value']:.6g}" for name, entry in result["metrics"].items()
+                )
+                print(f"{workload} pair {pair + 1} seed {seed} {side} "
+                      f"failed {result['failed']} {shown}", flush=True)
+        one = argparse.Namespace(**{**vars(args), "workload": workload})
+        record = bench_record(
+            spec, one, seconds, trees, results, (load_before, list(os.getloadavg()))
+        )
 
-    print(f"workload {args.workload} seeds {args.seeds[0]}-{args.seeds[-1]} "
-          f"seconds {seconds:g} pairs {len(args.seeds)}")
-    for name, row in record["metrics"].items():
-        print(summary_row(name, row))
-    print(" ".join(
-        f"{side} failed {record['failed'][side]}/{record['attempted'][side]}" for side in SIDES
-    ))
-    if args.out:
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"workload {workload} seeds {args.seeds[0]}-{args.seeds[-1]} "
+              f"seconds {seconds:g} pairs {len(args.seeds)}")
+        for name, row in record["metrics"].items():
+            print(summary_row(name, row))
+        print(" ".join(
+            f"{side} failed {record['failed'][side]}/{record['attempted'][side]}" for side in SIDES
+        ))
+        if args.out:
+            args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

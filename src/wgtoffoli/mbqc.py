@@ -11,8 +11,9 @@ correction applied just before a measurement folds into its angle
 instead (``toffoli._step_bases``): X on a plain basis, or Z on an H
 basis, negates alpha; Z on a plain basis, or X on an H basis, adds pi;
 Rz(beta) on a plain basis subtracts beta. ``basis_states`` computes a
-basis object's two kets on first use and keeps them on that object, read
-only, so equal bases built apart keep their own kets.
+basis object's ``(2, 2)`` kets on first use and keeps them on that object,
+read only, so equal bases built apart keep their own kets. A walk tells
+bases apart by identity and projects each depth onto their stacked kets.
 
 Byproduct frames
 ----------------
@@ -30,6 +31,7 @@ always returns a fresh array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -87,20 +89,21 @@ class MeasurementBasis:
         return hash(self._key())
 
     @cached_property
-    def _kets(self) -> tuple[np.ndarray, np.ndarray]:
+    def _kets(self) -> np.ndarray:
         phase = np.exp(1j * angles.radians(self.alpha))
-        plus = np.array([1, phase], dtype=complex) / np.sqrt(2)
-        minus = np.array([1, -phase], dtype=complex) / np.sqrt(2)
+        if not math.isfinite(abs(phase)):  # alpha set past __post_init__; a finite one: unit kets
+            raise ValueError("projection ket must be normalised")
+        kets = np.array([[1, phase], [1, -phase]], dtype=complex) / np.sqrt(2)
         if self.hadamard:
-            plus, minus = HADAMARD @ plus, HADAMARD @ minus
-        return _read_only(plus), _read_only(minus)
+            kets = np.array([HADAMARD @ kets[0], HADAMARD @ kets[1]])
+        return _read_only(kets)
 
 
 COMPUTATIONAL = MeasurementBasis(alpha=Fraction(0), hadamard=True)
 
 
-def basis_states(basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Projection kets for outcomes 0 and 1, the same read-only pair at every call."""
+def basis_states(basis: MeasurementBasis) -> np.ndarray:
+    """The kets of outcomes 0 and 1 as the rows of one read-only ``(2, 2)`` array."""
     return basis._kets
 
 
@@ -183,18 +186,14 @@ def outcome_tree_leaves(pattern: Pattern | Sequence[Pattern], tensor: np.ndarray
     ``tensor`` is a batch of n-qubit registers, ``(B,) + (2,)*n`` with
     B >= 1; qubit q of an r-qubit register sits on axis ``1 + (r - 1 - q)``.
     ``pattern`` may be a sequence of patterns over the same vertices in
-    the same order, one per equal block of rows. The ``2**d`` nodes at
-    depth d are one ``(2**d, B) + (2,)*(n-d)`` array. ``_block_groups``
-    groups the (node, block) pairs of each depth by the identity of their
-    basis, and each group costs one ``basis_states`` and one
-    ``qstate.project_axis`` call. A depth with one group projects the whole
-    level, so m fixed steps make m kernel calls; a split depth gathers each
-    group's rows by fancy indexing on a (block, row) view and scatters them
-    into the next level. The projection is elementwise, so every leaf row is
-    bitwise equal to ``run_branch`` on that register under its block's
-    pattern. The result is the last level, ``(2**m, B) + (2,)*(n-m)``: leaf
-    i holds the outcomes ``outcome_prefixes(pattern.vertices)[i]``, and the
-    survivors sit in ``measured_qubits`` order.
+    the same order, one per equal block of rows. Depth d's ``2**d`` nodes
+    are one ``(2**d, B) + (2,)*(n-d)`` array and one ``qstate.project_axis``
+    call, onto one basis object's kets or onto ``_level_kets``'s stack of
+    (node, block) kets; an adaptive basis gets its node's outcome dict. Each
+    leaf row is bitwise equal to ``run_branch`` on its register under its
+    block's pattern. The result is the last level: leaf i holds the outcomes
+    ``outcome_prefixes(pattern.vertices)[i]``, survivors in
+    ``measured_qubits`` order. No reference to ``tensor`` outlives depth 0.
     """
     patterns = [pattern] if isinstance(pattern, Pattern) else list(pattern)
     shape, n, blocks = tensor.shape, tensor.ndim - 1, len(patterns)
@@ -206,51 +205,34 @@ def outcome_tree_leaves(pattern: Pattern | Sequence[Pattern], tensor: np.ndarray
     if blocks > 1 and any(p.vertices != vertices for p in patterns):
         raise ValueError("block patterns must measure the same vertices in the same order")
     qubits, _ = measured_qubits(n, patterns[0])
-    level = tensor[np.newaxis]
+    level, prefixes, tensor = tensor[np.newaxis], [{}], None  # the batch dies with depth 0
     for depth in range(len(vertices)):
-        axis = 1 + n - depth - qubits[depth]
         bases = [p.steps[depth].basis for p in patterns]
-        groups = _block_groups(bases, vertices[:depth], len(level))
-        child_shape = level.shape[1:axis] + level.shape[axis + 1 :]
-        children = np.empty((len(level), 2) + child_shape, dtype=complex)
-        if len(groups) == 1:
-            children[:, 0], children[:, 1] = project_axis(level, axis, basis_states(groups[0][0]))
+        if not callable(bases[0]) and all(basis is bases[0] for basis in bases):
+            rows, kets = level, basis_states(bases[0])
         else:  # split the row axis into (block, row)
-            source = level.reshape(level.shape[:1] + (blocks, -1) + level.shape[2:])
-            target = children.reshape(children.shape[:2] + (blocks, -1) + child_shape[1:])
-            for basis, node, block in groups:
-                target[node, 0, block], target[node, 1, block] = project_axis(
-                    source[node, block], axis, basis_states(basis)
-                )
-        level = children.reshape((-1,) + child_shape)
+            prefixes = _grow(prefixes, vertices[len(prefixes[0]) : depth])
+            rows = level.reshape(level.shape[:1] + (blocks, -1) + level.shape[2:])
+            kets = _level_kets(bases, prefixes)
+        # Outcome 1 after outcome 0 on the row axis: node i's children are 2i and 2i + 1.
+        children = np.concatenate(project_axis(rows, rows.ndim - 1 - qubits[depth], kets), axis=1)
+        level = children.reshape((-1, shape[0]) + (2,) * (n - depth - 1))
     return level
 
 
-def _block_groups(bases, prefix_vertices, count: int) -> list:
-    """Each distinct basis the blocks' ``bases`` give at a depth of ``count`` nodes.
+def _level_kets(bases, prefixes: list[OutcomeBits]) -> np.ndarray:
+    """The ``(nodes, blocks, 2, 2)`` kets of each block's basis at each node of a depth.
 
-    A group is ``(basis, nodes, blocks)``, the index arrays of its (node,
-    block) pairs, or ``(basis, None, None)`` for one fixed basis of every
-    block. An adaptive basis is called once per node with the outcomes
-    above it, once however many blocks share it.
+    One ``basis_states`` call per distinct basis object; an adaptive basis
+    is called once per node (dict in ``prefixes``), however many blocks share it.
     """
-    first = bases[0]
-    if not callable(first) and all(basis is first for basis in bases):
-        return [(first, None, None)]
-    prefixes, resolved, groups = outcome_prefixes(prefix_vertices), {}, {}
-    for block, basis in enumerate(bases):
-        if id(basis) not in resolved:
-            chosen = [basis(seen) for seen in prefixes] if callable(basis) else [basis] * count
-            # Each entry holds its basis, so no id is reused while grouping.
-            split = {}
-            for node, each in enumerate(chosen):
-                split.setdefault(id(each), (each, []))[1].append(node)
-            resolved[id(basis)] = split.values()
-        for each, found in resolved[id(basis)]:
-            _, group_nodes, group_blocks = groups.setdefault(id(each), (each, [], []))
-            group_nodes += found
-            group_blocks += [block] * len(found)
-    return [(each, np.array(nodes), np.array(blocks)) for each, nodes, blocks in groups.values()]
+    found, columns = {}, {}  # each entry holds its basis, so no id is reused
+    for basis in bases:
+        if id(basis) not in columns:
+            chosen = map(basis, prefixes) if callable(basis) else [basis] * len(prefixes)
+            columns[id(basis)] = [found.setdefault(id(b), (len(found), b))[0] for b in chosen]
+    index = np.array([columns[id(basis)] for basis in bases]).T
+    return np.array([basis_states(each) for _, each in found.values()])[index]
 
 
 def outcome_prefixes(vertices) -> list[OutcomeBits]:
@@ -259,8 +241,12 @@ def outcome_prefixes(vertices) -> list[OutcomeBits]:
     This is the one outcome order: dict i spells i in binary, its first
     vertex on the most significant bit. Every call returns new dicts.
     """
-    prefixes = [{}]
-    for vertex in vertices:  # each dict is new, so it serves as its own 0 child
+    return _grow([{}], vertices)
+
+
+def _grow(prefixes: list[OutcomeBits], vertices) -> list[OutcomeBits]:
+    """``prefixes`` extended by ``vertices``, each dict reused as its own 0 child."""
+    for vertex in vertices:
         level = []
         for zero in prefixes:
             one = zero.copy()
@@ -293,9 +279,8 @@ def enumerate_branches(
     """All ``2**m`` measurement branches, zero-probability ones included.
 
     Branches come in ``itertools.product`` order over the steps. This is
-    ``outcome_tree_leaves`` on a batch of one: m kernel calls when every
-    basis is fixed, one per distinct basis at an adaptive depth, and each
-    branch's amplitudes are a view into the walk's last level. One
+    ``outcome_tree_leaves`` on a batch of one, one kernel call per depth,
+    and each branch's amplitudes are a view into the walk's last level. One
     ``qstate.norms_sq`` call takes every branch's squared norm, bitwise
     equal to its ``StateVector.norm_sq``, so each result is bitwise equal
     to ``run_branch(state, pattern, outcomes)``.

@@ -217,23 +217,30 @@ def _phase_both_set(tensor: np.ndarray, qubit_a: int, qubit_b: int, phase: compl
 
 
 def project_axis(tensor: np.ndarray, axis: int, kets) -> list[np.ndarray]:
-    """Contract one length-2 axis of ``tensor`` with each ``<ket|`` of ``kets``.
+    """Contract one length-2 axis of ``tensor`` with each outcome's ``<ket|``.
 
-    Returns one tensor per ket, without the axis. Every projection in the
-    package goes through here, so a branch has the same bits whichever
-    walk produced it.
+    ``kets`` is a ``(..., k, 2)`` stack (outcome, component) whose leading
+    axes broadcast over the axes of ``tensor`` before ``axis``, such as a
+    walk's ``(nodes, blocks, 2, 2)``. Returns one tensor per outcome,
+    without the axis: ``conj(ket[0]) * t0 + conj(ket[1]) * t1`` of each
+    entry's own ket, so a register gets the same bits from any stack. Every
+    projection in the package goes through here. The kets must be unit
+    vectors: ``project`` checks its ket, and a basis's are by construction.
     """
+    kets = np.asarray(kets, dtype=complex)
+    lead = kets.ndim - 2
+    if not 0 <= lead <= axis or kets.shape[-1] != 2:
+        raise ValueError(f"projection kets must be a (..., k, 2) stack over the axes before {axis}")
     t0 = np.take(tensor, 0, axis=axis)
     t1 = np.take(tensor, 1, axis=axis)
-    out = []
-    for ket in kets:
-        ket = np.asarray(ket, dtype=complex)
-        if ket.shape != (2,):
-            raise ValueError("projection ket must be a single-qubit state")
-        if not abs(np.vdot(ket, ket).real - 1.0) <= 1e-10:  # NaN fails too
-            raise ValueError("projection ket must be normalised")
-        out.append(np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1)
-    return out
+    bras = np.conj(kets)
+    if lead:  # each bra broadcasts over the axes after its own
+        bras = bras.reshape(kets.shape[:-2] + (1,) * (t0.ndim - lead) + kets.shape[-2:])
+    # An array even where the halves are 0-d (a one-qubit register), so += adds in place.
+    projected = [np.asarray(bras[..., k, 0] * t0) for k in range(kets.shape[-2])]
+    for k, out in enumerate(projected):
+        out += bras[..., k, 1] * t1  # the sum's bits, one temporary fewer
+    return projected
 
 
 def project(state: StateVector, qubit: int, ket: np.ndarray) -> StateVector:
@@ -244,8 +251,11 @@ def project(state: StateVector, qubit: int, ket: np.ndarray) -> StateVector:
     relative order (those above ``qubit`` shift down by one).
     """
     _check_qubit(state, qubit)
+    ket = np.asarray(ket, dtype=complex)
+    if not abs(np.vdot(ket, ket).real - 1.0) <= 1e-10:  # NaN fails too
+        raise ValueError("projection ket must be normalised")
     n = state.num_qubits
-    [out] = project_axis(state.amplitudes.reshape((2,) * n), n - 1 - qubit, [ket])
+    [out] = project_axis(state.amplitudes.reshape((2,) * n), n - 1 - qubit, ket[None])
     return StateVector(n - 1, out.reshape(-1))
 
 

@@ -831,9 +831,9 @@ def _outcome_leaves(
 
     ``cases`` is a non-empty sequence of linking cases in any mix of sx;
     each case's rows are one block of the walk, under its own
-    ``measurement_program``. Returns the ``(len(cases) * B, 2**n)``
-    embedded rows, case by case, the surviving vertices in ascending label
-    order and the last level of ``mbqc.outcome_tree_leaves``,
+    ``measurement_program``. Returns the ``qstate.norms_sq`` of the ``(len(cases)
+    * B, 2**n)`` embedded rows, case by case, the surviving vertices in
+    ascending label order and the last level of ``mbqc.outcome_tree_leaves``,
     ``(2**m, rows, 2, 2, 2)`` with the outcomes in schedule order. Row
     ``r`` of a leaf is the branch output for embedded row ``r`` in
     ``run_branch``'s qubit layout; each row is projected on its own, so a
@@ -848,10 +848,10 @@ def _outcome_leaves(
     if len(inputs) == 0:
         raise ValueError("inputs is an empty batch: need at least one (8,) row")
     n = variant.vertex_count
-    embedded = _encode_rows(variant, cases, inputs)
     _, survivors = measured_qubits(n, patterns[0])
-    tensor = embedded.reshape((len(embedded),) + (2,) * n)
-    return embedded, survivors, outcome_tree_leaves(patterns, tensor)
+    rows = [_encode_rows(variant, cases, inputs)]  # popped, so the walk holds the only reference
+    norms = norms_sq(rows[0])
+    return norms, survivors, outcome_tree_leaves(patterns, rows.pop().reshape((-1,) + (2,) * n))
 
 
 def branch_outputs(
@@ -989,9 +989,9 @@ def verify_branch_uniformity(
     ``enumerate_branches`` reports for that input and case, and the
     result is the maximum of one call per case.
     """
-    embedded, _, leaves = _outcome_leaves(variant, _case_list(linking), UNIFORMITY_INPUTS)
+    initial, _, leaves = _outcome_leaves(variant, _case_list(linking), UNIFORMITY_INPUTS)
     m = len(variant.measured_vertices)
-    probabilities = norms_sq(leaves.reshape(-1, 8)).reshape(2**m, -1) / norms_sq(embedded)
+    probabilities = norms_sq(leaves.reshape(-1, 8)).reshape(2**m, -1) / initial
     return float(np.max(np.abs(probabilities - 0.5**m)))
 
 

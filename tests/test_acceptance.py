@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import reference
 
-from wgtoffoli import acceptance, toffoli
+from wgtoffoli import acceptance, mbqc, toffoli
 from wgtoffoli.graphstate import build_state_with_input
 from wgtoffoli.mbqc import MeasurementBasis, Pattern, PatternStep, enumerate_branches
 from wgtoffoli.qstate import StateVector, kron_all
@@ -159,9 +159,19 @@ def test_a_report_builds_each_frame_table_and_program_once(monkeypatch):
     assert sum(built.values()) == 36
     assert toffoli._program.cache_info().misses == 20
 
-def test_criterion_5_batch_equals_one_state_per_angle():
+def test_criterion_5_batch_equals_one_state_per_angle(monkeypatch):
     # The per-state path check 5 used before its 20 angles were walked as one batch.
+    resolved, stacks = [], []
+    states, project = mbqc.basis_states, mbqc.project_axis
+    monkeypatch.setattr(mbqc, "basis_states", lambda basis: resolved.append(basis) or states(basis))
+    monkeypatch.setattr(
+        mbqc, "project_axis", lambda *args: stacks.append(np.shape(args[2])) or project(*args)
+    )
     thetas, psis, leaves, probabilities = acceptance._gadget_branches(acceptance.RecordedDraws(5))
+    monkeypatch.undo()
+    # Each angle's basis is its own object, resolved once, and the 20 one-row
+    # blocks are projected in one call with a ket pair per block.
+    assert len(resolved) == 20 and stacks == [(1, 20, 2, 2)]
     assert len(thetas) == 20 and leaves.shape == (2, 20, 4) and probabilities.shape == (2, 20)
     for index, theta in enumerate(thetas):
         state = build_state_with_input(acceptance.GADGET_CHAIN, StateVector(2, psis[index]), (2, 0))

@@ -513,13 +513,15 @@ def test_cli_records_match_golden(records):
 
 def test_cheap_branch_groups_match_golden(records):
     # The branch groups that take under a second, recomputed and compared with
-    # their digest lines: engine holds branch_outputs, graphs enumerate_branches.
+    # their digest lines: engine holds branch_outputs, graphs enumerate_branches,
+    # uniformity the walks of every resource's adaptive programs.
     fields, _ = records.read_golden(GOLDEN)
     problem = records.build_mismatch(GOLDEN, fields)
     if problem:
         pytest.fail(problem)
     seeds = [int(seed) for seed in fields["seeds"].split()]
     groups = {
+        "uniformity": records.uniformity_records(),
         "engine": records.engine_records(),
         "graphs": records.large_graph_records(seeds),
         "basis": records.basis_records(),

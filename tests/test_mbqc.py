@@ -381,58 +381,54 @@ def test_enumerate_equals_run_branch_bitwise():
     assert zero_branches == 8  # outcome 1 on the isolated vertex
 
 
-def count_basis_resolutions(monkeypatch):
-    resolved = []
-    original = mbqc.basis_states
+def spy_walk(monkeypatch):
+    """The bases a walk resolves, and its ``project_axis`` calls.
 
-    def spy(basis):
+    A call is recorded as its node count, the shape of its ket stack and
+    the number of ``basis_states`` calls made since the previous one.
+    """
+    resolved, projected = [], []
+    original_states, original_project = mbqc.basis_states, mbqc.project_axis
+
+    def states_spy(basis):
         resolved.append(basis)
-        return original(basis)
+        return original_states(basis)
 
-    monkeypatch.setattr(mbqc, "basis_states", spy)
-    return resolved
+    def project_spy(level, axis, kets):
+        projected.append((len(level), np.shape(kets), len(resolved) - sum(c for *_, c in projected)))
+        return original_project(level, axis, kets)
+
+    monkeypatch.setattr(mbqc, "basis_states", states_spy)
+    monkeypatch.setattr(mbqc, "project_axis", project_spy)
+    return resolved, projected
 
 
-def count_projections(monkeypatch):
-    """Node count of each ``project_axis`` call the walk makes."""
-    nodes = []
-    original = mbqc.project_axis
-
-    def spy(level, axis, kets):
-        nodes.append(len(level))
-        return original(level, axis, kets)
-
-    monkeypatch.setattr(mbqc, "project_axis", spy)
-    return nodes
+FIXED = (2, 2)  # the ket stack of one basis object, for the whole level
 
 
 def test_walk_resolves_fixed_bases_once_and_adaptive_ones_per_distinct_basis(monkeypatch):
-    resolved = count_basis_resolutions(monkeypatch)
-    projected = count_projections(monkeypatch)
+    resolved, projected = spy_walk(monkeypatch)
     state, pattern = mixed_pattern_state()
     mbqc.enumerate_branches(state, pattern)
-    # Three fixed steps, one projection of the whole level each. The
-    # adaptive callable builds a fresh basis at each of its 2**3 nodes, so
-    # each node is its own group.
+    # Three fixed steps, each resolved once for its whole level. The
+    # adaptive callable builds a fresh basis at each of its 2**3 nodes:
+    # eight resolutions, and one stack with a ket pair per node.
     assert [id(b) for b in resolved[:3]] == [id(step.basis) for step in pattern.steps[:3]]
-    assert len(resolved) == 3 + 2**3
-    assert projected == [1, 2, 4] + [1] * 2**3
+    assert projected == [(1, FIXED, 1), (2, FIXED, 1), (4, FIXED, 1), (8, (8, 1, 2, 2), 8)]
     resolved.clear()
     projected.clear()
-    # Six: three fixed steps, one call per depth.
+    # Six: three fixed steps.
     six = toffoli.ResourceVariant("six")
     toffoli.branch_outputs(six, toffoli.NO_LINKING, np.eye(8))
-    assert len(resolved) == 3
-    assert projected == [1, 2, 4]
+    assert projected == [(1, FIXED, 1), (2, FIXED, 1), (4, FIXED, 1)]
     resolved.clear()
     projected.clear()
     # Seven: two fixed steps, then adaptive steps at depths 2 and 3 whose
     # callables return one of two shared bases, split by the outcome of
-    # the first step.
+    # the first step: two resolutions each.
     seven = toffoli.ResourceVariant("seven")
     toffoli.branch_outputs(seven, toffoli.NO_LINKING, np.eye(8))
-    assert len(resolved) == 2 + 2 + 2
-    assert projected == [1, 2, 2, 2, 4, 4]
+    assert projected == [(1, FIXED, 1), (2, FIXED, 1), (4, (4, 1, 2, 2), 2), (8, (8, 1, 2, 2), 2)]
 
 
 def block_patterns():
@@ -475,24 +471,24 @@ def test_block_patterns_walk_each_block_as_its_own_pattern(monkeypatch):
     patterns, distinct, calls = block_patterns()
     rows = np.stack([random_state(rng, 5).amplitudes for _ in range(6)]).reshape((6,) + (2,) * 5)
     rows[1, 0, 1] = complex(-0.0, 0.0)  # signed zeros keep their bits
-    projected = count_projections(monkeypatch)
-    resolved = count_basis_resolutions(monkeypatch)
+    _, projected = spy_walk(monkeypatch)
     leaves = mbqc.outcome_tree_leaves(patterns, rows)
     assert leaves.shape == (8, 6, 2, 2)
-    # One kernel call per distinct basis at each depth, and the shared
-    # callable called once per node however many blocks share it.
-    assert len(projected) == len(resolved) == sum(distinct)
+    # One kernel call per depth, with a ket pair for each (node, block);
+    # one basis_states call per distinct basis object at each depth, and
+    # the shared callable called once per node however many blocks share it.
+    assert projected == [(2**d, (2**d, 3, 2, 2), distinct[d]) for d in range(3)]
     assert len(calls) == 2
     monkeypatch.undo()
     for block, pattern in enumerate(patterns):
         alone = mbqc.outcome_tree_leaves(pattern, rows[2 * block : 2 * block + 2])
         assert leaves[:, 2 * block : 2 * block + 2].tobytes() == alone.tobytes(), block
-    # Blocks that share every basis object make the kernel calls of one
-    # block: a fixed depth projects its whole level, and the adaptive depth
-    # one (node, block) pair of each block per basis.
-    projected = count_projections(monkeypatch)
+    # Blocks that share every basis object make the calls of one block: a
+    # fixed depth projects its whole level onto one basis, and the adaptive
+    # depth resolves its two bases once for all blocks.
+    _, projected = spy_walk(monkeypatch)
     shared = mbqc.outcome_tree_leaves([patterns[1]] * 3, rows)
-    assert projected == [1, 3, 3, 4]
+    assert projected == [(1, FIXED, 1), (2, (2, 3, 2, 2), 2), (4, FIXED, 1)]
     alone = mbqc.outcome_tree_leaves(patterns[1], rows)
     assert shared.tobytes() == alone.tobytes()
 
@@ -607,59 +603,51 @@ def feed_forward_pattern(rng: random.Random, n: int, m: int):
     a fresh step builds a new basis at every call, and a twin step returns
     one of two distinct bases with equal values: the first where two
     earlier outcomes are both 1, the second elsewhere. Returns the pattern,
-    the node count of each ``project_axis`` call the level walk should
-    make, and the twin bases with the node counts each should project.
+    the number of distinct basis objects each depth should resolve, and
+    the twins.
     """
-    steps, calls, twins = [], [], []
+    steps, distinct, twins = [], [], []
     for k, v in enumerate(rng.sample(range(n), m)):
         alpha, hadamard = random_angle(rng), rng.random() < 0.3
         plain = mbqc.MeasurementBasis(alpha, hadamard)
         earlier = rng.sample([step.vertex for step in steps], min(k, 2))
-        nodes = 1 << k
         if k % 4 == 0:
             basis = plain
-            calls.append(nodes)
+            distinct.append(1)
         elif k % 4 == 1:
             basis = chosen_basis(earlier[:1], mbqc.MeasurementBasis(-alpha, hadamard), plain)
-            calls += [nodes // 2] * 2
+            distinct.append(2)
         elif k % 4 == 2:
             basis = fresh_basis(earlier[0], alpha, hadamard)
-            calls += [1] * nodes
+            distinct.append(1 << k)
         else:
             twin = mbqc.MeasurementBasis(alpha, hadamard)
             basis = chosen_basis(earlier, twin, plain)
-            calls += [3 * nodes // 4, nodes // 4]
-            twins += [(plain, 3 * nodes // 4), (twin, nodes // 4)]
+            distinct.append(2)
+            twins.append(twin)
         steps.append(mbqc.PatternStep(v, basis))
-    return mbqc.Pattern(steps), calls, twins
+    return mbqc.Pattern(steps), distinct, twins
 
 
 def test_large_graph_walk_equals_run_branch_bitwise(monkeypatch):
     rng = random.Random(20261018)
-    original_states, original_project = mbqc.basis_states, mbqc.project_axis
     for n, m in GRAPH_SHAPES:
         state = random_graph_state(rng, n)
-        pattern, calls, twins = feed_forward_pattern(rng, n, m)
-        resolved, projected = {}, []
-
-        def states_spy(basis):
-            kets = original_states(basis)
-            resolved[id(kets)] = basis
-            return kets
-
-        def project_spy(level, axis, kets):
-            projected.append((resolved[id(kets)], len(level)))
-            return original_project(level, axis, kets)
-
-        monkeypatch.setattr(mbqc, "basis_states", states_spy)
-        monkeypatch.setattr(mbqc, "project_axis", project_spy)
+        pattern, distinct, twins = feed_forward_pattern(rng, n, m)
+        resolved, projected = spy_walk(monkeypatch)
+        # A twin's kets get a phase of their own, so a node projected onto
+        # its equal twin's kets would show in the bits below.
+        original = mbqc.basis_states
+        tagged = lambda basis: original(basis) * np.exp(0.25j * any(basis is t for t in twins))
+        monkeypatch.setattr(mbqc, "basis_states", tagged)
         branches = mbqc.enumerate_branches(state, pattern)
-        monkeypatch.undo()
-        assert [nodes for _, nodes in projected] == calls
-        # Equal twins are told apart by identity: each is resolved once and
-        # projects its own nodes.
-        for twin, nodes in twins:
-            assert [count for basis, count in projected if basis is twin] == [nodes]
+        # One call per depth, each (node) with its own kets at an adaptive
+        # depth; one resolution per distinct basis object at each depth.
+        assert projected == [
+            (1 << k, FIXED if k % 4 == 0 else (1 << k, 1, 2, 2), distinct[k]) for k in range(m)
+        ]
+        # Equal twins are told apart by identity: each is resolved once.
+        assert all(sum(basis is twin for basis in resolved) == 1 for twin in twins)
         assert len(branches) == 1 << m
         for (outcomes, probability, final), bits in zip(
             branches, itertools.product((0, 1), repeat=m)
@@ -668,6 +656,7 @@ def test_large_graph_walk_equals_run_branch_bitwise(monkeypatch):
             ref_probability, ref_final = mbqc.run_branch(state, pattern, outcomes)
             assert probability.hex() == ref_probability.hex()
             assert final.amplitudes.tobytes() == ref_final.amplitudes.tobytes()
+        monkeypatch.undo()
 
 
 # --- frames ---

@@ -1,10 +1,12 @@
 import itertools
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 from reference import apply_cz_theta_mask, apply_operator_moveaxis
 
+from wgtoffoli import mbqc
 from wgtoffoli import qstate as qs
 from wgtoffoli import toffoli as tf
 
@@ -131,6 +133,50 @@ def test_project_completeness():
     state = qs.StateVector(4, amps)
     total = sum(qs.project(state, 2, ket).norm_sq for ket in (qs.KET_PLUS, qs.KET_MINUS))
     assert abs(total - state.norm_sq) < 1e-12
+
+
+def scalar_projection(tensor, axis, kets):
+    """The projection a lone register gets: scalar bras on contiguous halves."""
+    t0, t1 = np.take(tensor, 0, axis=axis), np.take(tensor, 1, axis=axis)
+    return [np.conj(ket[0]) * t0 + np.conj(ket[1]) * t1 for ket in kets]
+
+
+def test_broadcast_projection_equals_the_scalar_projection_of_each_register():
+    # A (nodes, blocks, 2, 2) stack mixing five bases against every
+    # (node, block) projected alone, on every qubit axis.
+    rng = np.random.default_rng(20261022)
+    bases = [(0.3, False), (Fraction(1, 4), True), (2.1, False), (Fraction(-1, 3), False), (0, True)]
+    stack = np.stack([mbqc.basis_states(mbqc.MeasurementBasis(*basis)) for basis in bases])
+    index = rng.integers(0, len(bases), size=(4, 3))
+    index[0] = [0, 1, 2]  # every basis shows up
+    index[1, :2] = [3, 4]
+    shape = (4, 3, 2) + (2,) * 4  # (node, block, row) + qubits
+    tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    tensor[0, 1, 0, 1] = complex(-0.0, 0.0)  # signed zeros keep their bits
+    tensor[2, 2, 1, :, 1] = complex(0.0, -0.0)
+    tensor[3, 0] = complex(-0.0, -0.0)
+    for axis in range(3, tensor.ndim):
+        projected = qs.project_axis(tensor, axis, stack[index])
+        assert [out.shape for out in projected] == [shape[:axis] + shape[axis + 1 :]] * 2
+        for node, block in np.ndindex(index.shape):
+            kets = stack[index[node, block]]
+            alone = scalar_projection(tensor[node, block], axis - 2, kets)
+            fixed = qs.project_axis(tensor[node, block], axis - 2, kets)
+            for out, ref, one in zip(projected, alone, fixed):
+                assert out[node, block].tobytes() == ref.tobytes() == one.tobytes()
+
+
+def test_projection_kets_must_fit_the_tensor():
+    tensor = np.ones((3, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="stack over the axes before 1"):
+        qs.project_axis(tensor, 1, np.ones((3, 2, 2, 2)) / np.sqrt(2))
+    with pytest.raises(ValueError, match="stack"):
+        qs.project_axis(tensor, 1, np.ones((2, 3)))
+    # project checks the one ket it is given; a walk's kets are unit by construction.
+    with pytest.raises(ValueError, match="projection ket must be normalised"):
+        qs.project(qs.plus_state(2), 0, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="projection ket must be normalised"):
+        qs.project(qs.plus_state(2), 0, np.array([np.nan, 0.0]))
 
 
 def test_unitaries_preserve_norm():
@@ -269,11 +315,12 @@ def test_norms_sq_of_zero_rows_and_signed_zeros():
 @pytest.mark.parametrize("kind", ["six", "seven", "eight"])
 def test_norms_sq_bitwise_on_every_leaf_of_a_walk(kind):
     # The eight basis columns of one linking case, through one walk.
-    linking = tf.LinkingByproducts((1, 1, 1), (1, 0, 1))
-    embedded, _, leaves = tf._outcome_leaves(tf.ResourceVariant(kind), [linking], np.eye(8))
+    # The walk returns the embedded rows' norms, not the rows themselves.
+    variant, linking = tf.ResourceVariant(kind), tf.LinkingByproducts((1, 1, 1), (1, 0, 1))
+    initial, _, leaves = tf._outcome_leaves(variant, [linking], np.eye(8))
     rows = leaves.reshape(-1, 8)
     assert_bitwise(qs.norms_sq(rows), vdot_norms(rows))
-    assert_bitwise(qs.norms_sq(embedded), vdot_norms(embedded))
+    assert_bitwise(initial, vdot_norms(tf._encode_rows(variant, [linking], np.eye(8))))
 
 
 def test_norms_sq_rejects_a_non_matrix():
